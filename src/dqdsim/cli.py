@@ -96,10 +96,10 @@ def _pulse_reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, floa
 
 def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     tolerance = float(_get(args, config, "tolerance", 1e-9))
-    grid_points = int(_get(args, config, "resolution", 4))
+    grid = compiler.offset_grid(int(_get(args, config, "resolution", 4)))
     identities = verify_catalog_identities()
     pulse_checks = _pulse_reproduction_residuals()
-    decomposition = compiler.decomposition_report(2.0 * np.pi / grid_points)
+    decomposition = compiler.decomposition_report(grid)
 
     required: dict[str, float] = dict(identities)
     required.update(pulse_checks)
@@ -173,8 +173,8 @@ def _cmd_evolve(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_compile(args: argparse.Namespace, config: dict) -> int:
     tolerance = float(_get(args, config, "tolerance", 1e-10))
-    grid_points = int(_get(args, config, "resolution", 4))
-    report = compiler.decomposition_report(2.0 * np.pi / grid_points)
+    grid = compiler.offset_grid(int(_get(args, config, "resolution", 4)))
+    report = compiler.decomposition_report(grid)
     passed = (
         float(report["xor_4dim_residual"]) <= tolerance
         and bool(report["phase_gate_reproduced"])
@@ -412,8 +412,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default=None)
     sub.add_argument("--tolerance", type=float, default=None)
     sub.add_argument("--resolution", type=int, default=None,
-                     help="grid density: offset-grid points (verify/compile), quadrature nodes "
-                          "(decohere), bias samples (readout --scan)")
+                     help="grid density: offset-grid points per turn, 1..%d (verify/compile), "
+                          "quadrature nodes (decohere), bias samples (readout --scan)"
+                          % compiler.MAX_OFFSETS)
     sub.add_argument("--seed", type=int, default=None,
                      help="reserved; all algorithms are deterministic")
 

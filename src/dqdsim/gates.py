@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import matmul, max_abs_diff
+from .linalg import max_abs_diff
 
 __all__ = [
     "GateId",
@@ -223,28 +223,18 @@ def verify_catalog_identities(
 
     report: dict[str, float] = {}
     for gid, m in g.items():
-        report[f"unitary[{gid.value}]"] = max_abs_diff(matmul(m.conj().T, m), eye)
+        report[f"unitary[{gid.value}]"] = max_abs_diff(m.conj().T @ m, eye)
 
-    report["exchange_squares_to_identity"] = max_abs_diff(matmul(ex, ex), eye)
-    report["not1_commutes_with_not2"] = max_abs_diff(
-        matmul(not1, not2), matmul(not2, not1)
-    )
-    report["sqrt_not1_commutes_with_sqrt_not2"] = max_abs_diff(
-        matmul(sq1, sq2), matmul(sq2, sq1)
-    )
-    report["sqrt_not1_squares_to_not1"] = max_abs_diff(matmul(sq1, sq1), not1)
-    report["sqrt_not2_squares_to_not2"] = max_abs_diff(matmul(sq2, sq2), not2)
-    report["swap_factors_through_exchange"] = max_abs_diff(
-        swap, matmul(ex, matmul(not1, matmul(not2, ex)))
-    )
-    report["sqrt_swap_factors_through_exchange"] = max_abs_diff(
-        sqswap, matmul(ex, matmul(sq1, matmul(sq2, ex)))
-    )
-    report["sqrt_swap_squares_to_swap"] = max_abs_diff(matmul(sqswap, sqswap), swap)
-    report["cnot_factors_through_phase"] = max_abs_diff(
-        cnot, matmul(had2, matmul(phase, had2))
-    )
-    report["cnot_squares_to_identity"] = max_abs_diff(matmul(cnot, cnot), eye)
+    report["exchange_squares_to_identity"] = max_abs_diff(ex @ ex, eye)
+    report["not1_commutes_with_not2"] = max_abs_diff(not1 @ not2, not2 @ not1)
+    report["sqrt_not1_commutes_with_sqrt_not2"] = max_abs_diff(sq1 @ sq2, sq2 @ sq1)
+    report["sqrt_not1_squares_to_not1"] = max_abs_diff(sq1 @ sq1, not1)
+    report["sqrt_not2_squares_to_not2"] = max_abs_diff(sq2 @ sq2, not2)
+    report["swap_factors_through_exchange"] = max_abs_diff(swap, ex @ (not1 @ (not2 @ ex)))
+    report["sqrt_swap_factors_through_exchange"] = max_abs_diff(sqswap, ex @ (sq1 @ (sq2 @ ex)))
+    report["sqrt_swap_squares_to_swap"] = max_abs_diff(sqswap @ sqswap, swap)
+    report["cnot_factors_through_phase"] = max_abs_diff(cnot, had2 @ (phase @ had2))
+    report["cnot_squares_to_identity"] = max_abs_diff(cnot @ cnot, eye)
     return report
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_ATOL",
-    "matmul",
     "max_abs_diff",
     "is_unitary",
     "require_normalized",
@@ -25,15 +24,6 @@ __all__ = [
 HERMITIAN_ATOL = 1e-12
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check and complex promotion."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for matmul: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

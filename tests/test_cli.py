@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dqdsim.cli import main
+from dqdsim.compiler import MAX_OFFSETS
 from dqdsim.gates import GateId
 from dqdsim.pulses import calibrate, schedule_to_json, swap_sequence
 
@@ -126,6 +128,27 @@ def test_compile_reports_frozen_embedding(capsys):
     emb = report["embedding"]
     assert [emb[k] for k in ("k_z1_pp", "k_z1_mm", "k_z2_pp", "k_z2_mm")] == [-2, -2, -2, -2]
     assert report["xor_4dim_convention"] == "minus_half_on_zero"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_compile_and_verify_match_golden_bytes(capsys, command, fmt):
+    # Frozen from the one-candidate-at-a-time search the screened search replaced.
+    code, out, _ = run(capsys, command, "--resolution", "4", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_r4.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("resolution", ["0", "-1", str(MAX_OFFSETS + 1)])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_offset_grid_out_of_range_is_a_usage_error(capsys, command, resolution):
+    code, out, err = run(capsys, command, "--resolution", resolution)
+    assert code == 2
+    assert out == ""
+    assert "offset-grid size" in err
 
 
 # ---------------------------------------------------------------------------

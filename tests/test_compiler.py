@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from dqdsim.compiler import (
     CZ_4,
+    MAX_OFFSETS,
     SQRT_SWAP_4,
     TRIVIAL_EMBEDDING,
     PhaseEmbedding,
+    _candidates,
+    _embedding_at,
+    _screen_bounds,
+    _stacked_pi,
     build_cnot,
     build_pi,
     decomposition_report,
+    offset_grid,
     search_embedding,
     verify_xor_4dim,
     z_gate,
@@ -89,6 +97,70 @@ def test_search_is_deterministic():
 def test_search_rejects_grid_not_dividing_full_turn():
     with pytest.raises(ValueError):
         search_embedding(grid=1.0)
+
+
+@pytest.mark.parametrize("n_offsets", [0, -1, MAX_OFFSETS + 1])
+def test_offset_grid_size_is_capped(n_offsets):
+    with pytest.raises(ValueError):
+        offset_grid(n_offsets)
+
+
+@pytest.mark.parametrize(
+    "grid", [np.inf, np.nan, -2.0 * np.pi, 0.0, 2.0 * np.pi / (MAX_OFFSETS + 1)]
+)
+def test_search_rejects_grid_outside_the_cap(grid):
+    with pytest.raises(ValueError):
+        search_embedding(grid)
+
+
+def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
+    """Reference: every candidate evaluated exactly, in lexicographic order."""
+    grid = 2.0 * np.pi / n_offsets
+    offsets = [i * grid for i in range(n_offsets)]
+    ks = range(-2, 3)
+    target = gate_matrix(GateId.PHASE)
+    best, best_residual = None, np.inf
+    for params in itertools.product(ks, ks, ks, ks, offsets, offsets):
+        emb = PhaseEmbedding(*params)
+        residual = dist_up_to_global_phase(build_pi(emb), target)
+        if residual < best_residual - 1e-14:
+            best, best_residual = emb, residual
+    return best, float(best_residual)
+
+
+@pytest.mark.parametrize(
+    "n_offsets, embedding",
+    [
+        (1, PhaseEmbedding(-2, -2, 2, 2, 0.0, 0.0)),
+        (2, EXPECTED_EMBEDDING),
+        (3, PhaseEmbedding(-2, -2, 2, 2, 0.0, 0.0)),
+    ],
+    ids=["n1", "n2", "n3"],
+)
+def test_screened_search_matches_sequential_reference(n_offsets, embedding):
+    expected = sequential_search(n_offsets)
+    assert expected == (embedding, 2.83276944882399e-16)
+    assert search_embedding(offset_grid(n_offsets)) == expected
+
+
+def test_screen_bounds_bracket_the_exact_distance():
+    # Roundoff between the stacked products and build_pi reaches ~2e-16,
+    # well inside the search's 1e-12 screening slack.
+    target = gate_matrix(GateId.PHASE)
+    offsets = np.arange(1) * offset_grid(1)
+    index = np.arange(5**4)
+    lb, ub = _screen_bounds(_stacked_pi(_candidates(index, offsets)), target)
+    for i in index:
+        d = dist_up_to_global_phase(build_pi(_embedding_at(i, offsets)), target)
+        assert lb[i] - 1e-14 <= d <= ub[i] + 1e-14
+
+
+def test_stacked_products_match_build_pi():
+    offsets = np.arange(4) * offset_grid(4)
+    index = np.random.default_rng(5).choice(5**4 * 4**2, size=64, replace=False)
+    stack = _stacked_pi(_candidates(index, offsets))
+    for i, product in zip(index, stack):
+        assert max_abs_diff(product, build_pi(_embedding_at(i, offsets))) <= 1e-14
 
 
 def test_pi_construction_with_frozen_embedding():

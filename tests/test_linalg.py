@@ -7,7 +7,6 @@ from dqdsim.linalg import (
     dist_up_to_global_phase,
     expm_hermitian,
     is_unitary,
-    matmul,
     max_abs_diff,
     require_normalized,
 )
@@ -22,21 +21,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (z + z.conj().T) / 2
-
-
-def test_matmul_chains_in_order():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([[1.0, 0.0], [0.0, -1.0]])
-    c = matmul(a, b)
-    assert np.allclose(c, a @ b)
-    # matrix-vector products are allowed too
-    v = np.array([0.6, 0.8])
-    assert np.allclose(matmul(a, v), a @ v)
-
-
-def test_matmul_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_is_unitary_random():
