@@ -59,6 +59,7 @@ from .pulses import (
     evolve,
     extend_generator,
     load_schedule,
+    reproduction_residuals,
     schedule_from_json,
     schedule_to_json,
     segment_generator,

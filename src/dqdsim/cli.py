@@ -1,13 +1,13 @@
 """Command-line front end: verification, evolution, sweeps, readout.
 
-Every command reads an optional JSON config file (flat object whose keys
-match the flag destinations; explicit flags win), writes one report to
-``--out`` or stdout, and exits 0 exactly when all checks it declares are
+Every command reads an optional JSON config file: a flat object whose keys
+are that command's flag names with ``_`` for ``-``.  Config values go
+through the command's own parser, so they are typed and checked exactly
+like flags, and explicit flags win.  Each command writes one report to
+``--out`` or stdout and exits 0 exactly when all checks it declares are
 within tolerance.  Structured results are JSON, sweeps and traces CSV;
 floats carry 17 significant digits so identical runs produce byte-identical
-output.  Reports contain no timestamps for the same reason.  ``--seed`` is
-accepted for interface stability but ignored: every algorithm here is
-deterministic.
+output.  Reports contain no timestamps for the same reason.
 """
 
 from __future__ import annotations
@@ -21,40 +21,25 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler, decoherence, pulses, readout
-from .basis import COMPUTATIONAL_ROWS, basis_labels, computational_basis_state, leakage_population
+from .basis import basis_labels, computational_basis_state, leakage_population
 from .constants import K_B_UEV_PER_K
 from .gates import GateId, gate_matrix, verify_catalog_identities
 from .linalg import dist_up_to_global_phase, require_normalized
 from .reporting import render_csv, render_json, write_text
 
-__all__ = ["main"]
+__all__ = ["MAX_SWEEP_POINTS", "main"]
 
-_PULSE_NATIVE_GATES = (
-    GateId.NOT1,
-    GateId.NOT2,
-    GateId.SQRT_NOT1,
-    GateId.SQRT_NOT2,
-    GateId.EXCHANGE,
-)
+#: Largest number of points of a ``decohere`` tau or rate sweep.
+MAX_SWEEP_POINTS = 1000
 
 
-def _get(args: argparse.Namespace, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
-def _emit(report: dict, args: argparse.Namespace, config: dict, default_format: str,
+def _emit(report: dict, args: argparse.Namespace, default_format: str,
           csv_text: str | None = None) -> None:
-    fmt = _get(args, config, "format", default_format)
-    if fmt == "json":
-        text = render_json(report)
-    elif fmt == "csv":
+    if (args.format or default_format) == "csv":
         text = csv_text if csv_text is not None else _flatten_csv(report)
     else:
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    write_text(text, _get(args, config, "out", None))
+        text = render_json(report)
+    write_text(text, args.out)
 
 
 def _flatten_csv(report: dict) -> str:
@@ -74,75 +59,46 @@ def _flatten_csv(report: dict) -> str:
     return render_csv(("name", "value"), rows)
 
 
-def _pulse_reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
-    """Distance of every calibrated pulse product from its catalog gate."""
-    checks: dict[str, float] = {}
-    for gid in _PULSE_NATIVE_GATES:
-        u = pulses.evolve(pulses.calibrate(gid, amplitude_ueV))
-        checks[f"pulse[{gid.value}]"] = dist_up_to_global_phase(u, gate_matrix(gid))
-    checks["pulse[swap_sequence]"] = dist_up_to_global_phase(
-        pulses.evolve(pulses.swap_sequence(amplitude_ueV)), gate_matrix(GateId.SWAP)
-    )
-    checks["pulse[sqrt_swap_sequence]"] = dist_up_to_global_phase(
-        pulses.evolve(pulses.sqrt_swap_sequence(amplitude_ueV)), gate_matrix(GateId.SQRT_SWAP)
-    )
-    u = pulses.evolve(pulses.calibrate_phase_flip(1, amplitude_ueV))
-    rows = np.asarray(COMPUTATIONAL_ROWS)
-    checks["pulse[phase_flip_dqd1]"] = dist_up_to_global_phase(
-        u[np.ix_(rows, rows)], np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    )
-    return checks
-
-
-def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
-    tolerance = float(_get(args, config, "tolerance", 1e-9))
-    grid = compiler.offset_grid(int(_get(args, config, "resolution", 4)))
+def _cmd_verify(args: argparse.Namespace) -> int:
     identities = verify_catalog_identities()
-    pulse_checks = _pulse_reproduction_residuals()
-    decomposition = compiler.decomposition_report(grid)
+    pulse_checks = pulses.reproduction_residuals()
+    decomposition = compiler.decomposition_report(compiler.offset_grid(args.resolution))
 
-    required: dict[str, float] = dict(identities)
-    required.update(pulse_checks)
-    required["phase_gate_best_residual"] = float(decomposition["phase_gate_best_residual"])
-    required["cnot_residual"] = float(decomposition["cnot_residual"])
-    required["xor_4dim_residual"] = float(decomposition["xor_4dim_residual"])
-
-    failures = sorted(name for name, value in required.items() if value > tolerance)
+    required = {**identities, **pulse_checks}
+    for name in ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual"):
+        required[name] = float(decomposition[name])
+    failures = sorted(name for name, value in required.items() if value > args.tolerance)
     report = {
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "identities": identities,
         "pulse_reproduction": pulse_checks,
         "decomposition": decomposition,
         "failures": failures,
         "passed": not failures,
     }
-    _emit(report, args, config, "json")
+    _emit(report, args, "json")
     return 0 if not failures else 1
 
 
-def _load_initial(args: argparse.Namespace, config: dict) -> tuple[str, np.ndarray]:
-    initial_file = _get(args, config, "initial_file", None)
-    if initial_file is not None:
-        data = json.loads(Path(initial_file).read_text())
+def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
+    if args.initial_file is not None:
+        data = json.loads(Path(args.initial_file).read_text())
         if not (isinstance(data, list) and len(data) == 6):
             raise ValueError("initial state file must hold six [re, im] pairs")
         state = np.array([complex(re, im) for re, im in data])
         return "custom", require_normalized(state)
-    label = _get(args, config, "initial", "00")
-    return label, computational_basis_state(label)
+    return args.initial, computational_basis_state(args.initial)
 
 
-def _cmd_evolve(args: argparse.Namespace, config: dict) -> int:
-    schedule_path = _get(args, config, "schedule", None)
-    if schedule_path is None:
+def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.schedule is None:
         raise ValueError("evolve requires --schedule <file>")
-    schedule = pulses.load_schedule(schedule_path)
-    label, state0 = _load_initial(args, config)
-    tolerance = float(_get(args, config, "tolerance", 1e-9))
+    schedule = pulses.load_schedule(args.schedule)
+    label, state0 = _load_initial(args)
 
     final = pulses.evolve(schedule, state0)
     report: dict[str, object] = {
-        "schedule": str(schedule_path),
+        "schedule": str(args.schedule),
         "segments": len(schedule),
         "initial": label,
         "final_state": [[float(c.real), float(c.imag)] for c in final],
@@ -151,15 +107,14 @@ def _cmd_evolve(args: argparse.Namespace, config: dict) -> int:
         "norm": float(np.linalg.norm(final)),
     }
     passed = True
-    target_name = _get(args, config, "target", None)
-    if target_name is not None:
-        target = gate_matrix(GateId(target_name))
+    if args.target is not None:
+        target = gate_matrix(GateId(args.target))
         expected = target @ state0
         fidelity = float(abs(np.vdot(expected, final)) ** 2)
-        report["target"] = target_name
+        report["target"] = args.target
         report["fidelity"] = fidelity
         report["gate_distance"] = dist_up_to_global_phase(pulses.evolve(schedule), target)
-        passed = fidelity >= 1.0 - tolerance
+        passed = fidelity >= 1.0 - args.tolerance
     report["passed"] = passed
 
     labels = basis_labels()
@@ -167,32 +122,38 @@ def _cmd_evolve(args: argparse.Namespace, config: dict) -> int:
         ("row", "configuration", "re", "im", "probability"),
         [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)],
     )
-    _emit(report, args, config, "json", csv_text)
+    _emit(report, args, "json", csv_text)
     return 0 if passed else 1
 
 
-def _cmd_compile(args: argparse.Namespace, config: dict) -> int:
-    tolerance = float(_get(args, config, "tolerance", 1e-10))
-    grid = compiler.offset_grid(int(_get(args, config, "resolution", 4)))
-    report = compiler.decomposition_report(grid)
+def _cmd_compile(args: argparse.Namespace) -> int:
+    report = compiler.decomposition_report(compiler.offset_grid(args.resolution))
     passed = (
-        float(report["xor_4dim_residual"]) <= tolerance
+        float(report["xor_4dim_residual"]) <= args.tolerance
         and bool(report["phase_gate_reproduced"])
         and float(report["cnot_residual"]) <= 1e-9
     )
     report["passed"] = passed
-    _emit(report, args, config, "json")
+    _emit(report, args, "json")
     return 0 if passed else 1
 
 
-def _tau_sweep(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool]:
-    deps_min = float(_get(args, config, "deps_min", 0.5))
-    deps_max = float(_get(args, config, "deps_max", 5.0))
-    points = int(_get(args, config, "points", 10))
-    if not (deps_min > 0.0 and deps_max > deps_min and points >= 2):
-        raise ValueError("tau sweep needs 0 < deps_min < deps_max and at least 2 points")
-    branches = _selected_branches(args, config)
-    grid = np.geomspace(deps_min, deps_max, points)
+def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -> np.ndarray:
+    """``points`` log-spaced values from ``lo`` to ``hi``, after checking all three."""
+    for name, value in ((lo_name, lo), (hi_name, hi)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not lo < hi:
+        raise ValueError(f"{lo_name} must be below {hi_name}")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"points must be in 2..{MAX_SWEEP_POINTS}, got {points}")
+    return np.geomspace(lo, hi, points)
+
+
+def _tau_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
+    points = 10 if args.points is None else args.points
+    grid = _sweep_grid("deps_min", args.deps_min, "deps_max", args.deps_max, points)
+    branches = _selected_branches(args.branch)
     rows: list[tuple[object, ...]] = []
     fits: dict[str, float] = {}
     passed = True
@@ -216,19 +177,15 @@ def _tau_sweep(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool]
     return report, csv_text, passed
 
 
-def _rate_sweep(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool]:
-    deps = float(_get(args, config, "deps", 0.1))
-    t_min = float(_get(args, config, "t_min", 10.0 * deps / K_B_UEV_PER_K))
-    t_max = float(_get(args, config, "t_max", 10.0 * t_min))
-    points = int(_get(args, config, "points", 7))
-    resolution = int(_get(args, config, "resolution", 256))
-    mode = _get(args, config, "mode", "reduced")
-    if not (t_min > 0.0 and t_max > t_min and points >= 2):
-        raise ValueError("rate sweep needs 0 < t_min < t_max and at least 2 points")
-    geom = _geometry(args, config)
-    transition = decoherence.TransitionSpec(delta_eps_ueV=deps)
-    branches = _selected_branches(args, config)
-    grid = np.geomspace(t_min, t_max, points)
+def _rate_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
+    transition = decoherence.TransitionSpec(delta_eps_ueV=args.deps)
+    t_min = 10.0 * args.deps / K_B_UEV_PER_K if args.t_min is None else args.t_min
+    t_max = 10.0 * t_min if args.t_max is None else args.t_max
+    grid = _sweep_grid("t_min", t_min, "t_max", t_max, 7 if args.points is None else args.points)
+    resolution = 256 if args.resolution is None else args.resolution
+    mode = args.mode
+    geom = _geometry(args)
+    branches = _selected_branches(args.branch)
 
     rows: list[tuple[object, ...]] = []
     fits: dict[str, float] = {}
@@ -250,7 +207,7 @@ def _rate_sweep(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool
     report = {
         "sweep": "two_phonon_rate_vs_temperature",
         "temperature_K": [float(t) for t in grid],
-        "delta_eps_ueV": deps,
+        "delta_eps_ueV": args.deps,
         "mode": mode,
         "fitted_exponents": fits,
         "declared_exponents": {b.kind: expected[b.kind] for b in branches},
@@ -261,10 +218,9 @@ def _rate_sweep(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool
     return report, csv_text, passed
 
 
-def _selection_table(args: argparse.Namespace, config: dict) -> tuple[dict, str, bool]:
-    resolution = int(_get(args, config, "resolution", 800))
-    geom = _geometry(args, config)
-    table = decoherence.coulomb_selection_rule(geom, resolution=resolution)
+def _selection_table(args: argparse.Namespace) -> tuple[dict, str, bool]:
+    resolution = 800 if args.resolution is None else args.resolution
+    table = decoherence.coulomb_selection_rule(_geometry(args), resolution=resolution)
     ratio_pp = table["forbidden_pp_abs"] / table["allowed_abs"]
     ratio_mm = table["forbidden_mm_abs"] / table["allowed_abs"]
     passed = max(ratio_pp, ratio_mm) <= 1e-3
@@ -281,57 +237,40 @@ def _selection_table(args: argparse.Namespace, config: dict) -> tuple[dict, str,
     return report, csv_text, passed
 
 
-def _selected_branches(args: argparse.Namespace, config: dict) -> list[decoherence.PhononBranch]:
-    choice = _get(args, config, "branch", "both")
-    branches = []
-    if choice in ("deformation", "both"):
-        branches.append(decoherence.PhononBranch.deformation())
-    if choice in ("piezoelectric", "both"):
-        branches.append(decoherence.PhononBranch.piezoelectric())
-    if not branches:
-        raise ValueError(f"branch must be deformation, piezoelectric or both, got {choice!r}")
-    return branches
+def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
+    branches = (decoherence.PhononBranch.deformation(), decoherence.PhononBranch.piezoelectric())
+    return [b for b in branches if choice in (b.kind, "both")]
 
 
-def _geometry(args: argparse.Namespace, config: dict) -> decoherence.DotGeometry:
-    return decoherence.DotGeometry(
-        d_nm=float(_get(args, config, "dot_separation_nm", 22.0)),
-        a_nm=float(_get(args, config, "orbital_width_nm", 5.0)),
-    )
+def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
+    return decoherence.DotGeometry(d_nm=args.dot_separation_nm, a_nm=args.orbital_width_nm)
 
 
-def _cmd_decohere(args: argparse.Namespace, config: dict) -> int:
-    sweep = _get(args, config, "sweep", "tau")
-    if sweep == "tau":
-        report, csv_text, passed = _tau_sweep(args, config)
-        default_format = "csv"
-    elif sweep == "rate":
-        report, csv_text, passed = _rate_sweep(args, config)
-        default_format = "csv"
-    elif sweep == "selection":
-        report, csv_text, passed = _selection_table(args, config)
-        default_format = "json"
-    else:
-        raise ValueError(f"sweep must be tau, rate or selection, got {sweep!r}")
-    _emit(report, args, config, default_format, csv_text)
+_SWEEPS = {"tau": (_tau_sweep, "csv"), "rate": (_rate_sweep, "csv"),
+           "selection": (_selection_table, "json")}
+
+
+def _cmd_decohere(args: argparse.Namespace) -> int:
+    sweep, default_format = _SWEEPS[args.sweep]
+    report, csv_text, passed = sweep(args)
+    _emit(report, args, default_format, csv_text)
     return 0 if passed else 1
 
 
-def _readout_config(args: argparse.Namespace, config: dict) -> readout.ReadoutConfig:
+def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
     return readout.ReadoutConfig(
-        tunnel_coupling_ueV=float(_get(args, config, "tunnel_coupling", 5.0)),
-        bias_ueV=float(_get(args, config, "bias", 10.0)),
-        duration_ns=float(_get(args, config, "duration", 0.4)),
-        timestep_ns=float(_get(args, config, "timestep", 0.0005)),
+        tunnel_coupling_ueV=args.tunnel_coupling,
+        bias_ueV=args.bias,
+        duration_ns=args.duration,
+        timestep_ns=args.timestep,
     )
 
 
-def _cmd_readout(args: argparse.Namespace, config: dict) -> int:
-    if bool(_get(args, config, "scan", False)):
-        cfg = _readout_config(args, config)
-        n_bias = int(_get(args, config, "resolution", 40))
+def _cmd_readout(args: argparse.Namespace) -> int:
+    cfg = _readout_config(args)
+    if args.scan:
         best_cfg, best = readout.scan_bias(
-            cfg.tunnel_coupling_ueV, cfg.duration_ns, cfg.timestep_ns, n_bias=n_bias
+            cfg.tunnel_coupling_ueV, cfg.duration_ns, cfg.timestep_ns, n_bias=args.resolution
         )
         passed = best.distinguishability >= 0.99
         report = {
@@ -342,10 +281,9 @@ def _cmd_readout(args: argparse.Namespace, config: dict) -> int:
             "distinguishability": best.distinguishability,
             "passed": passed,
         }
-        _emit(report, args, config, "json")
+        _emit(report, args, "json")
         return 0 if passed else 1
 
-    cfg = _readout_config(args, config)
     trace_plus = readout.readout_trace(cfg, "plus")
     trace_minus = readout.readout_trace(cfg, "minus")
     best = readout.optimal_measurement_time(cfg)
@@ -367,20 +305,13 @@ def _cmd_readout(args: argparse.Namespace, config: dict) -> int:
             for t, pl, pm in zip(trace_plus.times_ns, trace_plus.p_left, trace_minus.p_left)
         ],
     )
-    _emit(report, args, config, "csv", csv_text)
+    _emit(report, args, "csv", csv_text)
     return 0
 
 
-def _cmd_init(args: argparse.Namespace, config: dict) -> int:
-    cfg = _readout_config(args, config)
-    target = _get(args, config, "target", "plus")
-    plan = readout.init_by_reversed_readout(cfg, target)
-    u = readout.readout_unitary(cfg, plan.duration_ns)
-    source_index = 0 if plan.source_dot == "L" else 1
-    space = np.array([1.0, 0.0], dtype=complex) if target == "plus" else np.array([0.0, 1.0], dtype=complex)
-    dot_state = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0) @ space
-    forward_probability = float(np.abs((u @ dot_state)[source_index]) ** 2)
-    matches = abs(plan.fidelity - forward_probability) <= 1e-12
+def _cmd_init(args: argparse.Namespace) -> int:
+    plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
+    matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
     report = {
         "target": plan.target,
         "source_dot": plan.source_dot,
@@ -388,101 +319,132 @@ def _cmd_init(args: argparse.Namespace, config: dict) -> int:
         "tunnel_coupling_ueV": plan.tunnel_coupling_ueV,
         "duration_ns": plan.duration_ns,
         "fidelity": plan.fidelity,
-        "forward_probability": forward_probability,
+        "forward_probability": plan.forward_probability,
         "fidelity_matches_forward": matches,
         "passed": matches,
     }
-    _emit(report, args, config, "json")
+    _emit(report, args, "json")
     return 0 if matches else 1
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "evolve": _cmd_evolve,
-    "compile": _cmd_compile,
-    "decohere": _cmd_decohere,
-    "readout": _cmd_readout,
-    "init": _cmd_init,
-}
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON object of option values, keyed by this command's "
+                                    "flag names with '_' for '-'; explicit flags win")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", choices=("json", "csv"))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with default option values")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--tolerance", type=float, default=None)
-    sub.add_argument("--resolution", type=int, default=None,
-                     help="grid density: offset-grid points per turn, 1..%d (verify/compile), "
-                          "quadrature nodes (decohere), bias samples (readout --scan)"
-                          % compiler.MAX_OFFSETS)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved; all algorithms are deterministic")
+def _add_readout_pulse(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tunnel-coupling", dest="tunnel_coupling", type=float, default=5.0)
+    p.add_argument("--bias", type=float, default=10.0)
+    p.add_argument("--duration", type=float, default=0.4)
+    p.add_argument("--timestep", type=float, default=0.0005,
+                   help="sample spacing (ns); duration/timestep may give at most %d samples"
+                        % readout.MAX_TRACE_SAMPLES)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description="Simulate and verify charge qubits encoded in DQD space states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    offsets_help = "offset-grid points per turn, 1..%d" % compiler.MAX_OFFSETS
 
     p = sub.add_parser("verify", help="check catalog identities, pulse calibration, compilation")
+    p.set_defaults(handler=_cmd_verify)
     _add_common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
     p = sub.add_parser("evolve", help="apply a pulse schedule to a state")
+    p.set_defaults(handler=_cmd_evolve)
     _add_common(p)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--schedule", help="JSON pulse schedule file")
-    p.add_argument("--initial", choices=("00", "01", "10", "11"), default=None)
+    p.add_argument("--initial", choices=("00", "01", "10", "11"), default="00")
     p.add_argument("--initial-file", dest="initial_file", help="JSON file with six [re, im] pairs")
-    p.add_argument("--target", choices=[g.value for g in GateId], default=None)
+    p.add_argument("--target", choices=[g.value for g in GateId])
 
     p = sub.add_parser("compile", help="report the phase-gate embedding search and CNOT build")
+    p.set_defaults(handler=_cmd_compile)
     _add_common(p)
+    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
     p = sub.add_parser("decohere", help="phonon lifetime/rate sweeps and the selection rule")
+    p.set_defaults(handler=_cmd_decohere)
     _add_common(p)
-    p.add_argument("--sweep", choices=("tau", "rate", "selection"), default=None)
-    p.add_argument("--branch", choices=("deformation", "piezoelectric", "both"), default=None)
-    p.add_argument("--deps", type=float, default=None, help="level splitting (ueV) for rate sweeps")
-    p.add_argument("--deps-min", dest="deps_min", type=float, default=None)
-    p.add_argument("--deps-max", dest="deps_max", type=float, default=None)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--mode", choices=("reduced", "exact"), default=None)
-    p.add_argument("--dot-separation-nm", dest="dot_separation_nm", type=float, default=None)
-    p.add_argument("--orbital-width-nm", dest="orbital_width_nm", type=float, default=None)
+    p.add_argument("--resolution", type=int,
+                   help="quadrature nodes: 8..%d for rate sweeps (default 256), 16..%d for the "
+                        "selection rule (default 800)"
+                        % (decoherence.MAX_RESOLUTION, decoherence.MAX_SELECTION_RESOLUTION))
+    p.add_argument("--sweep", choices=("tau", "rate", "selection"), default="tau")
+    p.add_argument("--branch", choices=("deformation", "piezoelectric", "both"), default="both")
+    p.add_argument("--deps", type=float, default=0.1, help="level splitting (ueV) for rate sweeps")
+    p.add_argument("--deps-min", dest="deps_min", type=float, default=0.5)
+    p.add_argument("--deps-max", dest="deps_max", type=float, default=5.0)
+    p.add_argument("--t-min", dest="t_min", type=float)
+    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--points", type=int,
+                   help="sweep points, 2..%d (default 10 for tau, 7 for rate)" % MAX_SWEEP_POINTS)
+    p.add_argument("--mode", choices=("reduced", "exact"), default="reduced")
+    p.add_argument("--dot-separation-nm", dest="dot_separation_nm", type=float, default=22.0)
+    p.add_argument("--orbital-width-nm", dest="orbital_width_nm", type=float, default=5.0)
 
     p = sub.add_parser("readout", help="charge readout traces and distinguishability")
+    p.set_defaults(handler=_cmd_readout)
     _add_common(p)
-    p.add_argument("--tunnel-coupling", dest="tunnel_coupling", type=float, default=None)
-    p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--timestep", type=float, default=None)
-    p.add_argument("--scan", action="store_const", const=True, default=None,
+    p.add_argument("--resolution", type=int, default=40,
+                   help="bias samples of --scan, 2..%d" % readout.MAX_BIAS_SAMPLES)
+    _add_readout_pulse(p)
+    p.add_argument("--scan", action="store_true",
                    help="scan biases in (0, 4*tunnel_coupling] for the best contrast")
 
     p = sub.add_parser("init", help="prepare a space state by reversed readout")
+    p.set_defaults(handler=_cmd_init)
     _add_common(p)
-    p.add_argument("--tunnel-coupling", dest="tunnel_coupling", type=float, default=None)
-    p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--timestep", type=float, default=None)
-    p.add_argument("--target", choices=("plus", "minus"), default=None)
+    _add_readout_pulse(p)
+    p.add_argument("--target", choices=("plus", "minus"), default="plus")
 
-    return parser
+    return parser, sub.choices
+
+
+def _config_argv(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file's object as ``--flag=value`` arguments of ``command``."""
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = {a.dest: a for a in command._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    argv: list[str] = []
+    for key, value in config.items():
+        action = flags.get(key)
+        if action is None:
+            raise ValueError(f"config key {key!r} is not an option of {command.prog!r}")
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false")
+            argv += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            argv.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config key {key!r} must be a string or a number")
+    return argv
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config: dict = {}
-        if getattr(args, "config", None):
-            loaded = json.loads(Path(args.config).read_text())
-            if not isinstance(loaded, dict):
-                raise ValueError("config file must hold a JSON object")
-            config = loaded
-        return _HANDLERS[args.command](args, config)
+        if args.config:
+            # Config values go first so that explicit flags override them.
+            at = argv.index(args.command) + 1
+            config_argv = _config_argv(commands[args.command], args.config)
+            args = parser.parse_args(argv[:at] + config_argv + argv[at:])
+        return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

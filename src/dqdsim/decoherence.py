@@ -35,6 +35,8 @@ import numpy as np
 from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
 
 __all__ = [
+    "MAX_RESOLUTION",
+    "MAX_SELECTION_RESOLUTION",
     "PhononBranch",
     "Environment",
     "DotGeometry",
@@ -50,6 +52,13 @@ __all__ = [
 ]
 
 _DQD_STATES = ("+-", "-+", "++", "--")
+
+#: Largest two-phonon quadrature resolution; the convergence check runs
+#: ``2 * resolution`` Gauss-Legendre nodes, whose setup is O(n^2) memory.
+MAX_RESOLUTION = 1024
+
+#: Largest selection-rule resolution; the quadrature holds an n x n kernel.
+MAX_SELECTION_RESOLUTION = 3200
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,8 @@ class Environment:
         for name in ("temperature_K", "sound_speed_m_per_s", "q_cutoff_per_nm"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
-        if self.resolution < 8:
-            raise ValueError("resolution must be at least 8")
+        if not 8 <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}, got {self.resolution!r}")
 
     @property
     def kT_ueV(self) -> float:
@@ -132,8 +141,8 @@ class DotGeometry:
     a_nm: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (self.d_nm > 0.0 and self.a_nm > 0.0):
-            raise ValueError("dot separation and orbital width must be positive")
+        if not (0.0 < self.d_nm < np.inf and 0.0 < self.a_nm < np.inf):
+            raise ValueError("dot separation and orbital width must be finite and positive")
 
     @property
     def overlap(self) -> float:
@@ -176,14 +185,15 @@ class TransitionSpec:
             raise ValueError("energies must be finite")
 
 
-def bose_einstein(eps_ueV: float, temperature_K: float) -> float:
-    """Thermal phonon occupation at energy ``eps``."""
-    if not eps_ueV > 0.0:
-        raise ValueError(f"eps must be positive, got {eps_ueV!r}")
+def bose_einstein(eps_ueV: np.ndarray | float, temperature_K: float) -> np.ndarray | float:
+    """Thermal phonon occupation at energy ``eps`` (a scalar or an array)."""
     if not temperature_K > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_K!r}")
-    x = eps_ueV / (K_B_UEV_PER_K * temperature_K)
-    return float(1.0 / np.expm1(x))
+    x = np.asarray(eps_ueV, dtype=float) / (K_B_UEV_PER_K * temperature_K)
+    if not np.all(x > 0.0):
+        raise ValueError(f"eps must be positive, got {eps_ueV!r}")
+    n = 1.0 / np.expm1(x)
+    return float(n) if n.ndim == 0 else n
 
 
 def single_phonon_tau_s(deps_ueV: float, branch: PhononBranch) -> float:
@@ -285,7 +295,7 @@ def _two_phonon_integral(
     emitted = absorbed - transition.eps_final_ueV  # energy conservation
     q_abs = absorbed / hbar_c
     q_em = emitted / hbar_c
-    occupation = (bose_einstein_vec(emitted, env.temperature_K) + 1.0) * bose_einstein_vec(
+    occupation = (bose_einstein(emitted, env.temperature_K) + 1.0) * bose_einstein(
         absorbed, env.temperature_K
     )
     coupling = np.asarray(branch.coupling_sq(q_em) * branch.coupling_sq(q_abs), dtype=float)
@@ -302,14 +312,6 @@ def _two_phonon_integral(
     phase_space = q_em**2 * q_abs**2 / hbar_c**2
     integrand = phase_space * coupling * vertices * occupation * denom
     return float(np.sum(weights * integrand))
-
-
-def bose_einstein_vec(eps_ueV: np.ndarray, temperature_K: float) -> np.ndarray:
-    """Vectorized thermal occupation (positive energies only)."""
-    x = np.asarray(eps_ueV, dtype=float) / (K_B_UEV_PER_K * temperature_K)
-    if np.any(x <= 0.0):
-        raise ValueError("occupation requires positive energies")
-    return 1.0 / np.expm1(x)
 
 
 def two_phonon_rate_per_s(
@@ -395,8 +397,10 @@ def coulomb_selection_rule(
     (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
     resolution; the reported error bound covers both elements.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
+    if not 16 <= resolution <= MAX_SELECTION_RESOLUTION:
+        raise ValueError(
+            f"resolution must be in 16..{MAX_SELECTION_RESOLUTION}, got {resolution!r}"
+        )
     w = geom.a_nm / 10.0 if softening_nm is None else float(softening_nm)
     if w <= 0.0:
         raise ValueError("softening width must be positive")

@@ -38,7 +38,7 @@ import numpy as np
 from .basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS
 from .constants import HBAR_UEV_NS
 from .gates import GateId, gate_matrix
-from .linalg import expm_hermitian, is_unitary, require_normalized
+from .linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, require_normalized
 
 __all__ = [
     "ELECTRODES",
@@ -52,6 +52,7 @@ __all__ = [
     "calibrate_phase_flip",
     "swap_sequence",
     "sqrt_swap_sequence",
+    "reproduction_residuals",
     "schedule_to_json",
     "schedule_from_json",
     "load_schedule",
@@ -239,6 +240,30 @@ def sqrt_swap_sequence(
         + calibrate(GateId.SQRT_NOT2, intra_amplitude_ueV)
         + calibrate(GateId.EXCHANGE, inter)
     )
+
+
+def reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
+    """Distance up to global phase of every calibrated schedule from its gate.
+
+    Covers the five single-pulse gates, the four-pulse swap and square-root
+    swap sequences, and the phase flip of DQD 1 on the computational rows.
+    """
+    checks: dict[str, float] = {}
+    for gid in (GateId.NOT1, GateId.NOT2, GateId.SQRT_NOT1, GateId.SQRT_NOT2, GateId.EXCHANGE):
+        u = evolve(calibrate(gid, amplitude_ueV))
+        checks[f"pulse[{gid.value}]"] = dist_up_to_global_phase(u, gate_matrix(gid))
+    checks["pulse[swap_sequence]"] = dist_up_to_global_phase(
+        evolve(swap_sequence(amplitude_ueV)), gate_matrix(GateId.SWAP)
+    )
+    checks["pulse[sqrt_swap_sequence]"] = dist_up_to_global_phase(
+        evolve(sqrt_swap_sequence(amplitude_ueV)), gate_matrix(GateId.SQRT_SWAP)
+    )
+    u = evolve(calibrate_phase_flip(1, amplitude_ueV))
+    rows = np.asarray(COMPUTATIONAL_ROWS)
+    checks["pulse[phase_flip_dqd1]"] = dist_up_to_global_phase(
+        u[np.ix_(rows, rows)], np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    )
+    return checks
 
 
 def schedule_to_json(schedule: Iterable[PulseSegment]) -> list[dict[str, float | str]]:

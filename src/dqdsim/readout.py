@@ -28,8 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
+from .linalg import expm_hermitian
 
 __all__ = [
+    "MAX_TRACE_SAMPLES",
+    "MAX_BIAS_SAMPLES",
     "ReadoutConfig",
     "ReadoutTrace",
     "rabi_frequency",
@@ -51,6 +54,12 @@ _INITIAL_SPACE_STATES = {
     "minus": np.array([0.0, 1.0], dtype=complex),
 }
 
+#: Largest number of samples ``duration / timestep`` may give a trace.
+MAX_TRACE_SAMPLES = 100_000
+
+#: Largest number of biases :func:`scan_bias` evaluates.
+MAX_BIAS_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class ReadoutConfig:
@@ -62,12 +71,20 @@ class ReadoutConfig:
     timestep_ns: float
 
     def __post_init__(self) -> None:
+        for name in ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tunnel_coupling_ueV < 0.0:
             raise ValueError("tunnel coupling must be >= 0")
         if not self.duration_ns > 0.0:
             raise ValueError("duration must be positive")
         if not 0.0 < self.timestep_ns <= self.duration_ns:
             raise ValueError("timestep must be positive and at most the duration")
+        # _sample_times takes floor(duration / timestep + 1e-9) + 1 samples.
+        if not self.duration_ns / self.timestep_ns + 1e-9 < MAX_TRACE_SAMPLES:
+            raise ValueError(
+                f"duration_ns / timestep_ns gives more than {MAX_TRACE_SAMPLES} samples"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,10 +120,7 @@ def _sample_times(config: ReadoutConfig) -> np.ndarray:
 
 def readout_unitary(config: ReadoutConfig, t_ns: float) -> np.ndarray:
     """Propagator in the dot basis after ``t_ns`` of readout evolution."""
-    h = _hamiltonian_dot_basis(config)
-    eigvals, p = np.linalg.eigh(h)
-    phases = np.exp(-1j * eigvals * t_ns / HBAR_UEV_NS)
-    return (p * phases) @ p.conj().T
+    return expm_hermitian(_hamiltonian_dot_basis(config), t_ns / HBAR_UEV_NS)
 
 
 def readout_trace(config: ReadoutConfig, initial: str = "plus") -> ReadoutTrace:
@@ -160,8 +174,8 @@ def scan_bias(
     """
     if not tunnel_coupling_ueV > 0.0:
         raise ValueError("tunnel coupling must be positive for a bias scan")
-    if n_bias < 2:
-        raise ValueError("need at least two bias samples")
+    if not 2 <= n_bias <= MAX_BIAS_SAMPLES:
+        raise ValueError(f"n_bias must be in 2..{MAX_BIAS_SAMPLES}, got {n_bias!r}")
     best: tuple[ReadoutConfig, OptimalReadout] | None = None
     for i in range(1, n_bias + 1):
         bias = 4.0 * tunnel_coupling_ueV * i / n_bias
@@ -187,7 +201,11 @@ def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:
 
 @dataclass(frozen=True)
 class InitPlan:
-    """Recipe for preparing a space state by running readout backwards."""
+    """Recipe for preparing a space state by running readout backwards.
+
+    ``forward_probability`` is the forward readout's population of the
+    source dot at ``duration_ns``; by unitarity it equals ``fidelity``.
+    """
 
     target: str
     source_dot: str
@@ -195,6 +213,7 @@ class InitPlan:
     tunnel_coupling_ueV: float
     duration_ns: float
     fidelity: float
+    forward_probability: float
 
 
 def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> InitPlan:
@@ -213,7 +232,8 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     forward = u @ (_TO_DOT_BASIS @ _INITIAL_SPACE_STATES[target])
     p_left = float(np.abs(forward[0]) ** 2)
     source_dot = "L" if p_left >= 0.5 else "R"
-    source = np.array([1.0, 0.0] if source_dot == "L" else [0.0, 1.0], dtype=complex)
+    source_index = 0 if source_dot == "L" else 1
+    source = np.eye(2, dtype=complex)[source_index]
     prepared_dot_basis = u.conj().T @ source
     prepared_space = _TO_DOT_BASIS.conj().T @ prepared_dot_basis
     fidelity = float(np.abs(np.vdot(_INITIAL_SPACE_STATES[target], prepared_space)) ** 2)
@@ -224,4 +244,5 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
         tunnel_coupling_ueV=config.tunnel_coupling_ueV,
         duration_ns=best.time_ns,
         fidelity=fidelity,
+        forward_probability=float(np.abs(forward[source_index]) ** 2),
     )

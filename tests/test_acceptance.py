@@ -26,7 +26,6 @@ from dqdsim import cli, compiler, decoherence, pulses, readout
 from dqdsim.basis import computational_basis_state, leakage_population
 from dqdsim.constants import K_B_UEV_PER_K
 from dqdsim.gates import GateId, gate_matrix, verify_catalog_identities
-from dqdsim.linalg import dist_up_to_global_phase
 
 ALGEBRA_TOL = 1e-12
 PULSE_TOL = 1e-9
@@ -60,16 +59,7 @@ def test_criterion_1_catalog_algebra(capsys):
 
 
 def test_criterion_2_pulse_engine(capsys):
-    residuals: dict[str, float] = {}
-    for gate in (GateId.NOT1, GateId.NOT2, GateId.SQRT_NOT1, GateId.SQRT_NOT2, GateId.EXCHANGE):
-        u = pulses.evolve(pulses.calibrate(gate, 10.0))
-        residuals[gate.value] = dist_up_to_global_phase(u, gate_matrix(gate))
-    residuals["swap"] = dist_up_to_global_phase(
-        pulses.evolve(pulses.swap_sequence(10.0)), gate_matrix(GateId.SWAP)
-    )
-    residuals["sqrt_swap"] = dist_up_to_global_phase(
-        pulses.evolve(pulses.sqrt_swap_sequence(10.0)), gate_matrix(GateId.SQRT_SWAP)
-    )
+    residuals = pulses.reproduction_residuals(10.0)
     worst_gate = max(residuals.values())
 
     # four-pulse swap as a state map on every computational basis state
@@ -170,7 +160,8 @@ def test_criterion_4_decoherence_scaling(capsys):
     assert elapsed < 60.0
     # the lifetime magnitudes are calibration anchors, not predictions, and
     # the sweep report must say so
-    tau_report, _, _ = cli._tau_sweep(cli._build_parser().parse_args(["decohere"]), {})
+    assert cli.main(["decohere", "--sweep", "tau", "--format", "json"]) == 0
+    tau_report = json.loads(capsys.readouterr().out)
     assert tau_report["anchors_are_calibration_inputs"] is True
     assert rate_ok, (
         f"two-phonon W(T) exponents fitted {rate_fits['deformation']:.3f} (deformation) and "

@@ -5,13 +5,14 @@ import pytest
 
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.decoherence import (
+    MAX_RESOLUTION,
+    MAX_SELECTION_RESOLUTION,
     DotGeometry,
     Environment,
     PhononBranch,
     TransitionSpec,
     angular_flip_weight,
     bose_einstein,
-    bose_einstein_vec,
     coulomb_selection_rule,
     fit_scaling_exponent,
     form_factor,
@@ -43,12 +44,15 @@ def test_bose_einstein_classical_limit():
     assert bose_einstein(eps, T) == pytest.approx(kT / eps, rel=1e-5)
 
 
-def test_bose_einstein_vec_matches_scalar():
+def test_bose_einstein_array_matches_scalar():
     T = 0.35
     eps = np.array([0.01, 0.1, 1.0, 10.0])
-    vec = bose_einstein_vec(eps, T)
+    vec = bose_einstein(eps, T)
+    assert isinstance(vec, np.ndarray) and vec.shape == eps.shape
     for e, n in zip(eps, vec):
-        assert n == pytest.approx(bose_einstein(float(e), T), rel=1e-14)
+        scalar = bose_einstein(float(e), T)
+        assert isinstance(scalar, float)
+        assert n == pytest.approx(scalar, rel=1e-14)
 
 
 def test_bose_einstein_rejects_nonpositive_energy():
@@ -56,6 +60,10 @@ def test_bose_einstein_rejects_nonpositive_energy():
         bose_einstein(0.0, 1.0)
     with pytest.raises(ValueError):
         bose_einstein(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        bose_einstein(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        bose_einstein(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +302,15 @@ def test_selection_rule_forbidden_elements_vanish():
     assert table["ratio_allowed_to_bound"] > 1e3
     # the forbidden elements sit far below the quadrature error bound
     assert table["forbidden_pp_abs"] < table["error_bound"]
+
+
+def test_quadrature_resolutions_are_capped():
+    Environment(temperature_K=0.3, resolution=MAX_RESOLUTION)
+    with pytest.raises(ValueError, match=str(MAX_RESOLUTION)):
+        Environment(temperature_K=0.3, resolution=MAX_RESOLUTION + 1)
+    # raises before building the n x n kernel
+    with pytest.raises(ValueError, match=str(MAX_SELECTION_RESOLUTION)):
+        coulomb_selection_rule(DotGeometry(), resolution=MAX_SELECTION_RESOLUTION + 1)
 
 
 def test_selection_rule_convergence_gate():

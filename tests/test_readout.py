@@ -6,6 +6,8 @@ import pytest
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.linalg import is_unitary
 from dqdsim.readout import (
+    MAX_BIAS_SAMPLES,
+    MAX_TRACE_SAMPLES,
     InitPlan,
     ReadoutConfig,
     init_by_reversed_readout,
@@ -29,6 +31,33 @@ def test_config_validation():
         ReadoutConfig(1.0, 0.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         ReadoutConfig(1.0, 0.0, 1.0, 2.0)  # step longer than the window
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_fields(field, bad):
+    values = [5.0, 10.0, 0.4, 0.0005]
+    values[field] = bad
+    names = ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns")
+    with pytest.raises(ValueError, match=names[field]):
+        ReadoutConfig(*values)
+
+
+def test_trace_sample_count_is_capped():
+    # floor(duration / timestep) + 1 samples; checked before any allocation
+    assert len(readout_trace(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).times_ns) == 10
+    ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES - 1), 1.0)
+    with pytest.raises(ValueError, match=str(MAX_TRACE_SAMPLES)):
+        ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES), 1.0)
+    with pytest.raises(ValueError, match=str(MAX_TRACE_SAMPLES)):
+        ReadoutConfig(1.0, 2.0, 1e300, 1e-300)
+
+
+def test_scan_bias_count_is_capped():
+    with pytest.raises(ValueError, match=str(MAX_BIAS_SAMPLES)):
+        scan_bias(5.0, 0.4, 0.0005, n_bias=MAX_BIAS_SAMPLES + 1)
+    with pytest.raises(ValueError):
+        scan_bias(5.0, 0.4, 0.0005, n_bias=1)
 
 
 def test_rabi_frequency_closed_form():
@@ -137,12 +166,16 @@ def test_init_plan_reverses_readout():
     trace = readout_trace(CFG, "plus")
     idx = int(round(plan.duration_ns / CFG.timestep_ns))
     assert plan.fidelity == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
+    assert plan.forward_probability == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
 
 
 def test_init_plan_minus_comes_from_right_dot():
     plan = init_by_reversed_readout(CFG, "minus")
     assert plan.source_dot == "R"
     assert plan.fidelity > 0.999
+    trace = readout_trace(CFG, "minus")
+    idx = int(round(plan.duration_ns / CFG.timestep_ns))
+    assert plan.forward_probability == pytest.approx(1.0 - float(trace.p_left[idx]), abs=1e-12)
 
 
 def test_init_rejects_unknown_target():
