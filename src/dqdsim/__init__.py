@@ -10,75 +10,24 @@ of the controlled-phase/CNOT constructions from swap square roots,
 phonon-decoherence scaling laws with a two-phonon quadrature, a
 charge-readout/initialization model, and a CLI front end emitting
 deterministic machine-readable reports.
+
+The package root exports the names of the README quick start; everything
+else is imported from its submodule (``dqdsim.compiler``,
+``dqdsim.decoherence``, ``dqdsim.readout``, ...).
 """
 
-from .basis import (
-    COMPUTATIONAL_ROWS,
-    EXTENDED_BASIS,
-    LEAKAGE_ROWS,
-    DqdLevel,
-    basis_labels,
-    basis_state,
-    computational_basis_state,
-    computational_part,
-    dot_occupation_probability,
-    embed_computational,
-    leakage_population,
-)
-from .compiler import (
-    TRIVIAL_EMBEDDING,
-    PhaseEmbedding,
-    build_cnot,
-    build_pi,
-    decomposition_report,
-    search_embedding,
-    verify_xor_4dim,
-    z_gate,
-)
-from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
-from .decoherence import (
-    DotGeometry,
-    Environment,
-    PhononBranch,
-    TransitionSpec,
-    bose_einstein,
-    coulomb_selection_rule,
-    fit_scaling_exponent,
-    form_factor,
-    single_phonon_tau_s,
-    stimulated_tau_s,
-    two_phonon_rate_per_s,
-)
-from .gates import GateId, catalog, gate_matrix, identities_pass, verify_catalog_identities
-from .linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, max_abs_diff
-from .pulses import (
-    ELECTRODES,
-    PulseSegment,
-    calibrate,
-    calibrate_phase_flip,
-    evolve,
-    extend_generator,
-    load_schedule,
-    reproduction_residuals,
-    schedule_from_json,
-    schedule_to_json,
-    segment_generator,
-    single_qubit_hamiltonian,
-    sqrt_swap_sequence,
-    swap_sequence,
-)
-from .readout import (
-    InitPlan,
-    OptimalReadout,
-    ReadoutConfig,
-    ReadoutTrace,
-    init_by_reversed_readout,
-    optimal_measurement_time,
-    rabi_frequency,
-    readout_trace,
-    readout_unitary,
-    scan_bias,
-    thermal_occupancy,
-)
+from .basis import computational_basis_state, leakage_population
+from .gates import GateId, gate_matrix
+from .pulses import calibrate, evolve, swap_sequence
+
+__all__ = [
+    "GateId",
+    "calibrate",
+    "computational_basis_state",
+    "evolve",
+    "gate_matrix",
+    "leakage_population",
+    "swap_sequence",
+]
 
 __version__ = "0.1.0"

@@ -25,8 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import require_normalized
-
 __all__ = [
     "DqdLevel",
     "EXTENDED_BASIS",
@@ -35,10 +33,7 @@ __all__ = [
     "basis_labels",
     "basis_state",
     "computational_basis_state",
-    "embed_computational",
-    "computational_part",
     "leakage_population",
-    "dot_occupation_probability",
 ]
 
 
@@ -98,46 +93,9 @@ def computational_basis_state(bits: str) -> np.ndarray:
         raise ValueError(f"bits must be one of '00','01','10','11', got {bits!r}") from None
 
 
-def embed_computational(v4: np.ndarray) -> np.ndarray:
-    """Lift a normalized 4-vector (|00>,|01>,|10>,|11> order) into six dimensions.
-
-    The leakage rows are filled with zeros.
-    """
-    v4 = require_normalized(v4)
-    if v4.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v4.shape}")
-    v6 = np.zeros(6, dtype=complex)
-    v6[list(COMPUTATIONAL_ROWS)] = v4
-    return v6
-
-
-def computational_part(v6: np.ndarray) -> np.ndarray:
-    """Restrict a 6-vector to the computational rows (not renormalized)."""
-    v6 = np.asarray(v6, dtype=complex)
-    if v6.shape != (6,):
-        raise ValueError(f"expected a 6-vector, got shape {v6.shape}")
-    return v6[list(COMPUTATIONAL_ROWS)].copy()
-
-
 def leakage_population(v6: np.ndarray) -> float:
     """Total probability carried by the two leakage configurations."""
     v6 = np.asarray(v6, dtype=complex)
     if v6.shape != (6,):
         raise ValueError(f"expected a 6-vector, got shape {v6.shape}")
     return float(np.sum(np.abs(v6[list(LEAKAGE_ROWS)]) ** 2))
-
-
-def dot_occupation_probability(pair_state: np.ndarray) -> tuple[float, float]:
-    """Left/right dot occupation for a single-DQD state in the (+, -) basis.
-
-    ``|+> = (|L> + |R>)/sqrt(2)`` and ``|-> = (|L> - |R>)/sqrt(2)``, so any
-    state with all weight on one of ``+``/``-`` occupies both dots equally;
-    charge only localizes when the two levels are superposed.
-    """
-    pair_state = require_normalized(pair_state)
-    if pair_state.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {pair_state.shape}")
-    plus, minus = pair_state
-    left = abs(plus + minus) ** 2 / 2.0
-    right = abs(plus - minus) ** 2 / 2.0
-    return float(left), float(right)

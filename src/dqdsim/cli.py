@@ -82,9 +82,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
     if args.initial_file is not None:
-        data = json.loads(Path(args.initial_file).read_text())
-        if not (isinstance(data, list) and len(data) == 6):
-            raise ValueError("initial state file must hold six [re, im] pairs")
+        # Integers parse as floats, so an oversized one becomes inf and is rejected.
+        data = json.loads(Path(args.initial_file).read_text(), parse_int=float)
+        if not (isinstance(data, list) and len(data) == 6 and all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, float) and np.isfinite(x) for x in pair)
+                for pair in data)):
+            raise ValueError("initial state file must hold six [re, im] pairs of finite numbers")
         state = np.array([complex(re, im) for re, im in data])
         return "custom", require_normalized(state)
     return args.initial, computational_basis_state(args.initial)
@@ -327,6 +331,13 @@ def _cmd_init(args: argparse.Namespace) -> int:
     return 0 if matches else 1
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON object of option values, keyed by this command's "
                                     "flag names with '_' for '-'; explicit flags win")
@@ -354,13 +365,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("verify", help="check catalog identities, pulse calibration, compilation")
     p.set_defaults(handler=_cmd_verify)
     _add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
     p = sub.add_parser("evolve", help="apply a pulse schedule to a state")
     p.set_defaults(handler=_cmd_evolve)
     _add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument("--schedule", help="JSON pulse schedule file")
     p.add_argument("--initial", choices=("00", "01", "10", "11"), default="00")
     p.add_argument("--initial-file", dest="initial_file", help="JSON file with six [re, im] pairs")
@@ -369,7 +380,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("compile", help="report the phase-gate embedding search and CNOT build")
     p.set_defaults(handler=_cmd_compile)
     _add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
     p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
     p = sub.add_parser("decohere", help="phonon lifetime/rate sweeps and the selection rule")

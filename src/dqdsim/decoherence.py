@@ -5,9 +5,7 @@ density.  Three layers of model are exposed:
 
 * Pure scaling laws: the single-phonon relaxation time falls off as the
   fifth (deformation coupling) or third (piezoelectric) power of the level
-  splitting, with the absolute scale supplied as a calibration anchor, and
-  thermal stimulation shortens it by ``deps/kT`` when many thermal phonons
-  are available.
+  splitting, with the absolute scale supplied as a calibration anchor.
 * A microscopic second-order (two-phonon) transition rate, evaluated by
   Gauss-Legendre quadrature over the phonon spectrum with closed-form
   Gaussian-orbital form factors.  The virtual-state denominators can be
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,14 +35,14 @@ from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
 __all__ = [
     "MAX_RESOLUTION",
     "MAX_SELECTION_RESOLUTION",
+    "MIN_TEMPERATURE_K",
+    "LENGTH_RANGE_NM",
     "PhononBranch",
     "Environment",
     "DotGeometry",
     "TransitionSpec",
     "bose_einstein",
     "single_phonon_tau_s",
-    "stimulated_tau_s",
-    "form_factor",
     "angular_flip_weight",
     "two_phonon_rate_per_s",
     "fit_scaling_exponent",
@@ -59,6 +57,12 @@ MAX_RESOLUTION = 1024
 
 #: Largest selection-rule resolution; the quadrature holds an n x n kernel.
 MAX_SELECTION_RESOLUTION = 3200
+
+#: Lowest temperature; keeps ``(n / kT)**2`` of the reduced quadrature finite.
+MIN_TEMPERATURE_K = 1e-6
+
+#: Range of the dot separation and orbital width; keeps their squares finite.
+LENGTH_RANGE_NM = (1e-3, 1e6)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,8 @@ class PhononBranch:
             raise ValueError(f"kind must be 'deformation' or 'piezoelectric', got {self.kind!r}")
         if not (np.isfinite(self.coupling_constant) and self.coupling_constant >= 0.0):
             raise ValueError("coupling_constant must be >= 0")
-        if not (self.tau_anchor_s > 0.0 and self.anchor_deps_ueV > 0.0):
-            raise ValueError("tau anchor and its reference splitting must be positive")
+        if not (0.0 < self.tau_anchor_s < np.inf and 0.0 < self.anchor_deps_ueV < np.inf):
+            raise ValueError("tau anchor and its reference splitting must be finite and positive")
 
     @property
     def tau_exponent(self) -> int:
@@ -120,6 +124,12 @@ class Environment:
         for name in ("temperature_K", "sound_speed_m_per_s", "q_cutoff_per_nm"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
+        if not self.temperature_K >= MIN_TEMPERATURE_K:
+            raise ValueError(
+                f"temperature_K must be at least {MIN_TEMPERATURE_K}, got {self.temperature_K!r}"
+            )
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
+            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
         if not 8 <= self.resolution <= MAX_RESOLUTION:
             raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}, got {self.resolution!r}")
 
@@ -141,8 +151,14 @@ class DotGeometry:
     a_nm: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.d_nm < np.inf and 0.0 < self.a_nm < np.inf):
-            raise ValueError("dot separation and orbital width must be finite and positive")
+        lo, hi = LENGTH_RANGE_NM
+        if not (lo <= self.d_nm <= hi and lo <= self.a_nm <= hi):
+            raise ValueError(
+                f"dot separation and orbital width must be in {lo:g}..{hi:g} nm"
+            )
+        if not self.overlap < 1.0:
+            raise ValueError("dot separation too small against the orbital width: "
+                             "the two site orbitals coincide")
 
     @property
     def overlap(self) -> float:
@@ -206,55 +222,6 @@ def single_phonon_tau_s(deps_ueV: float, branch: PhononBranch) -> float:
         raise ValueError(f"deps must be positive, got {deps_ueV!r}")
     ratio = deps_ueV / branch.anchor_deps_ueV
     return float(branch.tau_anchor_s * ratio ** (-branch.tau_exponent))
-
-
-def stimulated_tau_s(deps_ueV: float, branch: PhononBranch, env: Environment) -> float:
-    """One-phonon lifetime shortened by thermal stimulation.
-
-    Multiplies the spontaneous lifetime by ``deps/kT``, the inverse of the
-    thermal occupation in the ``kT >> deps`` regime where the law applies;
-    a warning is emitted outside that regime.
-    """
-    kT = env.kT_ueV
-    if kT < 10.0 * deps_ueV:
-        warnings.warn(
-            f"stimulated-emission shortcut assumes kT >> deps; kT/deps = {kT / deps_ueV:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return single_phonon_tau_s(deps_ueV, branch) * (deps_ueV / kT)
-
-
-def form_factor(
-    q_per_nm: float,
-    cos_theta: float,
-    geom: DotGeometry,
-    pair: str,
-) -> complex:
-    """Plane-wave matrix element between the space states of one DQD.
-
-    ``pair`` selects bra and ket, e.g. ``"+-"`` for the symmetric bra and
-    antisymmetric ket.  ``cos_theta`` is the angle cosine between the
-    phonon wavevector and the DQD axis; the Gaussian envelope sees the full
-    magnitude while the interference factor sees the axis projection.
-    Closed forms for Gaussian orbitals of width ``a`` centered at
-    ``+-d/2``, exact at every overlap.
-    """
-    if q_per_nm < 0.0:
-        raise ValueError(f"q must be >= 0, got {q_per_nm!r}")
-    if not -1.0 <= cos_theta <= 1.0:
-        raise ValueError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
-    if len(pair) != 2 or any(c not in "+-" for c in pair):
-        raise ValueError(f"pair must be two of '+'/'-', got {pair!r}")
-    s = geom.overlap
-    q_par = q_per_nm * cos_theta
-    envelope = np.exp(-(q_per_nm * geom.a_nm) ** 2 / 4.0)
-    half = q_par * geom.d_nm / 2.0
-    bra, ket = pair
-    if bra == ket:
-        sign = 1.0 if bra == "+" else -1.0
-        return complex(envelope * (np.cos(half) + sign * s) / (1.0 + sign * s))
-    return complex(-1j * np.sin(half) * envelope / np.sqrt(1.0 - s * s))
 
 
 def angular_flip_weight(q_per_nm: np.ndarray | float, geom: DotGeometry) -> np.ndarray | float:

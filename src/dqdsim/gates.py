@@ -26,9 +26,7 @@ from .linalg import max_abs_diff
 __all__ = [
     "GateId",
     "gate_matrix",
-    "catalog",
     "verify_catalog_identities",
-    "identities_pass",
 ]
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -194,11 +192,6 @@ def gate_matrix(gate: GateId) -> np.ndarray:
     return _CATALOG[gate].copy()
 
 
-def catalog() -> dict[GateId, np.ndarray]:
-    """Copies of every catalog gate, keyed by :class:`GateId`."""
-    return {gid: m.copy() for gid, m in _CATALOG.items()}
-
-
 def verify_catalog_identities(
     override: Mapping[GateId, np.ndarray] | None = None,
 ) -> dict[str, float]:
@@ -236,8 +229,3 @@ def verify_catalog_identities(
     report["cnot_factors_through_phase"] = max_abs_diff(cnot, had2 @ (phase @ had2))
     report["cnot_squares_to_identity"] = max_abs_diff(cnot @ cnot, eye)
     return report
-
-
-def identities_pass(report: Mapping[str, float], tolerance: float = 1e-12) -> bool:
-    """True when every residual in ``report`` is within ``tolerance``."""
-    return all(v <= tolerance for v in report.values())

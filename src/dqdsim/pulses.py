@@ -7,10 +7,11 @@ Gates are driven by rectangular voltage pulses on seven electrodes:
   matrix.  The same pulse shifts the two symmetric leakage configurations
   by the amplitude, so they accumulate exactly the dynamical phase of the
   driven doublet's symmetric combination; the generator therefore carries
-  the identity on the leakage rows alongside the embedded x-coupling.  The
-  overall sign fixes the rotation sense so that a quarter-period pulse
-  lands on the catalog square-root gates exactly, and a half-period pulse
-  on the full inversions.
+  the identity on the leakage rows alongside the embedded x-coupling,
+  which makes it the catalog inversion of that qubit.  The overall sign
+  fixes the rotation sense so that a quarter-period pulse lands on the
+  catalog square-root gates exactly, and a half-period pulse on the full
+  inversions.
 * ``E12`` — exchange between the two inner DQDs (one from each qubit).
   Its generator is the exchange gate itself, which is Hermitian; a
   half-period pulse reproduces the catalog exchange gate.
@@ -21,9 +22,10 @@ Gates are driven by rectangular voltage pulses on seven electrodes:
   raising the ``+`` level of the second raises logical ``|1>``.  Outside
   the computational subspace the generator is taken to vanish.
 
-A segment of amplitude ``a`` (ueV) and duration ``t`` (ns) contributes the
-unitary ``exp(-1j * H(a) * t / hbar)``; segments compose in the order
-listed, first segment acting first.
+Every generator is a fixed sign times a fixed unit matrix times the
+amplitude.  A segment of amplitude ``a`` (ueV) and duration ``t`` (ns)
+contributes the unitary ``exp(-1j * H(a) * t / hbar)``; segments compose in
+the order listed, first segment acting first.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS
+from .basis import COMPUTATIONAL_ROWS
 from .constants import HBAR_UEV_NS
 from .gates import GateId, gate_matrix
 from .linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, require_normalized
@@ -43,9 +45,6 @@ from .linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, require
 __all__ = [
     "ELECTRODES",
     "PulseSegment",
-    "single_qubit_hamiltonian",
-    "extend_generator",
-    "leakage_identity",
     "segment_generator",
     "evolve",
     "calibrate",
@@ -61,11 +60,22 @@ __all__ = [
 #: Valid electrode names, one per physical control line.
 ELECTRODES = ("E1", "E2", "E12", "T1", "T2", "T3", "T4")
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Logical z of qubit 1 / qubit 2 on the computational rows, zero on leakage.
+_Z1 = np.diag([1.0, 0.0, 1.0, -1.0, 0.0, -1.0]).astype(complex)
+_Z2 = np.diag([1.0, 0.0, -1.0, 1.0, 0.0, -1.0]).astype(complex)
 
-#: Electrode -> (qubit index, sign of the z-splitting on the logical doublet).
-_TUNNEL_ELECTRODES = {"T1": (1, +1.0), "T2": (1, -1.0), "T3": (2, +1.0), "T4": (2, -1.0)}
+#: Electrode -> (sign, unit Hermitian generator); a segment's generator is
+#: ``(sign * amplitude) * unit``.  The sign stays out of the matrix: folded
+#: in, it flips signed zeros and with them the last bits of :func:`evolve`.
+_GENERATORS: dict[str, tuple[float, np.ndarray]] = {
+    "E1": (-1.0, gate_matrix(GateId.NOT1)),
+    "E2": (-1.0, gate_matrix(GateId.NOT2)),
+    "E12": (1.0, gate_matrix(GateId.EXCHANGE)),
+    "T1": (1.0, _Z1),
+    "T2": (-1.0, _Z1),
+    "T3": (1.0, _Z2),
+    "T4": (-1.0, _Z2),
+}
 
 
 @dataclass(frozen=True)
@@ -87,55 +97,10 @@ class PulseSegment:
             raise ValueError(f"duration must be >= 0 ns, got {self.duration_ns!r}")
 
 
-def single_qubit_hamiltonian(level_splitting_ueV: float, exchange_ueV: float) -> np.ndarray:
-    """Two-level Hamiltonian of one qubit: z-splitting plus x-exchange."""
-    p = float(level_splitting_ueV)
-    a = float(exchange_ueV)
-    return np.array([[p, a], [a, -p]], dtype=complex)
-
-
-def extend_generator(h2: np.ndarray, qubit: int) -> np.ndarray:
-    """Embed a single-qubit generator into the six-configuration space.
-
-    The 2x2 generator acts on the logical doublet of ``qubit`` (1 or 2),
-    tensored with the identity on the other qubit; the two leakage rows
-    are left untouched (zero rows and columns).
-    """
-    h2 = np.asarray(h2, dtype=complex)
-    if h2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 generator, got shape {h2.shape}")
-    if qubit == 1:
-        block = np.kron(h2, np.eye(2))
-    elif qubit == 2:
-        block = np.kron(np.eye(2), h2)
-    else:
-        raise ValueError(f"qubit must be 1 or 2, got {qubit}")
-    h6 = np.zeros((6, 6), dtype=complex)
-    rows = np.asarray(COMPUTATIONAL_ROWS)
-    h6[np.ix_(rows, rows)] = block
-    return h6
-
-
-def leakage_identity() -> np.ndarray:
-    """Projector onto the two leakage configurations."""
-    h6 = np.zeros((6, 6), dtype=complex)
-    for r in LEAKAGE_ROWS:
-        h6[r, r] = 1.0
-    return h6
-
-
 def segment_generator(segment: PulseSegment) -> np.ndarray:
     """Hermitian 6x6 generator (ueV) for one pulse segment."""
-    a = float(segment.amplitude_ueV)
-    name = segment.electrode
-    if name == "E1":
-        return -a * (extend_generator(_PAULI_X, 1) + leakage_identity())
-    if name == "E2":
-        return -a * (extend_generator(_PAULI_X, 2) + leakage_identity())
-    if name == "E12":
-        return a * gate_matrix(GateId.EXCHANGE)
-    qubit, sign = _TUNNEL_ELECTRODES[name]
-    return extend_generator(sign * a * _PAULI_Z, qubit)
+    sign, unit = _GENERATORS[segment.electrode]
+    return (sign * float(segment.amplitude_ueV)) * unit
 
 
 def evolve(

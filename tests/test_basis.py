@@ -10,9 +10,6 @@ from dqdsim.basis import (
     basis_labels,
     basis_state,
     computational_basis_state,
-    computational_part,
-    dot_occupation_probability,
-    embed_computational,
     leakage_population,
 )
 
@@ -75,39 +72,9 @@ def test_computational_basis_state_rejects_garbage():
             computational_basis_state(bad)
 
 
-def test_embed_and_project_roundtrip():
-    rng = np.random.default_rng(5)
-    v4 = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v4 /= np.linalg.norm(v4)
-    v6 = embed_computational(v4)
-    assert v6.shape == (6,)
-    assert leakage_population(v6) < 1e-15
-    back = computational_part(v6)
-    assert np.allclose(back, v4)
-
-
 def test_leakage_population_counts_only_leak_rows():
     v = np.zeros(6, dtype=complex)
     v[1] = np.sqrt(0.25)
     v[4] = np.sqrt(0.5) * 1j
     v[0] = np.sqrt(0.25)
     assert abs(leakage_population(v) - 0.75) < 1e-15
-
-
-def test_dot_occupation_balanced_for_pure_levels():
-    # the bonding/antibonding single-particle levels spread each electron
-    # evenly over the two dots, so any pure level assignment gives 50/50
-    for amp in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        left, right = dot_occupation_probability(amp)
-        assert abs(left - 0.5) < 1e-15
-        assert abs(right - 0.5) < 1e-15
-
-
-def test_dot_occupation_localizes_for_superpositions():
-    # (|+> + |->)/sqrt(2) = |L> exactly
-    left, right = dot_occupation_probability(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert abs(left - 1.0) < 1e-15
-    assert abs(right) < 1e-15
-    # and the relative phase steers the charge to the other dot
-    left, right = dot_occupation_probability(np.array([1.0, -1.0]) / np.sqrt(2))
-    assert abs(right - 1.0) < 1e-15

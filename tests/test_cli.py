@@ -317,6 +317,7 @@ def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
     ({"resolutoin": 9}, "resolutoin"),
     ({"format": "xml"}, "--format"),
     ({"scan": True}, "scan"),
+    ({"tolerance": float("nan")}, "--tolerance"),
 ])
 def test_config_values_are_checked_like_flags(capsys, tmp_path, config, named):
     cfg = tmp_path / "cfg.json"
@@ -359,6 +360,12 @@ def test_flags_no_handler_reads_are_rejected(capsys, command_line):
     ("init --bias inf", "bias_ueV"),
     ("decohere --sweep tau --deps-max inf", "deps_max"),
     ("decohere --sweep selection --dot-separation-nm inf", "dot separation"),
+    # d**2 / (4 a**2) would overflow; the geometry is checked when it is built
+    ("decohere --sweep selection --orbital-width-nm 1e300", "orbital width"),
+    ("decohere --sweep selection --dot-separation-nm 1e-3 --orbital-width-nm 1e6", "coincide"),
+    # t_min = 10 deps / k_B, where (n / kT)**2 would overflow
+    ("decohere --sweep rate --points 2 --branch piezoelectric --deps 1e-300", "temperature_K"),
+    ("decohere --sweep rate --t-min 1e-300 --t-max 1e-299", "temperature_K"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, command_line, field):
     with warnings.catch_warnings():
@@ -367,6 +374,46 @@ def test_non_finite_inputs_are_usage_errors(capsys, command_line, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+PAIR = "[1, 0]"
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2, 3, 4, 5, 6]",
+    "[" + ", ".join([PAIR] * 5) + "]",
+    "[" + ", ".join([PAIR] * 5 + ["[0, 0, 0]"]) + "]",
+    "[" + ", ".join([PAIR] * 5 + ["[NaN, 0]"]) + "]",
+    "[" + ", ".join([PAIR] * 5 + ["[0, Infinity]"]) + "]",
+    "[" + ", ".join([PAIR] * 5 + ["[1" + "0" * 400 + ", 0]"]) + "]",
+    "[" + ", ".join([PAIR] * 5 + ['[true, 0]']) + "]",
+    "[" + ", ".join([PAIR] * 5 + ['["1", 0]']) + "]",
+])
+def test_malformed_initial_file_is_a_usage_error(capsys, tmp_path, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    code, out, err = run(capsys, "evolve", "--schedule", str(GOLDEN / "swap_schedule.json"),
+                         "--initial-file", str(state))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "[re, im] pairs" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command_line", [
+    "verify --tolerance nan",
+    "verify --tolerance=-1e-9",
+    "compile --tolerance inf",
+    "compile --tolerance=-inf",
+    f"evolve --schedule {GOLDEN / 'swap_schedule.json'} --target swap --tolerance nan",
+])
+def test_tolerance_must_be_finite_and_non_negative(capsys, command_line):
+    code, out, err = run_to_exit(capsys, *command_line.split())
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err and "finite" in err
+    assert "Traceback" not in err
 
 
 # One past each cap; every check runs before anything is allocated.

@@ -6,7 +6,9 @@ import pytest
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.decoherence import (
     MAX_RESOLUTION,
+    LENGTH_RANGE_NM,
     MAX_SELECTION_RESOLUTION,
+    MIN_TEMPERATURE_K,
     DotGeometry,
     Environment,
     PhononBranch,
@@ -15,9 +17,7 @@ from dqdsim.decoherence import (
     bose_einstein,
     coulomb_selection_rule,
     fit_scaling_exponent,
-    form_factor,
     single_phonon_tau_s,
-    stimulated_tau_s,
     two_phonon_rate_per_s,
 )
 
@@ -86,21 +86,6 @@ def test_single_phonon_scaling_exponents():
         assert slope == pytest.approx(expected, abs=1e-12)
 
 
-def test_stimulated_shortening():
-    env = Environment(temperature_K=1.0)
-    deps = 0.5
-    tau0 = single_phonon_tau_s(deps, PhononBranch.deformation())
-    tau = stimulated_tau_s(deps, PhononBranch.deformation(), env)
-    assert tau == pytest.approx(tau0 * deps / env.kT_ueV, rel=1e-14)
-    assert tau < tau0
-
-
-def test_stimulated_warns_outside_high_temperature_regime():
-    env = Environment(temperature_K=0.001)
-    with pytest.warns(RuntimeWarning):
-        stimulated_tau_s(1.0, PhononBranch.piezoelectric(), env)
-
-
 def test_branch_coupling_shapes():
     df = PhononBranch.deformation(coupling_constant=3.0)
     pz = PhononBranch.piezoelectric(coupling_constant=3.0)
@@ -119,9 +104,95 @@ def test_environment_derived_quantities():
     assert env.hbar_c_ueV_nm == pytest.approx(HBAR_UEV_NS * 5000.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("field", ["tau_anchor_s", "anchor_deps_ueV"])
+def test_branch_rejects_infinite_anchors(field):
+    with pytest.raises(ValueError, match="finite"):
+        PhononBranch("deformation", **{field: np.inf})
+
+
+@pytest.mark.parametrize("resolution", [256.0, True, "256", np.float64(256.0)])
+def test_environment_resolution_must_be_an_integer(resolution):
+    with pytest.raises(ValueError, match="integer"):
+        Environment(temperature_K=0.3, resolution=resolution)
+
+
+def test_environment_accepts_numpy_integer_resolution():
+    assert Environment(temperature_K=0.3, resolution=np.int64(256)).resolution == 256
+
+
+def test_environment_temperature_floor():
+    env = Environment(temperature_K=MIN_TEMPERATURE_K)
+    # the reduced denominator (n / kT)**2 stays finite at the floor
+    assert np.isfinite((2.0 / env.kT_ueV) ** 2)
+    with pytest.raises(ValueError, match="temperature_K"):
+        Environment(temperature_K=MIN_TEMPERATURE_K / 2.0)
+
+
+@pytest.mark.parametrize("d_nm, a_nm", [
+    (1e300, 5.0), (22.0, 1e300), (22.0, 1e-300), (0.0, 5.0), (np.inf, 5.0), (22.0, np.nan),
+])
+def test_geometry_outside_the_length_range_is_rejected(d_nm, a_nm):
+    with pytest.raises(ValueError, match="nm"):
+        DotGeometry(d_nm=d_nm, a_nm=a_nm)
+
+
+def test_geometry_overlap_is_finite_and_below_one_wherever_accepted():
+    lo, hi = LENGTH_RANGE_NM
+    lengths = np.geomspace(lo, hi, 19)
+    accepted = 0
+    for d in lengths:
+        for a in lengths:
+            try:
+                geom = DotGeometry(d_nm=float(d), a_nm=float(a))
+            except ValueError as exc:
+                assert "coincide" in str(exc)
+                continue
+            accepted += 1
+            assert 0.0 <= geom.overlap < 1.0
+    assert 0 < accepted < lengths.size**2
+    with pytest.raises(ValueError, match="coincide"):
+        DotGeometry(d_nm=lo, a_nm=hi)
+
+
 # ---------------------------------------------------------------------------
-# form factors, checked against direct numerical integration
+# form factors, checked against direct numerical integration; their
+# orientation average is the oracle of angular_flip_weight
 # ---------------------------------------------------------------------------
+
+def form_factor(
+    q_per_nm: float,
+    cos_theta: float,
+    geom: DotGeometry,
+    pair: str,
+) -> complex:
+    """Plane-wave matrix element between the space states of one DQD.
+
+    The oracle of :func:`angular_flip_weight`, which is its orientation
+    average in closed form.
+
+    ``pair`` selects bra and ket, e.g. ``"+-"`` for the symmetric bra and
+    antisymmetric ket.  ``cos_theta`` is the angle cosine between the
+    phonon wavevector and the DQD axis; the Gaussian envelope sees the full
+    magnitude while the interference factor sees the axis projection.
+    Closed forms for Gaussian orbitals of width ``a`` centered at
+    ``+-d/2``, exact at every overlap.
+    """
+    if q_per_nm < 0.0:
+        raise ValueError(f"q must be >= 0, got {q_per_nm!r}")
+    if not -1.0 <= cos_theta <= 1.0:
+        raise ValueError(f"cos_theta must lie in [-1, 1], got {cos_theta!r}")
+    if len(pair) != 2 or any(c not in "+-" for c in pair):
+        raise ValueError(f"pair must be two of '+'/'-', got {pair!r}")
+    s = geom.overlap
+    q_par = q_per_nm * cos_theta
+    envelope = np.exp(-(q_per_nm * geom.a_nm) ** 2 / 4.0)
+    half = q_par * geom.d_nm / 2.0
+    bra, ket = pair
+    if bra == ket:
+        sign = 1.0 if bra == "+" else -1.0
+        return complex(envelope * (np.cos(half) + sign * s) / (1.0 + sign * s))
+    return complex(-1j * np.sin(half) * envelope / np.sqrt(1.0 - s * s))
+
 
 def _oracle_form_factor(q: float, cos_theta: float, geom: DotGeometry, pair: str) -> complex:
     """Brute-force the axis integral on a dense grid; transverse directions

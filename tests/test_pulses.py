@@ -8,25 +8,46 @@ import pytest
 from dqdsim.basis import COMPUTATIONAL_ROWS, computational_basis_state
 from dqdsim.constants import HBAR_UEV_NS
 from dqdsim.gates import GateId, gate_matrix
-from dqdsim.linalg import dist_up_to_global_phase, is_unitary, max_abs_diff
+from dqdsim.linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, max_abs_diff
 from dqdsim.pulses import (
     ELECTRODES,
     PulseSegment,
     calibrate,
     calibrate_phase_flip,
     evolve,
-    extend_generator,
-    leakage_identity,
     load_schedule,
     schedule_from_json,
     schedule_to_json,
     segment_generator,
-    single_qubit_hamiltonian,
     sqrt_swap_sequence,
     swap_sequence,
 )
 
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _kron_generator(segment: PulseSegment) -> np.ndarray:
+    """Independent construction of an electrode generator: the 2x2 coupling
+    tensored into the computational rows, plus the leakage projector for
+    the exchange electrodes of one qubit."""
+    a = float(segment.amplitude_ueV)
+    name = segment.electrode
+    if name == "E12":
+        return a * gate_matrix(GateId.EXCHANGE)
+    qubit = 1 if name in ("E1", "T1", "T2") else 2
+    if name in ("E1", "E2"):
+        h2 = PAULI_X
+    else:
+        h2 = (-1.0 if name in ("T2", "T4") else 1.0) * a * PAULI_Z
+    block = np.kron(h2, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), h2)
+    h6 = np.zeros((6, 6), dtype=complex)
+    h6[np.ix_(COMPUTATIONAL_ROWS, COMPUTATIONAL_ROWS)] = block
+    if name in ("E1", "E2"):
+        leakage = np.zeros((6, 6), dtype=complex)
+        leakage[1, 1] = leakage[4, 4] = 1.0
+        return -a * (h6 + leakage)
+    return h6
 
 
 def test_segment_validation():
@@ -43,21 +64,26 @@ def test_electrode_inventory():
     assert ELECTRODES == ("E1", "E2", "E12", "T1", "T2", "T3", "T4")
 
 
-def test_single_qubit_hamiltonian_shape():
-    h = single_qubit_hamiltonian(2.0, 0.5)
-    assert np.allclose(h, [[2.0, 0.5], [0.5, -2.0]])
-
-
-def test_extend_generator_leaves_leakage_rows_zero():
-    rng = np.random.default_rng(2)
-    h2 = rng.normal(size=(2, 2))
-    h2 = h2 + h2.T
-    for qubit in (1, 2):
-        h6 = extend_generator(h2, qubit)
-        assert h6.shape == (6, 6)
+def test_tunnel_generators_vanish_on_leakage_rows():
+    for electrode in ("T1", "T2", "T3", "T4"):
+        h6 = segment_generator(PulseSegment(electrode, 3.7, 1.0))
         for leak in (1, 4):
             assert np.all(h6[leak, :] == 0.0)
             assert np.all(h6[:, leak] == 0.0)
+
+
+# Negative amplitudes and both signed zeros included.
+AMPLITUDES = (-25.0, -3.7, -1e-3, -0.0, 0.0, 1e-3, 0.5, 3.7, 12.25, 1e3)
+
+
+@pytest.mark.parametrize("electrode", ELECTRODES)
+def test_evolve_matches_kron_generator_bytes(electrode):
+    for amplitude in AMPLITUDES:
+        segment = PulseSegment(electrode, amplitude, 0.37)
+        assert max_abs_diff(segment_generator(segment), _kron_generator(segment)) == 0.0
+        u = expm_hermitian(_kron_generator(segment), segment.duration_ns / HBAR_UEV_NS)
+        expected = u @ np.eye(6, dtype=complex)
+        assert evolve([segment]).tobytes() == expected.tobytes(), amplitude
 
 
 def test_all_generators_hermitian():
@@ -79,7 +105,6 @@ def test_detuning_electrodes_shift_leakage_rows_too():
     g = segment_generator(PulseSegment("E1", 1.0, 1.0))
     assert g[1, 1] != 0.0
     assert g[4, 4] != 0.0
-    assert max_abs_diff(leakage_identity(), np.diag([0, 1, 0, 0, 1, 0])) == 0.0
 
 
 def test_evolve_empty_schedule_is_identity():

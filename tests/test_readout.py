@@ -105,6 +105,14 @@ def test_trace_time_grid():
     assert np.allclose(np.diff(trace.times_ns), 0.0005)
 
 
+def test_space_states_fill_both_dots_evenly():
+    # the bonding/antibonding levels spread the electron evenly over the two
+    # dots; charge only localizes once the readout pulse superposes them
+    for initial in ("plus", "minus"):
+        trace = readout_trace(CFG, initial)
+        assert trace.p_left[0] == pytest.approx(0.5, abs=1e-15)
+
+
 def test_optimal_time_is_half_rabi_period():
     best = optimal_measurement_time(CFG)
     omega = rabi_frequency(CFG)
