@@ -62,7 +62,7 @@ def _flatten_csv(report: dict) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     identities = verify_catalog_identities()
     pulse_checks = pulses.reproduction_residuals()
-    decomposition = compiler.decomposition_report(compiler.offset_grid(args.resolution))
+    decomposition = compiler.decomposition_report(args.resolution)
 
     required = {**identities, **pulse_checks}
     for name in ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual"):
@@ -131,7 +131,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    report = compiler.decomposition_report(compiler.offset_grid(args.resolution))
+    report = compiler.decomposition_report(args.resolution)
     passed = (
         float(report["xor_4dim_residual"]) <= args.tolerance
         and bool(report["phase_gate_reproduced"])

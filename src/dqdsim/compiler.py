@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .basis import COMPUTATIONAL_ROWS
 from .gates import GateId, gate_matrix
 from .linalg import dist_up_to_global_phase
 
@@ -31,7 +32,6 @@ __all__ = [
     "build_pi",
     "build_cnot",
     "MAX_OFFSETS",
-    "offset_grid",
     "search_embedding",
     "XorCheck",
     "verify_xor_4dim",
@@ -156,20 +156,6 @@ _SCREEN_SLACK = 1e-12
 _K_VALUES = np.arange(-2, 3)
 
 
-def _check_offset_count(n_offsets: int) -> int:
-    if not 1 <= n_offsets <= MAX_OFFSETS:
-        raise ValueError(f"offset-grid size must be in 1..{MAX_OFFSETS}, got {n_offsets}")
-    return n_offsets
-
-
-def offset_grid(n_offsets: int) -> float:
-    """Angular step of an offset grid with ``n_offsets`` points per turn.
-
-    Raises ``ValueError`` unless ``1 <= n_offsets <= MAX_OFFSETS``.
-    """
-    return 2.0 * np.pi / _check_offset_count(n_offsets)
-
-
 def _candidates(index, offsets: np.ndarray) -> tuple:
     """Parameters ``(k1p, k1m, k2p, k2m, o1, o2)`` of lexicographic candidates."""
     n = offsets.size
@@ -209,12 +195,12 @@ def _screen_bounds(products: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     return lb, ub
 
 
-def search_embedding(grid: float = np.pi / 2.0) -> tuple[PhaseEmbedding, float]:
+def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     """Exhaustive search for the leakage-phase embedding of the z gates.
 
     Scans ``k in {-2..2}`` per gate and leakage row and per-gate offsets on
-    a grid of the given angular resolution (which must divide ``2*pi``
-    into at most :data:`MAX_OFFSETS` steps), and returns the embedding
+    the grid of ``n_offsets`` equal steps per turn (an integer in
+    ``1..``:data:`MAX_OFFSETS`), and returns the embedding
     minimizing the global-phase-insensitive distance between
     :func:`build_pi` and the catalog phase gate, together with that
     residual.
@@ -233,12 +219,11 @@ def search_embedding(grid: float = np.pi / 2.0) -> tuple[PhaseEmbedding, float]:
     result is deterministic, with ties broken to the smallest parameter
     tuple in lexicographic order.
     """
-    grid = float(grid)
-    n_offsets = 2.0 * np.pi / grid if grid else np.inf
-    count = int(_check_offset_count(np.rint(n_offsets)))
-    if abs(n_offsets - count) > 1e-9:
-        raise ValueError(f"grid must divide 2*pi, got {grid!r}")
-    offsets = np.arange(count) * grid
+    if isinstance(n_offsets, bool) or not isinstance(n_offsets, (int, np.integer)):
+        raise ValueError(f"offset-grid size must be an integer, got {n_offsets!r}")
+    if not 1 <= n_offsets <= MAX_OFFSETS:
+        raise ValueError(f"offset-grid size must be in 1..{MAX_OFFSETS}, got {n_offsets}")
+    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
 
     total = _K_VALUES.size**4 * offsets.size**2
@@ -275,13 +260,9 @@ class XorCheck:
 
 
 def _z4(qubit: int, theta: float, convention: str) -> np.ndarray:
-    half = theta / 2.0
-    if convention == "minus_half_on_zero":
-        on_zero, on_one = np.exp(-1j * half), np.exp(1j * half)
-    else:
-        on_zero, on_one = np.exp(1j * half), np.exp(-1j * half)
-    values = (0, 0, 1, 1) if qubit == 1 else (0, 1, 0, 1)
-    return np.diag([on_one if v else on_zero for v in values]).astype(complex)
+    """:func:`z_gate` on the computational rows, in either sign convention."""
+    sign = 1.0 if convention == "minus_half_on_zero" else -1.0
+    return np.diag(_z_phases(qubit, sign * theta, 0, 0, 0.0)[list(COMPUTATIONAL_ROWS)])
 
 
 def verify_xor_4dim() -> XorCheck:
@@ -304,9 +285,9 @@ def verify_xor_4dim() -> XorCheck:
     return XorCheck(residuals[winner], winner, residuals)
 
 
-def decomposition_report(grid: float = np.pi / 2.0) -> dict[str, object]:
+def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
     """Residuals and conventions of every compiled two-qubit construction."""
-    emb, best_residual = search_embedding(grid)
+    emb, best_residual = search_embedding(n_offsets)
     trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_matrix(GateId.PHASE))
     cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_matrix(GateId.CNOT))
     xor = verify_xor_4dim()

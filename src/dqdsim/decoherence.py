@@ -25,7 +25,7 @@ quantities this module asserts are ratios, scalings and selection rules.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +37,8 @@ __all__ = [
     "MAX_SELECTION_RESOLUTION",
     "MIN_TEMPERATURE_K",
     "LENGTH_RANGE_NM",
+    "SOUND_SPEED_M_PER_S",
+    "Q_CUTOFF_PER_NM",
     "PhononBranch",
     "Environment",
     "DotGeometry",
@@ -48,8 +50,6 @@ __all__ = [
     "fit_scaling_exponent",
     "coulomb_selection_rule",
 ]
-
-_DQD_STATES = ("+-", "-+", "++", "--")
 
 #: Largest two-phonon quadrature resolution; the convergence check runs
 #: ``2 * resolution`` Gauss-Legendre nodes, whose setup is O(n^2) memory.
@@ -63,6 +63,12 @@ MIN_TEMPERATURE_K = 1e-6
 
 #: Range of the dot separation and orbital width; keeps their squares finite.
 LENGTH_RANGE_NM = (1e-3, 1e6)
+
+#: Sound speed of the host crystal.
+SOUND_SPEED_M_PER_S = 5000.0
+
+#: Upper end of the phonon spectrum.
+Q_CUTOFF_PER_NM = 10.0
 
 
 @dataclass(frozen=True)
@@ -113,21 +119,15 @@ class PhononBranch:
 
 @dataclass(frozen=True)
 class Environment:
-    """Thermal and acoustic parameters of the host crystal."""
+    """Temperature of the host crystal and the quadrature resolution."""
 
     temperature_K: float
-    sound_speed_m_per_s: float = 5000.0
-    q_cutoff_per_nm: float = 10.0
     resolution: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("temperature_K", "sound_speed_m_per_s", "q_cutoff_per_nm"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if not self.temperature_K >= MIN_TEMPERATURE_K:
-            raise ValueError(
-                f"temperature_K must be at least {MIN_TEMPERATURE_K}, got {self.temperature_K!r}"
-            )
+        if not MIN_TEMPERATURE_K <= self.temperature_K < np.inf:
+            raise ValueError(f"temperature_K must be finite and at least {MIN_TEMPERATURE_K}, "
+                             f"got {self.temperature_K!r}")
         if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
             raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
         if not 8 <= self.resolution <= MAX_RESOLUTION:
@@ -140,7 +140,7 @@ class Environment:
     @property
     def hbar_c_ueV_nm(self) -> float:
         """hbar * sound speed: converts phonon wavevector (1/nm) to energy (ueV)."""
-        return HBAR_UEV_NS * self.sound_speed_m_per_s  # m/s equals nm/ns
+        return HBAR_UEV_NS * SOUND_SPEED_M_PER_S  # m/s equals nm/ns
 
 
 @dataclass(frozen=True)
@@ -168,37 +168,23 @@ class DotGeometry:
 
 @dataclass(frozen=True)
 class TransitionSpec:
-    """A two-DQD transition with its virtual intermediate states.
+    """The two-DQD flip ``|+-> -> |-+>`` through the virtual ``|++>`` and ``|-->``.
 
-    Energies are relative to the initial configuration.  By default the
-    two logical configurations are degenerate and the doubly-symmetric /
-    doubly-antisymmetric intermediates sit one level splitting below and
-    above.
+    Energies are relative to the initial configuration.  The two logical
+    configurations are degenerate; the doubly-symmetric / doubly-
+    antisymmetric intermediates sit one level splitting below and above.
     """
 
-    initial: str = "+-"
-    final: str = "-+"
-    intermediates: tuple[str, ...] = ("++", "--")
     delta_eps_ueV: float = 0.1
-    eps_intermediates_ueV: tuple[float, ...] = field(default=())
-    eps_final_ueV: float = 0.0
 
     def __post_init__(self) -> None:
-        for state in (self.initial, self.final, *self.intermediates):
-            if state not in _DQD_STATES:
-                raise ValueError(f"unknown two-DQD state {state!r}")
-        if not self.intermediates:
-            raise ValueError("at least one intermediate state is required")
         if not (np.isfinite(self.delta_eps_ueV) and self.delta_eps_ueV > 0.0):
             raise ValueError("delta_eps_ueV must be positive")
-        if not self.eps_intermediates_ueV:
-            defaults = {"++": -self.delta_eps_ueV, "--": +self.delta_eps_ueV}
-            energies = tuple(defaults.get(z, 0.0) for z in self.intermediates)
-            object.__setattr__(self, "eps_intermediates_ueV", energies)
-        if len(self.eps_intermediates_ueV) != len(self.intermediates):
-            raise ValueError("one intermediate energy per intermediate state is required")
-        if not all(np.isfinite(e) for e in (*self.eps_intermediates_ueV, self.eps_final_ueV)):
-            raise ValueError("energies must be finite")
+
+    @property
+    def eps_intermediates_ueV(self) -> tuple[float, float]:
+        """Energies of ``|++>`` and ``|-->``."""
+        return (-self.delta_eps_ueV, self.delta_eps_ueV)
 
 
 def bose_einstein(eps_ueV: np.ndarray | float, temperature_K: float) -> np.ndarray | float:
@@ -216,12 +202,17 @@ def single_phonon_tau_s(deps_ueV: float, branch: PhononBranch) -> float:
     """Spontaneous one-phonon relaxation time, pure power law in the splitting.
 
     ``tau = tau_anchor * (deps / anchor_deps) ** (-5 or -3)``; the anchor is
-    a calibration input (see :class:`PhononBranch`).
+    a calibration input (see :class:`PhononBranch`).  A splitting whose
+    lifetime overflows or underflows the float range is rejected.
     """
     if not deps_ueV > 0.0:
         raise ValueError(f"deps must be positive, got {deps_ueV!r}")
-    ratio = deps_ueV / branch.anchor_deps_ueV
-    return float(branch.tau_anchor_s * ratio ** (-branch.tau_exponent))
+    ratio = np.float64(deps_ueV) / branch.anchor_deps_ueV
+    with np.errstate(all="ignore"):
+        tau = float(branch.tau_anchor_s * ratio ** (-branch.tau_exponent))
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"deps = {float(deps_ueV)!r} ueV gives a lifetime outside the float range")
+    return tau
 
 
 def angular_flip_weight(q_per_nm: np.ndarray | float, geom: DotGeometry) -> np.ndarray | float:
@@ -248,36 +239,33 @@ def _two_phonon_integral(
     env: Environment,
     geom: DotGeometry,
     mode: str,
-    level_width_ueV: float,
     n_nodes: int,
 ) -> float:
     kT = env.kT_ueV
     hbar_c = env.hbar_c_ueV_nm
-    eps_lo = max(transition.eps_final_ueV, 0.0) + 1e-9 * kT
-    eps_hi = min(40.0 * kT, hbar_c * env.q_cutoff_per_nm)
+    eps_lo = 1e-9 * kT
+    eps_hi = min(40.0 * kT, hbar_c * Q_CUTOFF_PER_NM)
     if eps_hi <= eps_lo:
         raise ValueError("spectral cutoff below the emission threshold")
-    absorbed, weights = _gauss_legendre(eps_lo, eps_hi, n_nodes)
-
-    emitted = absorbed - transition.eps_final_ueV  # energy conservation
-    q_abs = absorbed / hbar_c
-    q_em = emitted / hbar_c
-    occupation = (bose_einstein(emitted, env.temperature_K) + 1.0) * bose_einstein(
-        absorbed, env.temperature_K
-    )
-    coupling = np.asarray(branch.coupling_sq(q_em) * branch.coupling_sq(q_abs), dtype=float)
-    vertices = angular_flip_weight(q_em, geom) * angular_flip_weight(q_abs, geom)
+    # The final state is degenerate with the initial one, so the emitted
+    # phonon carries the absorbed energy and both vertices share each factor.
+    eps, weights = _gauss_legendre(eps_lo, eps_hi, n_nodes)
+    q = eps / hbar_c
+    n = bose_einstein(eps, env.temperature_K)
+    occupation = (n + 1.0) * n
+    c = branch.coupling_sq(q)
+    w = angular_flip_weight(q, geom)
 
     if mode == "reduced":
-        denom = (len(transition.intermediates) / kT) ** 2 * np.ones_like(absorbed)
+        denom = (2.0 / kT) ** 2 * np.ones_like(eps)
     else:
-        amplitude = np.zeros(absorbed.shape, dtype=complex)
+        amplitude = np.zeros(eps.shape, dtype=complex)
         for eps_z in transition.eps_intermediates_ueV:
-            amplitude += 1.0 / (eps_z - emitted + 1j * level_width_ueV)
+            amplitude += 1.0 / (eps_z - eps + 1j * (0.01 * kT))
         denom = np.abs(amplitude) ** 2
 
-    phase_space = q_em**2 * q_abs**2 / hbar_c**2
-    integrand = phase_space * coupling * vertices * occupation * denom
+    phase_space = q**2 * q**2 / hbar_c**2
+    integrand = phase_space * (c * c) * (w * w) * occupation * denom
     return float(np.sum(weights * integrand))
 
 
@@ -287,7 +275,6 @@ def two_phonon_rate_per_s(
     env: Environment,
     geom: DotGeometry,
     mode: str = "reduced",
-    level_width_ueV: float | None = None,
 ) -> float:
     """Second-order two-phonon transition rate by quadrature.
 
@@ -300,8 +287,8 @@ def two_phonon_rate_per_s(
 
     ``mode="reduced"`` replaces each denominator by the thermal energy
     (the high-temperature shortcut); ``mode="exact"`` keeps the
-    denominators ``eps_z - eps_emitted`` with a small imaginary level
-    width regularizing the on-shell crossing (default one percent of kT).
+    denominators ``eps_z - eps_emitted`` with an imaginary level width of
+    one percent of kT regularizing the on-shell crossing.
 
     The result is checked for quadrature convergence by doubling the node
     count; disagreement beyond 1% raises.  A warning flags the regime
@@ -318,12 +305,9 @@ def two_phonon_rate_per_s(
         )
     if branch.coupling_constant == 0.0:
         return 0.0
-    width = 0.01 * kT if level_width_ueV is None else float(level_width_ueV)
-    if mode == "exact" and width <= 0.0:
-        raise ValueError("exact mode needs a positive level width")
 
-    coarse = _two_phonon_integral(transition, branch, env, geom, mode, width, env.resolution)
-    fine = _two_phonon_integral(transition, branch, env, geom, mode, width, 2 * env.resolution)
+    coarse = _two_phonon_integral(transition, branch, env, geom, mode, env.resolution)
+    fine = _two_phonon_integral(transition, branch, env, geom, mode, 2 * env.resolution)
     scale = max(abs(fine), abs(coarse))
     if scale > 0.0 and abs(fine - coarse) > 0.01 * scale:
         raise RuntimeError(
@@ -352,13 +336,12 @@ def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:
 def coulomb_selection_rule(
     geom: DotGeometry,
     resolution: int = 800,
-    softening_nm: float | None = None,
 ) -> dict[str, float]:
     """Two-electron Coulomb matrix elements of the reduced 1-dim model.
 
     Each electron lives on its own DQD axis with Gaussian site orbitals at
     ``+-d/2``; the electrons interact through the softened kernel
-    ``1/sqrt((x1-x2)^2 + w^2)`` (default ``w = a/10``).  Transitions that
+    ``1/sqrt((x1-x2)^2 + w^2)`` with ``w = a/10``.  Transitions that
     flip a single DQD (``|+-> -> |++>`` or ``|-->``) integrate an odd
     function and vanish within quadrature error; the double flip
     (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
@@ -368,9 +351,7 @@ def coulomb_selection_rule(
         raise ValueError(
             f"resolution must be in 16..{MAX_SELECTION_RESOLUTION}, got {resolution!r}"
         )
-    w = geom.a_nm / 10.0 if softening_nm is None else float(softening_nm)
-    if w <= 0.0:
-        raise ValueError("softening width must be positive")
+    w = geom.a_nm / 10.0
 
     def elements(n: int) -> tuple[float, float, float]:
         x, wq = _gauss_legendre(-(geom.d_nm / 2.0 + 8.0 * geom.a_nm),

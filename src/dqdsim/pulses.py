@@ -177,33 +177,28 @@ def calibrate_phase_flip(dqd: int, amplitude_ueV: float) -> list[PulseSegment]:
     return [PulseSegment(f"T{dqd}", a, np.pi * HBAR_UEV_NS / (2.0 * a))]
 
 
-def swap_sequence(
-    intra_amplitude_ueV: float, inter_amplitude_ueV: float | None = None
-) -> list[PulseSegment]:
+def swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
     """Four-pulse swap of the two qubits: exchange, both inversions, exchange.
 
-    Composes to the catalog swap gate exactly (global phase included).
+    Every pulse has the same amplitude.  Composes to the catalog swap gate
+    exactly (global phase included).
     """
-    inter = intra_amplitude_ueV if inter_amplitude_ueV is None else inter_amplitude_ueV
     return (
-        calibrate(GateId.EXCHANGE, inter)
-        + calibrate(GateId.NOT1, intra_amplitude_ueV)
-        + calibrate(GateId.NOT2, intra_amplitude_ueV)
-        + calibrate(GateId.EXCHANGE, inter)
+        calibrate(GateId.EXCHANGE, amplitude_ueV)
+        + calibrate(GateId.NOT1, amplitude_ueV)
+        + calibrate(GateId.NOT2, amplitude_ueV)
+        + calibrate(GateId.EXCHANGE, amplitude_ueV)
     )
 
 
-def sqrt_swap_sequence(
-    intra_amplitude_ueV: float, inter_amplitude_ueV: float | None = None
-) -> list[PulseSegment]:
+def sqrt_swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
     """Four-pulse square root of swap: like :func:`swap_sequence` with
     half-duration inner pulses."""
-    inter = intra_amplitude_ueV if inter_amplitude_ueV is None else inter_amplitude_ueV
     return (
-        calibrate(GateId.EXCHANGE, inter)
-        + calibrate(GateId.SQRT_NOT1, intra_amplitude_ueV)
-        + calibrate(GateId.SQRT_NOT2, intra_amplitude_ueV)
-        + calibrate(GateId.EXCHANGE, inter)
+        calibrate(GateId.EXCHANGE, amplitude_ueV)
+        + calibrate(GateId.SQRT_NOT1, amplitude_ueV)
+        + calibrate(GateId.SQRT_NOT2, amplitude_ueV)
+        + calibrate(GateId.EXCHANGE, amplitude_ueV)
     )
 
 

@@ -166,6 +166,17 @@ GOLDEN_CASES = {
     "readout": ("readout.csv", 0, ["readout"]),
     "readout-scan": ("readout_scan.json", 0, ["readout", "--scan"]),
     "init": ("init.json", 0, ["init", "--target", "plus"]),
+    # Non-default paths of the two-phonon quadrature, the selection rule and
+    # the offset grid.
+    "decohere-rate-exact": ("decohere_rate_exact.csv", 1,
+                            ["decohere", "--sweep", "rate", "--mode", "exact", "--points", "3"]),
+    "decohere-rate-deformation-r128": ("decohere_rate_deformation_r128.csv", 1,
+                                       ["decohere", "--sweep", "rate", "--branch", "deformation",
+                                        "--resolution", "128", "--points", "3", "--deps", "0.3"]),
+    "decohere-selection-r1600": ("decohere_selection_r1600.json", 0,
+                                 ["decohere", "--sweep", "selection", "--resolution", "1600",
+                                  "--dot-separation-nm", "18.5", "--orbital-width-nm", "4.7"]),
+    "compile-r3": ("compile_r3.json", 0, ["compile", "--resolution", "3"]),
 }
 
 
@@ -366,6 +377,9 @@ def test_flags_no_handler_reads_are_rejected(capsys, command_line):
     # t_min = 10 deps / k_B, where (n / kT)**2 would overflow
     ("decohere --sweep rate --points 2 --branch piezoelectric --deps 1e-300", "temperature_K"),
     ("decohere --sweep rate --t-min 1e-300 --t-max 1e-299", "temperature_K"),
+    # the lifetime (deps / anchor)**-5 overflows to inf or underflows to 0
+    ("decohere --sweep tau --deps-min 1e-300", "deps"),
+    ("decohere --sweep tau --deps-max 1e300", "deps"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, command_line, field):
     with warnings.catch_warnings():

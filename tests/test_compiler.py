@@ -18,7 +18,6 @@ from dqdsim.compiler import (
     build_cnot,
     build_pi,
     decomposition_report,
-    offset_grid,
     search_embedding,
     verify_xor_4dim,
     z_gate,
@@ -94,23 +93,10 @@ def test_search_is_deterministic():
     assert first == second
 
 
-def test_search_rejects_grid_not_dividing_full_turn():
-    with pytest.raises(ValueError):
-        search_embedding(grid=1.0)
-
-
-@pytest.mark.parametrize("n_offsets", [0, -1, MAX_OFFSETS + 1])
-def test_offset_grid_size_is_capped(n_offsets):
-    with pytest.raises(ValueError):
-        offset_grid(n_offsets)
-
-
-@pytest.mark.parametrize(
-    "grid", [np.inf, np.nan, -2.0 * np.pi, 0.0, 2.0 * np.pi / (MAX_OFFSETS + 1)]
-)
-def test_search_rejects_grid_outside_the_cap(grid):
-    with pytest.raises(ValueError):
-        search_embedding(grid)
+@pytest.mark.parametrize("n_offsets", [0, -1, MAX_OFFSETS + 1, 2.0, True])
+def test_search_rejects_offset_counts_outside_the_cap(n_offsets):
+    with pytest.raises(ValueError, match="offset-grid size"):
+        search_embedding(n_offsets)
 
 
 def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
@@ -140,14 +126,14 @@ def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
 def test_screened_search_matches_sequential_reference(n_offsets, embedding):
     expected = sequential_search(n_offsets)
     assert expected == (embedding, 2.83276944882399e-16)
-    assert search_embedding(offset_grid(n_offsets)) == expected
+    assert search_embedding(n_offsets) == expected
 
 
 def test_screen_bounds_bracket_the_exact_distance():
     # Roundoff between the stacked products and build_pi reaches ~2e-16,
     # well inside the search's 1e-12 screening slack.
     target = gate_matrix(GateId.PHASE)
-    offsets = np.arange(1) * offset_grid(1)
+    offsets = np.zeros(1)
     index = np.arange(5**4)
     lb, ub = _screen_bounds(_stacked_pi(_candidates(index, offsets)), target)
     for i in index:
@@ -156,7 +142,7 @@ def test_screen_bounds_bracket_the_exact_distance():
 
 
 def test_stacked_products_match_build_pi():
-    offsets = np.arange(4) * offset_grid(4)
+    offsets = np.arange(4) * (np.pi / 2.0)
     index = np.random.default_rng(5).choice(5**4 * 4**2, size=64, replace=False)
     stack = _stacked_pi(_candidates(index, offsets))
     for i, product in zip(index, stack):

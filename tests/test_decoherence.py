@@ -342,7 +342,6 @@ def test_two_phonon_warns_when_kt_comparable_to_splitting():
 
 def test_transition_spec_fills_intermediate_energies():
     transition = TransitionSpec(delta_eps_ueV=0.4)
-    assert transition.intermediates == ("++", "--")
     assert transition.eps_intermediates_ueV == (-0.4, 0.4)
 
 

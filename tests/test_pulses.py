@@ -206,7 +206,8 @@ def test_mid_pulse_leakage_returns_to_zero():
 
 
 def test_schedule_json_roundtrip(tmp_path):
-    schedule = swap_sequence(7.5, 3.25)
+    schedule = (calibrate(GateId.EXCHANGE, 3.25) + calibrate(GateId.NOT1, 7.5)
+                + calibrate(GateId.NOT2, 7.5) + calibrate(GateId.EXCHANGE, 3.25))
     data = schedule_to_json(schedule)
     again = schedule_from_json(data)
     assert again == schedule
