@@ -24,9 +24,10 @@ quantities this module asserts are ratios, scalings and selection rules.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
 __all__ = [
     "MAX_RESOLUTION",
     "MAX_SELECTION_RESOLUTION",
+    "LEGENDRE_CACHE_SIZE",
     "MIN_TEMPERATURE_K",
     "LENGTH_RANGE_NM",
     "SOUND_SPEED_M_PER_S",
@@ -46,17 +48,25 @@ __all__ = [
     "bose_einstein",
     "single_phonon_tau_s",
     "angular_flip_weight",
+    "TwoPhononRate",
     "two_phonon_rate_per_s",
     "fit_scaling_exponent",
     "coulomb_selection_rule",
 ]
 
 #: Largest two-phonon quadrature resolution; the convergence check runs
-#: ``2 * resolution`` Gauss-Legendre nodes, whose setup is O(n^2) memory.
+#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^2) setup is paid once
+#: per node count (see ``LEGENDRE_CACHE_SIZE``).
 MAX_RESOLUTION = 1024
 
 #: Largest selection-rule resolution; the quadrature holds an n x n kernel.
 MAX_SELECTION_RESOLUTION = 3200
+
+#: Node counts whose Gauss-Legendre rule stays cached.  Holds with room to
+#: spare the eight counts of rate sweeps at n = 128..512 and selection sweeps
+#: at n = 400..1600, and bounds the cache at 32 * 3200 * 16 B, about 1.6 MB,
+#: however many resolutions a process sweeps.
+LEGENDRE_CACHE_SIZE = 32
 
 #: Lowest temperature; keeps ``(n / kT)**2`` of the reduced quadrature finite.
 MIN_TEMPERATURE_K = 1e-6
@@ -227,8 +237,17 @@ def angular_flip_weight(q_per_nm: np.ndarray | float, geom: DotGeometry) -> np.n
     return envelope * interference / (1.0 - s * s)
 
 
+@functools.lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _legendre_nodes(int(n))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -269,13 +288,24 @@ def _two_phonon_integral(
     return float(np.sum(weights * integrand))
 
 
+class TwoPhononRate(NamedTuple):
+    """Two-phonon rate at ``2 * resolution`` nodes and its quadrature error.
+
+    ``est_error_per_s`` is the difference between the rates at ``2 * resolution``
+    and at ``resolution`` nodes.
+    """
+
+    rate_per_s: float
+    est_error_per_s: float
+
+
 def two_phonon_rate_per_s(
     transition: TransitionSpec,
     branch: PhononBranch,
     env: Environment,
     geom: DotGeometry,
     mode: str = "reduced",
-) -> float:
+) -> TwoPhononRate:
     """Second-order two-phonon transition rate by quadrature.
 
     One thermal phonon is absorbed and one emitted; the energy-conserving
@@ -291,20 +321,22 @@ def two_phonon_rate_per_s(
     one percent of kT regularizing the on-shell crossing.
 
     The result is checked for quadrature convergence by doubling the node
-    count; disagreement beyond 1% raises.  A warning flags the regime
-    ``kT < 10 * delta_eps`` where the high-temperature reduction is dubious.
+    count; disagreement beyond 1% raises, and the difference is returned as
+    the error estimate.  A warning flags the regime ``kT < 10 * delta_eps``
+    where the high-temperature reduction is dubious; the test runs in
+    temperature, so the edge ``T = 10 * delta_eps / k_B`` itself is inside.
     """
     if mode not in ("reduced", "exact"):
         raise ValueError(f"mode must be 'reduced' or 'exact', got {mode!r}")
-    kT = env.kT_ueV
-    if kT < 10.0 * transition.delta_eps_ueV:
+    if env.temperature_K < 10.0 * transition.delta_eps_ueV / K_B_UEV_PER_K:
         warnings.warn(
-            f"two-phonon model assumes kT >> level splitting; kT/deps = {kT / transition.delta_eps_ueV:.3g}",
+            "two-phonon model assumes kT >> level splitting; "
+            f"kT/deps = {env.kT_ueV / transition.delta_eps_ueV:.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
     if branch.coupling_constant == 0.0:
-        return 0.0
+        return TwoPhononRate(0.0, 0.0)
 
     coarse = _two_phonon_integral(transition, branch, env, geom, mode, env.resolution)
     fine = _two_phonon_integral(transition, branch, env, geom, mode, 2 * env.resolution)
@@ -315,7 +347,9 @@ def two_phonon_rate_per_s(
             f"{coarse!r} vs {fine!r}"
         )
     # 2*pi/hbar in 1/(ueV ns) times 1e9 ns/s.
-    return float(2.0 * np.pi / HBAR_UEV_NS * fine * 1e9)
+    rate = float(2.0 * np.pi / HBAR_UEV_NS * fine * 1e9)
+    rate_coarse = float(2.0 * np.pi / HBAR_UEV_NS * coarse * 1e9)
+    return TwoPhononRate(rate, abs(rate - rate_coarse))
 
 
 def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:

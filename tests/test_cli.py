@@ -10,6 +10,7 @@ import pytest
 
 from dqdsim.cli import MAX_SWEEP_POINTS, main
 from dqdsim.compiler import MAX_OFFSETS
+from dqdsim.constants import K_B_UEV_PER_K
 from dqdsim.decoherence import MAX_RESOLUTION, MAX_SELECTION_RESOLUTION
 from dqdsim.readout import MAX_BIAS_SAMPLES, MAX_TRACE_SAMPLES
 from dqdsim.gates import GateId
@@ -231,6 +232,27 @@ def test_decohere_rate_sweep_reports_declared_exponent_mismatch(capsys):
     assert report["passed"] is False
     assert report["declared_exponents"]["deformation"] == 6.0
     assert report["fitted_exponents"]["deformation"] > 7.0
+
+
+@pytest.mark.parametrize("resolution", ["16", "17", "18", "19"])
+def test_rate_sweep_convergence_is_checked_at_the_requested_resolution(capsys, resolution):
+    # only the n-against-2n check of each call applies; no second run at n/2
+    code, out, err = run(capsys, "decohere", "--sweep", "rate", "--resolution", resolution,
+                         "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["passed"] is False
+
+
+def test_default_rate_sweep_stays_inside_the_validity_window(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "decohere", "--sweep", "rate")
+    assert code == 1
+    # the default t_min is the window's edge; just below it the model warns
+    edge = 10.0 * 0.1 / K_B_UEV_PER_K
+    with pytest.warns(RuntimeWarning, match="kT >> level splitting"):
+        run(capsys, "decohere", "--sweep", "rate", "--branch", "piezoelectric",
+            "--points", "2", "--t-min", repr(0.99 * edge))
 
 
 def test_decohere_selection_rule(capsys):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
+from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.decoherence import (
+    LEGENDRE_CACHE_SIZE,
     MAX_RESOLUTION,
     LENGTH_RANGE_NM,
     MAX_SELECTION_RESOLUTION,
@@ -18,6 +24,7 @@ from dqdsim.decoherence import (
     coulomb_selection_rule,
     fit_scaling_exponent,
     single_phonon_tau_s,
+    _legendre_nodes,
     two_phonon_rate_per_s,
 )
 
@@ -267,10 +274,13 @@ def _decade_slope(branch: PhononBranch, mode: str, resolution: int = 256) -> flo
     geom = DotGeometry()
     transition = TransitionSpec(delta_eps_ueV=deps)
     samples = []
-    with pytest.warns(RuntimeWarning):
+    # the decade starts at the validity edge kT = 10 * splitting, which is inside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for T in np.geomspace(t_min, 10 * t_min, 7):
             env = Environment(temperature_K=float(T), resolution=resolution)
-            samples.append((float(T), two_phonon_rate_per_s(transition, branch, env, geom, mode=mode)))
+            rate = two_phonon_rate_per_s(transition, branch, env, geom, mode=mode).rate_per_s
+            samples.append((float(T), rate))
     return fit_scaling_exponent(samples)
 
 
@@ -281,20 +291,20 @@ def test_two_phonon_rate_positive_and_increasing():
     rates = []
     for T in (0.05, 0.1, 0.2, 0.4):
         env = Environment(temperature_K=T)
-        rates.append(two_phonon_rate_per_s(transition, branch, env, geom))
+        rates.append(two_phonon_rate_per_s(transition, branch, env, geom).rate_per_s)
     assert all(r > 0 for r in rates)
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
 def test_two_phonon_zero_coupling_gives_zero_rate():
     env = Environment(temperature_K=0.2)
-    rate = two_phonon_rate_per_s(
+    result = two_phonon_rate_per_s(
         TransitionSpec(),
         PhononBranch.deformation(coupling_constant=0.0),
         env,
         DotGeometry(),
     )
-    assert rate == 0.0
+    assert result == (0.0, 0.0)
 
 
 def test_two_phonon_deep_dipole_exponents_reduced_mode():
@@ -323,7 +333,11 @@ def test_two_phonon_quadrature_converged_in_resolution():
     branch = PhononBranch.piezoelectric()
     r256 = two_phonon_rate_per_s(transition, branch, Environment(temperature_K=0.3, resolution=256), geom)
     r512 = two_phonon_rate_per_s(transition, branch, Environment(temperature_K=0.3, resolution=512), geom)
-    assert r256 == pytest.approx(r512, rel=1e-6)
+    assert r256.rate_per_s == pytest.approx(r512.rate_per_s, rel=1e-6)
+    # resolution n returns the 2n-node rate; its error estimate is the
+    # difference to the n-node rate, which resolution n/2 returns
+    assert r512.est_error_per_s == abs(r512.rate_per_s - r256.rate_per_s)
+    assert 0.0 < r256.est_error_per_s < 1e-6 * r256.rate_per_s
 
 
 def test_two_phonon_rejects_unconverged_quadrature():
@@ -343,6 +357,68 @@ def test_two_phonon_warns_when_kt_comparable_to_splitting():
 def test_transition_spec_fills_intermediate_energies():
     transition = TransitionSpec(delta_eps_ueV=0.4)
     assert transition.eps_intermediates_ueV == (-0.4, 0.4)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre nodes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 9, 200, 1024, 1600, 2048])
+def test_cached_nodes_are_the_leggauss_nodes_bit_for_bit(n):
+    x, w = _legendre_nodes(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+
+
+def test_cached_nodes_are_read_only():
+    x, w = _legendre_nodes(16)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert _legendre_nodes(16)[1].sum() == pytest.approx(2.0, abs=1e-14)
+
+
+def test_each_node_count_is_built_once_per_process(monkeypatch, capsys):
+    leggauss = np.polynomial.legendre.leggauss
+    calls = collections.Counter()
+
+    def counting(n):
+        calls[n] += 1
+        return leggauss(n)
+
+    _legendre_nodes.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for _ in range(2):
+        main(["decohere", "--sweep", "rate"])
+        main(["decohere", "--sweep", "selection"])
+    capsys.readouterr()
+    # rate: n = 256 and its 2n check; selection: n = 800 and its n/2 check
+    assert calls == {256: 1, 512: 1, 800: 1, 400: 1}
+
+
+@pytest.mark.parametrize("n", [64, 512, 1600])
+def test_nodes_match_scipy_roots_legendre(n):
+    x, _ = _legendre_nodes(n)
+    x_ref, _ = roots_legendre(n)
+    # a few ulp of the interval [-1, 1]
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_rule_integrates_polynomials_up_to_degree_2n_minus_1(n):
+    x, w = _legendre_nodes(n)
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.sum(w * x**k) == pytest.approx(exact, abs=1e-13), k
+
+
+def test_node_cache_is_bounded():
+    for n in range(8, 8 + LEGENDRE_CACHE_SIZE + 8):
+        _legendre_nodes(n)
+        assert _legendre_nodes.cache_info().currsize <= LEGENDRE_CACHE_SIZE
+    assert _legendre_nodes.cache_info().currsize == LEGENDRE_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
