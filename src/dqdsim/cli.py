@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +35,10 @@ MAX_SWEEP_POINTS = 1000
 
 
 def _emit(report: dict, args: argparse.Namespace, default_format: str,
-          csv_text: str | None = None) -> None:
+          csv: Callable[[], str] | None = None) -> None:
+    """Write ``report`` as JSON, or as CSV from ``csv()`` (built only then)."""
     if (args.format or default_format) == "csv":
-        text = csv_text if csv_text is not None else _flatten_csv(report)
+        text = csv() if csv is not None else _flatten_csv(report)
     else:
         text = render_json(report)
     write_text(text, args.out)
@@ -121,11 +124,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     report["passed"] = passed
 
     labels = basis_labels()
-    csv_text = render_csv(
+    csv = partial(
+        render_csv,
         ("row", "configuration", "re", "im", "probability"),
         [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)],
     )
-    _emit(report, args, "json", csv_text)
+    _emit(report, args, "json", csv)
     return 0 if passed else 1
 
 
@@ -153,7 +157,7 @@ def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -
     return np.geomspace(lo, hi, points)
 
 
-def _tau_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
+def _tau_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
     points = 10 if args.points is None else args.points
     grid = _sweep_grid("deps_min", args.deps_min, "deps_max", args.deps_max, points)
     branches = _selected_branches(args.branch)
@@ -176,11 +180,11 @@ def _tau_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
         "anchors_are_calibration_inputs": True,
         "passed": passed,
     }
-    csv_text = render_csv(("deps_ueV", "branch", "mode", "tau_s", "est_error"), rows)
-    return report, csv_text, passed
+    csv = partial(render_csv, ("deps_ueV", "branch", "mode", "tau_s", "est_error"), rows)
+    return report, csv, passed
 
 
-def _rate_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
+def _rate_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
     transition = decoherence.TransitionSpec(delta_eps_ueV=args.deps)
     t_min = 10.0 * args.deps / K_B_UEV_PER_K if args.t_min is None else args.t_min
     t_max = 10.0 * t_min if args.t_max is None else args.t_max
@@ -215,11 +219,11 @@ def _rate_sweep(args: argparse.Namespace) -> tuple[dict, str, bool]:
         "declared_tolerance": 0.1,
         "passed": passed,
     }
-    csv_text = render_csv(("T_K", "branch", "mode", "rate_per_s", "est_error"), rows)
-    return report, csv_text, passed
+    csv = partial(render_csv, ("T_K", "branch", "mode", "rate_per_s", "est_error"), rows)
+    return report, csv, passed
 
 
-def _selection_table(args: argparse.Namespace) -> tuple[dict, str, bool]:
+def _selection_table(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
     resolution = 800 if args.resolution is None else args.resolution
     table = decoherence.coulomb_selection_rule(_geometry(args), resolution=resolution)
     ratio_pp = table["forbidden_pp_abs"] / table["allowed_abs"]
@@ -234,8 +238,7 @@ def _selection_table(args: argparse.Namespace) -> tuple[dict, str, bool]:
             "passed": passed,
         }
     )
-    csv_text = render_csv(("name", "value"), [(k, v) for k, v in report.items()])
-    return report, csv_text, passed
+    return report, partial(render_csv, ("name", "value"), list(report.items())), passed
 
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
@@ -253,8 +256,8 @@ _SWEEPS = {"tau": (_tau_sweep, "csv"), "rate": (_rate_sweep, "csv"),
 
 def _cmd_decohere(args: argparse.Namespace) -> int:
     sweep, default_format = _SWEEPS[args.sweep]
-    report, csv_text, passed = sweep(args)
-    _emit(report, args, default_format, csv_text)
+    report, csv, passed = sweep(args)
+    _emit(report, args, default_format, csv)
     return 0 if passed else 1
 
 
@@ -285,9 +288,7 @@ def _cmd_readout(args: argparse.Namespace) -> int:
         _emit(report, args, "json")
         return 0 if passed else 1
 
-    trace_plus = readout.readout_trace(cfg, "plus")
-    trace_minus = readout.readout_trace(cfg, "minus")
-    best = readout.optimal_measurement_time(cfg)
+    trace_plus, trace_minus, best = readout.readout_traces(cfg)
     degenerate = best.distinguishability < 1e-12
     report = {
         "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
@@ -299,14 +300,15 @@ def _cmd_readout(args: argparse.Namespace) -> int:
         "probability_conservation_max_error": max(trace_plus.norm_error, trace_minus.norm_error),
         "passed": True,
     }
-    csv_text = render_csv(
+    csv = partial(
+        render_csv,
         ("t_ns", "p_left_plus", "p_left_minus", "contrast"),
-        [
+        (
             (t, pl, pm, abs(pl - pm))
             for t, pl, pm in zip(trace_plus.times_ns, trace_plus.p_left, trace_minus.p_left)
-        ],
+        ),
     )
-    _emit(report, args, "csv", csv_text)
+    _emit(report, args, "csv", csv)
     return 0
 
 
@@ -351,7 +353,10 @@ def _add_readout_pulse(p: argparse.ArgumentParser) -> None:
                         % readout.MAX_TRACE_SAMPLES)
 
 
+@cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Built once per process: parsing never changes the parsers, and
+    # rebuilding six subparsers costs more than most commands.
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description="Simulate and verify charge qubits encoded in DQD space states.",

@@ -77,6 +77,15 @@ _GENERATORS: dict[str, tuple[float, np.ndarray]] = {
     "T4": (-1.0, _Z2),
 }
 
+# Per-electrode signs and unit generators as arrays, in ELECTRODES order.
+_SIGNS = np.array([_GENERATORS[e][0] for e in ELECTRODES])
+_UNITS = np.stack([_GENERATORS[e][1] for e in ELECTRODES])
+_ELECTRODE_INDEX = {e: i for i, e in enumerate(ELECTRODES)}
+
+# Segments exponentiated per expm_hermitian call; bounds evolve's memory for
+# any schedule length (128 segments keep the whole gain of the stacked eigh).
+_CHUNK_SEGMENTS = 128
+
 
 @dataclass(frozen=True)
 class PulseSegment:
@@ -125,7 +134,7 @@ def evolve(
         if initial.ndim == 1:
             if initial.shape != (6,):
                 raise ValueError(f"expected a 6-vector, got shape {initial.shape}")
-            state = require_normalized(initial)
+            state = require_normalized(initial).copy()
         elif initial.shape == (6, 6):
             if not is_unitary(initial, atol=1e-9):
                 raise ValueError("initial matrix is not unitary within 1e-9")
@@ -133,9 +142,15 @@ def evolve(
         else:
             raise ValueError(f"initial must be a 6-vector or 6x6 matrix, got {initial.shape}")
 
-    for segment in schedule:
-        u = expm_hermitian(segment_generator(segment), segment.duration_ns / HBAR_UEV_NS)
-        state = u @ state
+    for start in range(0, len(schedule), _CHUNK_SEGMENTS):
+        chunk = schedule[start:start + _CHUNK_SEGMENTS]
+        index = np.array([_ELECTRODE_INDEX[s.electrode] for s in chunk])
+        amplitudes = np.array([float(s.amplitude_ueV) for s in chunk])
+        angles = np.array([s.duration_ns for s in chunk], dtype=float) / HBAR_UEV_NS
+        # The same float product, then complex product, as segment_generator.
+        generators = (_SIGNS[index] * amplitudes)[:, None, None] * _UNITS[index]
+        for u in expm_hermitian(generators, angles):
+            state = u @ state
     return state
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqdsim import cli
 from dqdsim.cli import MAX_SWEEP_POINTS, main
 from dqdsim.compiler import MAX_OFFSETS
 from dqdsim.constants import K_B_UEV_PER_K
@@ -189,6 +190,55 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
     code, out, _ = run(capsys, *argv)
     assert code == expected_code
     assert out == (GOLDEN / name).read_text()
+
+
+def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_path):
+    # The parsers are built once per process; no run may see what an
+    # earlier one parsed, whether from flags or from a config file.
+    init_cfg = tmp_path / "init.json"
+    init_cfg.write_text(json.dumps({"target": "minus", "bias": 3.0, "format": "csv"}))
+    scan_cfg = tmp_path / "scan.json"
+    scan_cfg.write_text(json.dumps({"scan": True, "resolution": 20, "format": "csv"}))
+    cases = [
+        ["init", "--config", str(init_cfg)],
+        ["init", "--target", "plus"],
+        ["readout", "--config", str(scan_cfg)],
+        ["readout", "--scan"],
+        ["readout", "--format", "json"],
+        ["evolve", "--schedule", "swap_schedule.json", "--initial", "01"],
+        ["decohere", "--sweep", "tau"],
+        ["init", "--config", str(init_cfg), "--target", "plus", "--format", "json"],
+    ]
+    monkeypatch.chdir(GOLDEN)
+    fresh = []
+    for argv in cases:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert fresh[1][1] == (GOLDEN / "init.json").read_text()
+    assert fresh[3][1] == (GOLDEN / "readout_scan.json").read_text()
+    assert fresh[5][1] == (GOLDEN / "evolve.json").read_text()
+    assert fresh[6][1] == (GOLDEN / "decohere_tau.csv").read_text()
+    for _ in range(2):
+        for argv, expected in zip(cases, fresh):
+            assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("command_line", [
+    "readout --format json",
+    "readout --scan --format json",
+    "evolve --schedule swap_schedule.json",
+    "decohere --sweep tau --format json",
+    "decohere --sweep selection",
+])
+def test_json_reports_render_no_csv(capsys, monkeypatch, command_line):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a CSV table for a JSON report")
+
+    monkeypatch.setattr(cli, "render_csv", refuse)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run(capsys, *command_line.split())
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize("resolution", ["0", "-1", str(MAX_OFFSETS + 1)])

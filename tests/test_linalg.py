@@ -59,6 +59,39 @@ def test_expm_hermitian_rejects_non_hermitian():
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_stacked_expm_is_bitwise_the_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    for n, batch in ((2, 1), (2, 37), (6, 128)):
+        h = np.stack([random_hermitian(n, rng) for _ in range(batch)])
+        angles = rng.normal(size=batch) * 10.0 ** rng.uniform(-3, 3, size=batch)
+        stacked = expm_hermitian(h, angles)
+        assert stacked.shape == h.shape
+        for k in range(batch):
+            assert np.array_equal(stacked[k], expm_hermitian(h[k], float(angles[k])))
+    grid = np.stack([[random_hermitian(4, rng) for _ in range(3)] for _ in range(2)])
+    angles = rng.normal(size=(2, 3))
+    stacked = expm_hermitian(grid, angles)
+    assert np.array_equal(stacked[1, 2], expm_hermitian(grid[1, 2], angles[1, 2]))
+
+
+def test_stacked_expm_rejects_one_non_hermitian_member():
+    rng = np.random.default_rng(6)
+    h = np.stack([random_hermitian(3, rng) for _ in range(5)])
+    h[3, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian(h, np.ones(5))
+
+
+def test_stacked_expm_needs_one_angle_per_matrix():
+    h = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ValueError, match="angles"):
+        expm_hermitian(h, 1.0)
+    with pytest.raises(ValueError, match="angles"):
+        expm_hermitian(np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="square"):
+        expm_hermitian(np.ones((2, 3)), 1.0)
+
+
 def test_expm_pauli_x_rotation():
     # exp(-i theta sx) = cos(theta) I - i sin(theta) sx, a textbook identity
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])

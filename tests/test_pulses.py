@@ -112,6 +112,49 @@ def test_evolve_empty_schedule_is_identity():
     assert max_abs_diff(u, np.eye(6)) == 0.0
 
 
+def test_evolve_returns_a_fresh_array():
+    v = computational_basis_state("01")
+    for initial in (v, np.eye(6, dtype=complex)):
+        out = evolve([], initial)
+        assert np.array_equal(out, initial)
+        assert not np.shares_memory(out, initial)
+
+
+def _evolve_one_segment_at_a_time(schedule, initial=None):
+    """Oracle: one generator and one 2-D ``expm_hermitian`` per segment."""
+    state = np.eye(6, dtype=complex) if initial is None else np.array(initial, dtype=complex)
+    for segment in schedule:
+        u = expm_hermitian(segment_generator(segment), segment.duration_ns / HBAR_UEV_NS)
+        state = u @ state
+    return state
+
+
+def _random_schedule(rng, n):
+    amplitudes = rng.uniform(-20.0, 20.0, size=n)
+    durations = rng.uniform(0.0, 2.0, size=n)
+    special = rng.integers(0, 8, size=n)
+    amplitudes[special == 0] = 0.0
+    amplitudes[special == 1] = -0.0
+    durations[special == 2] = 0.0
+    return [
+        PulseSegment(ELECTRODES[e], float(a), float(t))
+        for e, a, t in zip(rng.integers(0, len(ELECTRODES), size=n), amplitudes, durations)
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+def test_chunked_evolve_is_bitwise_the_per_segment_loop(n):
+    rng = np.random.default_rng(n)
+    schedule = _random_schedule(rng, n)
+    assert n < 8 or {s.electrode for s in schedule} == set(ELECTRODES)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v /= np.linalg.norm(v)
+    w = _evolve_one_segment_at_a_time(_random_schedule(rng, 5))
+    for initial in (None, v, w):
+        expected = _evolve_one_segment_at_a_time(schedule, initial)
+        assert np.array_equal(evolve(schedule, initial), expected)
+
+
 def test_evolve_preserves_norm_and_unitarity():
     rng = np.random.default_rng(4)
     schedule = [

@@ -14,6 +14,7 @@ from dqdsim.readout import (
     optimal_measurement_time,
     rabi_frequency,
     readout_trace,
+    readout_traces,
     readout_unitary,
     scan_bias,
     thermal_occupancy,
@@ -58,6 +59,16 @@ def test_scan_bias_count_is_capped():
         scan_bias(5.0, 0.4, 0.0005, n_bias=MAX_BIAS_SAMPLES + 1)
     with pytest.raises(ValueError):
         scan_bias(5.0, 0.4, 0.0005, n_bias=1)
+
+
+@pytest.mark.parametrize("n_bias", [2.5, 40.0, True, "40", None])
+def test_scan_bias_count_must_be_an_integer(n_bias):
+    with pytest.raises(ValueError, match="n_bias"):
+        scan_bias(5.0, 0.4, 0.0005, n_bias=n_bias)
+
+
+def test_scan_bias_takes_numpy_integers():
+    assert scan_bias(5.0, 0.4, 0.0005, n_bias=np.int64(40)) == scan_bias(5.0, 0.4, 0.0005)
 
 
 def test_rabi_frequency_closed_form():
@@ -189,3 +200,84 @@ def test_init_plan_minus_comes_from_right_dot():
 def test_init_rejects_unknown_target():
     with pytest.raises(ValueError):
         init_by_reversed_readout(CFG, "sideways")
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one eigendecomposition per trace and one Python step per bias, as
+# the readout was first written.  The stacked kernel must match them exactly.
+
+def _oracle_trace(config, initial):
+    psi0 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    psi0 = psi0 @ np.array([1.0, 0.0] if initial == "plus" else [0.0, 1.0], dtype=complex)
+    t_c, half_bias = config.tunnel_coupling_ueV, config.bias_ueV / 2.0
+    eigvals, p = np.linalg.eigh(np.array([[half_bias, t_c], [t_c, -half_bias]], dtype=complex))
+    coeffs = p.conj().T @ psi0
+    n = int(np.floor(config.duration_ns / config.timestep_ns + 1e-9))
+    times = np.arange(n + 1) * config.timestep_ns
+    amplitudes = np.exp(-1j * np.outer(times, eigvals) / HBAR_UEV_NS) * coeffs
+    left = amplitudes @ p[0, :]
+    right = amplitudes @ p[1, :]
+    norm_error = float(np.max(np.abs(np.abs(left) ** 2 + np.abs(right) ** 2 - 1.0)))
+    return times, np.abs(left) ** 2, norm_error
+
+
+def _oracle_optimum(config):
+    times, plus, _ = _oracle_trace(config, "plus")
+    _, minus, _ = _oracle_trace(config, "minus")
+    contrast = np.abs(plus - minus)
+    k = int(np.argmax(contrast))
+    return float(times[k]), float(contrast[k])
+
+
+def _oracle_scan(t_c, duration, timestep, n_bias):
+    best = None
+    for i in range(1, n_bias + 1):
+        config = ReadoutConfig(t_c, 4.0 * t_c * i / n_bias, duration, timestep)
+        result = _oracle_optimum(config)
+        if best is None or result[1] > best[1][1] + 1e-15:
+            best = (config, result)
+    return best
+
+
+def _random_pulse(rng, samples):
+    duration = float(10.0 ** rng.uniform(-2.0, 1.0))
+    return duration, duration / (samples - 1) * (1.0 - 1e-12)
+
+
+def test_traces_are_bitwise_the_one_state_evaluation():
+    rng = np.random.default_rng(17)
+    for samples in (2, 3, 801, 2999, 3000, *rng.integers(2, 3001, size=6)):
+        duration, timestep = _random_pulse(rng, int(samples))
+        bias = float(rng.choice([0.0, rng.uniform(-40.0, 40.0)]))
+        config = ReadoutConfig(float(10.0 ** rng.uniform(-2, 2)), bias, duration, timestep)
+        pair = readout_traces(config)
+        single = readout_trace(config, "minus")
+        for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus"), (single, "minus")):
+            times, p_left, norm_error = _oracle_trace(config, initial)
+            assert len(times) == samples and trace.initial == initial
+            assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
+            assert trace.norm_error == norm_error
+        assert tuple(pair.best) == _oracle_optimum(config) == tuple(optimal_measurement_time(config))
+
+
+@pytest.mark.parametrize("n_bias, samples", [
+    (2, 2), (2, 3000), (21, 3000), (22, 3000), (137, 3000), (137, 478), (80, 1362), (40, 801),
+    (3, 70_000),
+])
+def test_stacked_scan_is_bitwise_the_per_bias_loop(n_bias, samples):
+    # 478 samples put 34 biases in a stack and 3000 samples put 5, so the
+    # scans cross stack edges; 70,000 samples take one bias per stack.
+    rng = np.random.default_rng(n_bias * samples)
+    t_c = float(10.0 ** rng.uniform(-1, 1.5))
+    duration, timestep = _random_pulse(rng, samples)
+    config, best = scan_bias(t_c, duration, timestep, n_bias)
+    expected_config, expected = _oracle_scan(t_c, duration, timestep, n_bias)
+    assert config == expected_config
+    assert tuple(best) == expected
+
+
+def test_scan_ties_keep_the_first_bias():
+    # A window too short to tell the states apart: every bias ties at 0.
+    config, best = scan_bias(5.0, 1e-9, 1e-9, n_bias=50)
+    assert best.distinguishability < 1e-12
+    assert config.bias_ueV == 4.0 * 5.0 / 50
