@@ -300,13 +300,11 @@ def _cmd_readout(args: argparse.Namespace) -> int:
         "probability_conservation_max_error": max(trace_plus.norm_error, trace_minus.norm_error),
         "passed": True,
     }
+    plus, minus = trace_plus.p_left, trace_minus.p_left
     csv = partial(
         render_csv,
         ("t_ns", "p_left_plus", "p_left_minus", "contrast"),
-        (
-            (t, pl, pm, abs(pl - pm))
-            for t, pl, pm in zip(trace_plus.times_ns, trace_plus.p_left, trace_minus.p_left)
-        ),
+        zip(trace_plus.times_ns, plus, minus, np.abs(plus - minus)),
     )
     _emit(report, args, "csv", csv)
     return 0

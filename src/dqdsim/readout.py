@@ -88,6 +88,13 @@ class ReadoutConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tunnel_coupling_ueV < 0.0:
             raise ValueError("tunnel coupling must be >= 0")
+        with np.errstate(over="ignore"):
+            omega = rabi_frequency(self)
+        if not np.isfinite(omega):
+            raise ValueError(
+                f"tunnel_coupling_ueV = {self.tunnel_coupling_ueV!r} and bias_ueV = "
+                f"{self.bias_ueV!r} give a Rabi frequency outside the float range"
+            )
         if not self.duration_ns > 0.0:
             raise ValueError("duration must be positive")
         if not 0.0 < self.timestep_ns <= self.duration_ns:
@@ -149,9 +156,12 @@ def _left_populations(
     """Left-dot populations of ``|+>`` and ``|->`` under stacked Hamiltonians.
 
     One ``eigh`` and one phase table per Hamiltonian serve both space
-    states.  Each per-matrix product sees the operand layout of a
-    one-Hamiltonian, one-state evaluation, so every value is bitwise that
-    evaluation's whatever the stack size.
+    states.  When every Hamiltonian in the stack has exactly opposite
+    eigenvalues, as the traceless readout Hamiltonians do, one complex
+    exponential per sample fills both columns of the table.  Each
+    per-matrix product sees the operand layout of a one-Hamiltonian,
+    one-state evaluation, so every value is bitwise that evaluation's
+    whatever the stack size.
 
     Args:
         h: dot-basis Hamiltonians, shape ``(n_h, 2, 2)``.
@@ -164,7 +174,13 @@ def _left_populations(
     """
     eigvals, p = np.linalg.eigh(h)
     coeffs = np.swapaxes(p.conj(), -1, -2) @ _SPACE_STATE_COLUMNS
-    phases = np.exp(-1j * (times[:, None] * eigvals[:, None, :]) / HBAR_UEV_NS)
+    if np.array_equal(eigvals[:, 1], -eigvals[:, 0]):
+        # Traceless H: exp(-i(-x)) is conj(exp(-ix)) bit for bit, so one
+        # exponential per sample serves both eigenvalues.
+        half = np.exp(-1j * (times * eigvals[:, :1]) / HBAR_UEV_NS)
+        phases = np.stack((half, half.conj()), axis=-1)
+    else:
+        phases = np.exp(-1j * (times[:, None] * eigvals[:, None, :]) / HBAR_UEV_NS)
     amplitudes = phases * np.swapaxes(coeffs, -1, -2)
     del phases  # shared by both states; freed before the products below
     p_left = np.square(np.abs((amplitudes @ p[:, 0, :, None])[..., 0]))

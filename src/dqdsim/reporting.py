@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,21 +86,39 @@ def _render_cell(cell: object) -> str:
     return str(cell)
 
 
+# Rows per formatting pass: bounds the row tuples and strings held at once.
+_CHUNK_ROWS = 4096
+
+
+def _finite_floats(column: tuple) -> bool:
+    return all(isinstance(c, float) for c in column) and all(map(math.isfinite, column))
+
+
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Render a sweep table as CSV with exact float round-trip.
 
     Floats are pre-formatted to 17 significant digits before the stdlib
     writer quotes whatever needs quoting; the line terminator is a bare
-    newline on every platform so repeated runs stay byte-identical.
+    newline on every platform so repeated runs stay byte-identical.  Rows
+    of finite floats only are formatted a whole row at a time: a ``.17g``
+    float holds no delimiter, quote or newline, so none of their cells
+    needs the writer.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        cells = [_render_cell(c) for c in row]
-        if len(cells) != len(header):
-            raise ValueError(f"row width {len(cells)} != header width {len(header)}")
-        writer.writerow(cells)
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = iter(rows)
+    while chunk := [tuple(row) for row in islice(rows, _CHUNK_ROWS)]:
+        if all(len(row) == len(header) for row in chunk) and all(
+                map(_finite_floats, zip(*chunk))):
+            buffer.write("".join(map(template.__mod__, chunk)))
+            continue
+        for row in chunk:
+            cells = [_render_cell(c) for c in row]
+            if len(cells) != len(header):
+                raise ValueError(f"row width {len(cells)} != header width {len(header)}")
+            writer.writerow(cells)
     return buffer.getvalue()
 
 

@@ -437,6 +437,9 @@ def test_flags_no_handler_reads_are_rejected(capsys, command_line):
     assert argv[1] in err
 
 
+RABI_OVERFLOW = "--tunnel-coupling 1e308 --bias 1e308 --duration 1 --timestep 0.1"
+
+
 @pytest.mark.parametrize("command_line, field", [
     ("readout --bias nan", "bias_ueV"),
     ("readout --tunnel-coupling nan", "tunnel_coupling_ueV"),
@@ -452,6 +455,10 @@ def test_flags_no_handler_reads_are_rejected(capsys, command_line):
     # the lifetime (deps / anchor)**-5 overflows to inf or underflows to 0
     ("decohere --sweep tau --deps-min 1e-300", "deps"),
     ("decohere --sweep tau --deps-max 1e300", "deps"),
+    # 2 * hypot(t_c, bias / 2) / hbar, the Rabi frequency, overflows
+    (f"readout {RABI_OVERFLOW}", "tunnel_coupling_ueV = 1e+308 and bias_ueV = 1e+308"),
+    (f"readout {RABI_OVERFLOW} --format json", "tunnel_coupling_ueV = 1e+308 and bias_ueV"),
+    (f"init {RABI_OVERFLOW}", "tunnel_coupling_ueV = 1e+308 and bias_ueV"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, command_line, field):
     with warnings.catch_warnings():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dqdsim.linalg import (
     dist_up_to_global_phase,
@@ -52,6 +55,20 @@ def test_expm_hermitian_matches_series():
     u = expm_hermitian(h, angle)
     assert max_abs_diff(u, total) < 1e-12
     assert is_unitary(u)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
+def test_expm_hermitian_matches_scipy_expm(n, stack, seed, angle_scale):
+    # scipy's Pade scaling-and-squaring is an independent route to exp(-i a H)
+    rng = np.random.default_rng(seed)
+    h = np.stack([random_hermitian(n, rng) for _ in range(stack)])
+    angles = angle_scale * rng.uniform(-1.0, 1.0, size=stack)
+    stacked = expm_hermitian(h, angles)
+    for k in range(stack):
+        expected = scipy.linalg.expm(-1j * angles[k] * h[k])
+        scale = 1.0 + abs(angles[k]) * np.linalg.norm(h[k], 2)
+        assert max_abs_diff(stacked[k], expected) <= 2e-15 * n * scale
+        assert max_abs_diff(expm_hermitian(h[k], float(angles[k])), expected) <= 2e-15 * n * scale
 
 
 def test_expm_hermitian_rejects_non_hermitian():

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
-from dqdsim.linalg import is_unitary
+from dqdsim.linalg import is_unitary, max_abs_diff
 from dqdsim.readout import (
+    _hamiltonians,
+    _left_populations,
     MAX_BIAS_SAMPLES,
     MAX_TRACE_SAMPLES,
     InitPlan,
@@ -206,19 +216,25 @@ def test_init_rejects_unknown_target():
 # Oracles: one eigendecomposition per trace and one Python step per bias, as
 # the readout was first written.  The stacked kernel must match them exactly.
 
-def _oracle_trace(config, initial):
+def _oracle_populations(h, times, initial):
+    """Left-dot population and norm error of one state under one 2x2 ``h``."""
     psi0 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     psi0 = psi0 @ np.array([1.0, 0.0] if initial == "plus" else [0.0, 1.0], dtype=complex)
-    t_c, half_bias = config.tunnel_coupling_ueV, config.bias_ueV / 2.0
-    eigvals, p = np.linalg.eigh(np.array([[half_bias, t_c], [t_c, -half_bias]], dtype=complex))
+    eigvals, p = np.linalg.eigh(h)
     coeffs = p.conj().T @ psi0
-    n = int(np.floor(config.duration_ns / config.timestep_ns + 1e-9))
-    times = np.arange(n + 1) * config.timestep_ns
     amplitudes = np.exp(-1j * np.outer(times, eigvals) / HBAR_UEV_NS) * coeffs
     left = amplitudes @ p[0, :]
     right = amplitudes @ p[1, :]
     norm_error = float(np.max(np.abs(np.abs(left) ** 2 + np.abs(right) ** 2 - 1.0)))
-    return times, np.abs(left) ** 2, norm_error
+    return np.abs(left) ** 2, norm_error
+
+
+def _oracle_trace(config, initial):
+    t_c, half_bias = config.tunnel_coupling_ueV, config.bias_ueV / 2.0
+    h = np.array([[half_bias, t_c], [t_c, -half_bias]], dtype=complex)
+    n = int(np.floor(config.duration_ns / config.timestep_ns + 1e-9))
+    times = np.arange(n + 1) * config.timestep_ns
+    return (times, *_oracle_populations(h, times, initial))
 
 
 def _oracle_optimum(config):
@@ -281,3 +297,96 @@ def test_scan_ties_keep_the_first_bias():
     config, best = scan_bias(5.0, 1e-9, 1e-9, n_bias=50)
     assert best.distinguishability < 1e-12
     assert config.bias_ueV == 4.0 * 5.0 / 50
+
+
+# Edge pulses of the traceless kernel: both eigenvalues zero, negative bias,
+# and couplings near the top of the float range.
+@pytest.mark.parametrize("config", [
+    ReadoutConfig(0.0, 0.0, 0.4, 0.0005),
+    ReadoutConfig(5.0, -10.0, 0.4, 0.0005),
+    ReadoutConfig(0.25, -37.5, 3.0, 0.001),
+    ReadoutConfig(0.0, -2.0, 1.0, 0.01),
+    ReadoutConfig(1e300, 0.0, 0.4, 0.0005),
+    ReadoutConfig(1e300, -3e300, 0.4, 0.0005),
+])
+def test_edge_traces_are_bitwise_the_one_state_evaluation(config):
+    pair = readout_traces(config)
+    for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus")):
+        times, p_left, norm_error = _oracle_trace(config, initial)
+        assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
+        assert trace.norm_error == norm_error
+    assert tuple(pair.best) == _oracle_optimum(config)
+
+
+def test_kernel_takes_any_hermitian_stack():
+    # A stack whose Hamiltonians are not traceless has no opposite
+    # eigenvalues to share, so every phase gets its own exponential.
+    rng = np.random.default_rng(5)
+    h = _hamiltonians(2.0, rng.uniform(-20.0, 20.0, size=6))
+    h[::2] += rng.uniform(-9.0, 9.0, size=3)[:, None, None] * np.eye(2)
+    h[1, 0, 1], h[1, 1, 0] = 1.5 - 0.5j, 1.5 + 0.5j
+    times = np.arange(701) * 0.0009
+    p_left, errors = _left_populations(h, times, norm_error=True)
+    for k in range(len(h)):
+        for state, initial in enumerate(("plus", "minus")):
+            expected, norm_error = _oracle_populations(h[k], times, initial)
+            assert np.array_equal(p_left[state, k], expected)
+            assert errors[state, k] == norm_error
+
+
+def test_rabi_frequency_overflow_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="tunnel_coupling_ueV = 1e.308 and bias_ueV = 1e.308"):
+        ReadoutConfig(1e308, 1e308, 1.0, 0.1)
+    with pytest.raises(ValueError, match="bias_ueV"):
+        ReadoutConfig(0.0, -1.7976931348623157e308, 1.0, 0.1)
+    # the largest finite frequencies still build
+    assert np.isfinite(rabi_frequency(ReadoutConfig(1e300, 1e308, 1.0, 0.1)))
+
+
+# ---------------------------------------------------------------------------
+# Properties over random pulses.
+
+_PULSES = st.builds(
+    lambda t_c, bias, duration, samples: ReadoutConfig(
+        t_c, bias, duration, duration / samples * (1.0 - 1e-12)),
+    st.floats(0.0, 1e3),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 10.0),
+    st.integers(1, 400),
+)
+
+
+@given(_PULSES)
+def test_space_state_populations_are_complementary(config):
+    # |+> and |-> are orthonormal, so their left-dot populations sum to one
+    pair = readout_traces(config)
+    assert np.max(np.abs(pair.plus.p_left + pair.minus.p_left - 1.0)) <= 1e-12
+    assert pair.plus.norm_error <= 1e-12 and pair.minus.norm_error <= 1e-12
+
+
+@given(_PULSES)
+def test_trace_csv_cells_round_trip(config):
+    argv = ["readout", f"--tunnel-coupling={config.tunnel_coupling_ueV!r}",
+            f"--bias={config.bias_ueV!r}", f"--duration={config.duration_ns!r}",
+            f"--timestep={config.timestep_ns!r}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    header, *rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert header == ["t_ns", "p_left_plus", "p_left_minus", "contrast"]
+    pair = readout_traces(config)
+    plus, minus = pair.plus.p_left, pair.minus.p_left
+    expected = zip(pair.plus.times_ns, plus, minus, np.abs(plus - minus))
+    assert len(rows) == len(plus)
+    for row, values in zip(rows, expected):
+        assert [float(cell) for cell in row] == [float(v) for v in values]
+
+
+@given(_PULSES, st.floats(0.0, 10.0))
+def test_readout_unitary_matches_scipy_expm(config, t_ns):
+    t_c, half_bias = config.tunnel_coupling_ueV, config.bias_ueV / 2.0
+    h = np.array([[half_bias, t_c], [t_c, -half_bias]], dtype=complex)
+    angle = t_ns / HBAR_UEV_NS
+    expected = scipy.linalg.expm(-1j * angle * h)
+    scale = 1.0 + angle * np.hypot(t_c, half_bias)
+    assert max_abs_diff(readout_unitary(config, t_ns), expected) <= 2e-15 * scale

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dqdsim.reporting import format_float, render_csv, render_json
 
@@ -55,3 +59,82 @@ def test_render_csv_floats_round_trip():
 def test_render_csv_checks_row_width():
     with pytest.raises(ValueError):
         render_csv(("a", "b"), [(1,)])
+
+
+# ---------------------------------------------------------------------------
+# Byte pin: render_csv against the stdlib writer fed one formatted cell at a
+# time, as the renderer was first written.
+
+def _reference_csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, bool):
+                cells.append("true" if cell else "false")
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            elif isinstance(cell, (float, np.floating)):
+                cells.append(format_float(cell))
+            else:
+                cells.append(str(cell))
+        writer.writerow(cells)
+    return buffer.getvalue()
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1.0 / 3.0)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+_FLOAT_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\'\t')), max_size=5)
+_CELLS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    _FLOAT_CELLS,
+)
+
+
+@st.composite
+def _tables(draw, cells):
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    row = st.lists(cells, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=12))
+    return header, rows
+
+
+@given(st.one_of(_tables(_CELLS), _tables(_FLOAT_CELLS)))
+def test_render_csv_is_the_stdlib_writer_over_formatted_cells(table):
+    header, rows = table
+    assert render_csv(header, rows) == _reference_csv(header, rows)
+    assert render_csv(header, iter(rows)) == _reference_csv(header, rows)
+
+
+@given(_tables(_FLOAT_CELLS), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_render_csv_rejects_non_finite_floats(table, bad, data):
+    header, rows = table
+    rows = [list(row) for row in rows] or [[0.0] * len(header)]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(header) - 1))
+    rows[i][j] = data.draw(st.sampled_from([bad, np.float64(bad)]))
+    with pytest.raises(ValueError, match="cannot emit non-finite value"):
+        render_csv(header, rows)
+
+
+def test_render_csv_passes_meet_at_chunk_edges():
+    # 4,096 rows per pass: an all-float pass next to one holding a string
+    rows = [(i * 0.1, -i / 3.0) for i in range(9000)]
+    rows[4100] = ("x,y", 1.0)
+    assert render_csv(("a", "b"), iter(rows)) == _reference_csv(("a", "b"), rows)
+    # errors keep their row order across the checks and passes
+    for bad_rows, message in (
+        (rows[:2] + [(np.nan, 1.0)] + [(1.0,)] * 3, "non-finite value nan"),
+        (rows[:2] + [(1.0,)] + [(np.inf, 1.0)], "row width 1"),
+        (rows[:5000] + [(1.0, -np.inf)], "non-finite value -inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            render_csv(("a", "b"), bad_rows)
