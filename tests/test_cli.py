@@ -179,6 +179,17 @@ GOLDEN_CASES = {
                                  ["decohere", "--sweep", "selection", "--resolution", "1600",
                                   "--dot-separation-nm", "18.5", "--orbital-width-nm", "4.7"]),
     "compile-r3": ("compile_r3.json", 0, ["compile", "--resolution", "3"]),
+    # Each command in the format it does not default to.
+    "decohere-selection-csv": ("decohere_selection.csv", 0,
+                               ["decohere", "--sweep", "selection", "--format", "csv"]),
+    "decohere-tau-json": ("decohere_tau.json", 0,
+                          ["decohere", "--sweep", "tau", "--format", "json"]),
+    "evolve-csv": ("evolve.csv", 0,
+                   ["evolve", "--schedule", "swap_schedule.json", "--initial", "01",
+                    "--format", "csv"]),
+    "readout-json": ("readout.json", 0, ["readout", "--format", "json"]),
+    "readout-scan-csv": ("readout_scan.csv", 0, ["readout", "--scan", "--format", "csv"]),
+    "init-csv": ("init.csv", 0, ["init", "--format", "csv"]),
 }
 
 
@@ -190,6 +201,8 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
     code, out, _ = run(capsys, *argv)
     assert code == expected_code
     assert out == (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        assert json.loads(out)["passed"] == (code == 0)
 
 
 def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_path):
