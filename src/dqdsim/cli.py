@@ -3,11 +3,15 @@
 Every command reads an optional JSON config file: a flat object whose keys
 are that command's flag names with ``_`` for ``-``.  Config values go
 through the command's own parser, so they are typed and checked exactly
-like flags, and explicit flags win.  Each command writes one report to
-``--out`` or stdout and exits 0 exactly when all checks it declares are
-within tolerance.  Structured results are JSON, sweeps and traces CSV;
-floats carry 17 significant digits so identical runs produce byte-identical
-output.  Reports contain no timestamps for the same reason.
+like flags, and explicit flags win.  Each command's handler only computes:
+it returns its report with the report's default format and, for sweeps and
+traces, a CSV table.  :func:`main` is the one place that renders the report
+to ``--out`` or stdout and turns its ``"passed"`` into the exit code: 0
+exactly when all checks the command declares are within tolerance, 1 when
+one is not, 2 on a usage or data error.  Structured results are JSON,
+sweeps and traces CSV; floats carry 17 significant digits so identical runs
+produce byte-identical output.  Reports contain no timestamps for the same
+reason.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
-from typing import Callable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,17 +38,21 @@ __all__ = ["MAX_SWEEP_POINTS", "main"]
 MAX_SWEEP_POINTS = 1000
 
 
-def _emit(report: dict, args: argparse.Namespace, default_format: str,
-          csv: Callable[[], str] | None = None) -> None:
-    """Write ``report`` as JSON, or as CSV from ``csv()`` (built only then)."""
-    if (args.format or default_format) == "csv":
-        text = csv() if csv is not None else _flatten_csv(report)
-    else:
-        text = render_json(report)
-    write_text(text, args.out)
+class Result(NamedTuple):
+    """What a command hands :func:`main` to render.
+
+    ``report`` always carries ``"passed"``, which sets the exit code.  The
+    CSV form is ``table``, a ``(header, rows)`` pair, or else the report
+    flattened to ``name,value`` rows; it is rendered only when CSV is asked for.
+    """
+
+    report: dict
+    default_format: str = "json"
+    table: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
 
 
-def _flatten_csv(report: dict) -> str:
+def _flatten(report: dict) -> tuple[Sequence[str], list[tuple[str, object]]]:
+    """``report`` as a ``name,value`` table, nested keys joined by ``.`` and ``[i]``."""
     rows: list[tuple[str, object]] = []
 
     def walk(prefix: str, value: object) -> None:
@@ -58,10 +66,10 @@ def _flatten_csv(report: dict) -> str:
             rows.append((prefix, value))
 
     walk("", report)
-    return render_csv(("name", "value"), rows)
+    return ("name", "value"), rows
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     identities = verify_catalog_identities()
     pulse_checks = pulses.reproduction_residuals()
     decomposition = compiler.decomposition_report(args.resolution)
@@ -78,8 +86,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _emit(report, args, "json")
-    return 0 if not failures else 1
+    return Result(report)
 
 
 def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
@@ -96,7 +103,7 @@ def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
     return args.initial, computational_basis_state(args.initial)
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
+def _cmd_evolve(args: argparse.Namespace) -> Result:
     if args.schedule is None:
         raise ValueError("evolve requires --schedule <file>")
     schedule = pulses.load_schedule(args.schedule)
@@ -124,25 +131,18 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     report["passed"] = passed
 
     labels = basis_labels()
-    csv = partial(
-        render_csv,
-        ("row", "configuration", "re", "im", "probability"),
-        [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)],
-    )
-    _emit(report, args, "json", csv)
-    return 0 if passed else 1
+    rows = [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)]
+    return Result(report, "json", (("row", "configuration", "re", "im", "probability"), rows))
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _cmd_compile(args: argparse.Namespace) -> Result:
     report = compiler.decomposition_report(args.resolution)
-    passed = (
+    report["passed"] = (
         float(report["xor_4dim_residual"]) <= args.tolerance
         and bool(report["phase_gate_reproduced"])
         and float(report["cnot_residual"]) <= 1e-9
     )
-    report["passed"] = passed
-    _emit(report, args, "json")
-    return 0 if passed else 1
+    return Result(report)
 
 
 def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -> np.ndarray:
@@ -157,7 +157,7 @@ def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -
     return np.geomspace(lo, hi, points)
 
 
-def _tau_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
+def _tau_sweep(args: argparse.Namespace) -> Result:
     points = 10 if args.points is None else args.points
     grid = _sweep_grid("deps_min", args.deps_min, "deps_max", args.deps_max, points)
     branches = _selected_branches(args.branch)
@@ -180,11 +180,10 @@ def _tau_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]
         "anchors_are_calibration_inputs": True,
         "passed": passed,
     }
-    csv = partial(render_csv, ("deps_ueV", "branch", "mode", "tau_s", "est_error"), rows)
-    return report, csv, passed
+    return Result(report, "csv", (("deps_ueV", "branch", "mode", "tau_s", "est_error"), rows))
 
 
-def _rate_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
+def _rate_sweep(args: argparse.Namespace) -> Result:
     transition = decoherence.TransitionSpec(delta_eps_ueV=args.deps)
     t_min = 10.0 * args.deps / K_B_UEV_PER_K if args.t_min is None else args.t_min
     t_max = 10.0 * t_min if args.t_max is None else args.t_max
@@ -219,26 +218,24 @@ def _rate_sweep(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool
         "declared_tolerance": 0.1,
         "passed": passed,
     }
-    csv = partial(render_csv, ("T_K", "branch", "mode", "rate_per_s", "est_error"), rows)
-    return report, csv, passed
+    return Result(report, "csv", (("T_K", "branch", "mode", "rate_per_s", "est_error"), rows))
 
 
-def _selection_table(args: argparse.Namespace) -> tuple[dict, Callable[[], str], bool]:
+def _selection_table(args: argparse.Namespace) -> Result:
     resolution = 800 if args.resolution is None else args.resolution
     table = decoherence.coulomb_selection_rule(_geometry(args), resolution=resolution)
     ratio_pp = table["forbidden_pp_abs"] / table["allowed_abs"]
     ratio_mm = table["forbidden_mm_abs"] / table["allowed_abs"]
-    passed = max(ratio_pp, ratio_mm) <= 1e-3
     report = dict(table)
     report.update(
         {
             "sweep": "coulomb_selection_rule",
             "ratio_forbidden_pp": ratio_pp,
             "ratio_forbidden_mm": ratio_mm,
-            "passed": passed,
+            "passed": max(ratio_pp, ratio_mm) <= 1e-3,
         }
     )
-    return report, partial(render_csv, ("name", "value"), list(report.items())), passed
+    return Result(report)
 
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
@@ -250,15 +247,11 @@ def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
     return decoherence.DotGeometry(d_nm=args.dot_separation_nm, a_nm=args.orbital_width_nm)
 
 
-_SWEEPS = {"tau": (_tau_sweep, "csv"), "rate": (_rate_sweep, "csv"),
-           "selection": (_selection_table, "json")}
+_SWEEPS = {"tau": _tau_sweep, "rate": _rate_sweep, "selection": _selection_table}
 
 
-def _cmd_decohere(args: argparse.Namespace) -> int:
-    sweep, default_format = _SWEEPS[args.sweep]
-    report, csv, passed = sweep(args)
-    _emit(report, args, default_format, csv)
-    return 0 if passed else 1
+def _cmd_decohere(args: argparse.Namespace) -> Result:
+    return _SWEEPS[args.sweep](args)
 
 
 def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
@@ -270,23 +263,20 @@ def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
     )
 
 
-def _cmd_readout(args: argparse.Namespace) -> int:
+def _cmd_readout(args: argparse.Namespace) -> Result:
     cfg = _readout_config(args)
     if args.scan:
         best_cfg, best = readout.scan_bias(
             cfg.tunnel_coupling_ueV, cfg.duration_ns, cfg.timestep_ns, n_bias=args.resolution
         )
-        passed = best.distinguishability >= 0.99
-        report = {
+        return Result({
             "scan": "bias",
             "tunnel_coupling_ueV": best_cfg.tunnel_coupling_ueV,
             "best_bias_ueV": best_cfg.bias_ueV,
             "measurement_time_ns": best.time_ns,
             "distinguishability": best.distinguishability,
-            "passed": passed,
-        }
-        _emit(report, args, "json")
-        return 0 if passed else 1
+            "passed": best.distinguishability >= 0.99,
+        })
 
     trace_plus, trace_minus, best = readout.readout_traces(cfg)
     degenerate = best.distinguishability < 1e-12
@@ -301,16 +291,11 @@ def _cmd_readout(args: argparse.Namespace) -> int:
         "passed": True,
     }
     plus, minus = trace_plus.p_left, trace_minus.p_left
-    csv = partial(
-        render_csv,
-        ("t_ns", "p_left_plus", "p_left_minus", "contrast"),
-        zip(trace_plus.times_ns, plus, minus, np.abs(plus - minus)),
-    )
-    _emit(report, args, "csv", csv)
-    return 0
+    rows = zip(trace_plus.times_ns, plus, minus, np.abs(plus - minus))
+    return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), rows))
 
 
-def _cmd_init(args: argparse.Namespace) -> int:
+def _cmd_init(args: argparse.Namespace) -> Result:
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
     matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
     report = {
@@ -324,8 +309,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
         "fidelity_matches_forward": matches,
         "passed": matches,
     }
-    _emit(report, args, "json")
-    return 0 if matches else 1
+    return Result(report)
 
 
 def _tolerance(text: str) -> float:
@@ -455,10 +439,16 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             config_argv = _config_argv(commands[args.command], args.config)
             args = parser.parse_args(argv[:at] + config_argv + argv[at:])
-        return args.handler(args)
+        result = args.handler(args)
+        if (args.format or result.default_format) == "csv":
+            text = render_csv(*(result.table or _flatten(result.report)))
+        else:
+            text = render_json(result.report)
+        write_text(text, args.out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if result.report["passed"] else 1
 
 
 if __name__ == "__main__":

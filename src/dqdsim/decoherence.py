@@ -40,6 +40,7 @@ __all__ = [
     "MIN_TEMPERATURE_K",
     "LENGTH_RANGE_NM",
     "SOUND_SPEED_M_PER_S",
+    "HBAR_C_UEV_NM",
     "Q_CUTOFF_PER_NM",
     "PhononBranch",
     "Environment",
@@ -76,6 +77,9 @@ LENGTH_RANGE_NM = (1e-3, 1e6)
 
 #: Sound speed of the host crystal.
 SOUND_SPEED_M_PER_S = 5000.0
+
+#: hbar * sound speed: converts phonon wavevector (1/nm) to energy (ueV).
+HBAR_C_UEV_NM = HBAR_UEV_NS * SOUND_SPEED_M_PER_S  # m/s equals nm/ns
 
 #: Upper end of the phonon spectrum.
 Q_CUTOFF_PER_NM = 10.0
@@ -146,11 +150,6 @@ class Environment:
     @property
     def kT_ueV(self) -> float:
         return self.temperature_K * K_B_UEV_PER_K
-
-    @property
-    def hbar_c_ueV_nm(self) -> float:
-        """hbar * sound speed: converts phonon wavevector (1/nm) to energy (ueV)."""
-        return HBAR_UEV_NS * SOUND_SPEED_M_PER_S  # m/s equals nm/ns
 
 
 @dataclass(frozen=True)
@@ -261,15 +260,14 @@ def _two_phonon_integral(
     n_nodes: int,
 ) -> float:
     kT = env.kT_ueV
-    hbar_c = env.hbar_c_ueV_nm
     eps_lo = 1e-9 * kT
-    eps_hi = min(40.0 * kT, hbar_c * Q_CUTOFF_PER_NM)
+    eps_hi = min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
     if eps_hi <= eps_lo:
         raise ValueError("spectral cutoff below the emission threshold")
     # The final state is degenerate with the initial one, so the emitted
     # phonon carries the absorbed energy and both vertices share each factor.
     eps, weights = _gauss_legendre(eps_lo, eps_hi, n_nodes)
-    q = eps / hbar_c
+    q = eps / HBAR_C_UEV_NM
     n = bose_einstein(eps, env.temperature_K)
     occupation = (n + 1.0) * n
     c = branch.coupling_sq(q)
@@ -283,7 +281,7 @@ def _two_phonon_integral(
             amplitude += 1.0 / (eps_z - eps + 1j * (0.01 * kT))
         denom = np.abs(amplitude) ** 2
 
-    phase_space = q**2 * q**2 / hbar_c**2
+    phase_space = q**2 * q**2 / HBAR_C_UEV_NM**2
     integrand = phase_space * (c * c) * (w * w) * occupation * denom
     return float(np.sum(weights * integrand))
 

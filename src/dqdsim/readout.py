@@ -37,11 +37,9 @@ __all__ = [
     "ReadoutTrace",
     "rabi_frequency",
     "readout_unitary",
-    "readout_trace",
     "readout_traces",
     "OptimalReadout",
     "ReadoutPair",
-    "optimal_measurement_time",
     "scan_bias",
     "thermal_occupancy",
     "InitPlan",
@@ -90,6 +88,7 @@ class ReadoutConfig:
             raise ValueError("tunnel coupling must be >= 0")
         with np.errstate(over="ignore"):
             omega = rabi_frequency(self)
+            end_phase = omega * self.duration_ns
         if not np.isfinite(omega):
             raise ValueError(
                 f"tunnel_coupling_ueV = {self.tunnel_coupling_ueV!r} and bias_ueV = "
@@ -97,6 +96,10 @@ class ReadoutConfig:
             )
         if not self.duration_ns > 0.0:
             raise ValueError("duration must be positive")
+        if not np.isfinite(end_phase):
+            raise ValueError(
+                f"duration_ns = {self.duration_ns!r} gives a readout phase outside the float range"
+            )
         if not 0.0 < self.timestep_ns <= self.duration_ns:
             raise ValueError("timestep must be positive and at most the duration")
         # _sample_times takes floor(duration / timestep + 1e-9) + 1 samples.
@@ -116,7 +119,6 @@ class ReadoutTrace:
 
     times_ns: np.ndarray
     p_left: np.ndarray
-    initial: str
     norm_error: float
 
 
@@ -212,34 +214,20 @@ def _optima(times: np.ndarray, p_left: np.ndarray) -> list[OptimalReadout]:
 
 
 def readout_traces(config: ReadoutConfig) -> ReadoutPair:
-    """The ``plus`` and ``minus`` traces and their optimum, from one ``eigh``."""
+    """The ``plus`` and ``minus`` traces and their optimum, from one ``eigh``.
+
+    The optimum is the sample time maximizing the left-dot occupation
+    contrast ``|P_L(plus) - P_L(minus)|``; ties resolve to the earliest
+    sample.  With zero bias both space states are stationary and the
+    contrast is identically zero (degenerate readout).
+    """
     times = _sample_times(config)
     p_left, errors = _left_populations(_hamiltonian(config), times, norm_error=True)
     return ReadoutPair(
-        ReadoutTrace(times, p_left[0, 0], "plus", float(errors[0, 0])),
-        ReadoutTrace(times, p_left[1, 0], "minus", float(errors[1, 0])),
+        ReadoutTrace(times, p_left[0, 0], float(errors[0, 0])),
+        ReadoutTrace(times, p_left[1, 0], float(errors[1, 0])),
         _optima(times, p_left)[0],
     )
-
-
-def readout_trace(config: ReadoutConfig, initial: str = "plus") -> ReadoutTrace:
-    """Left-dot occupation versus time for a space-state initial condition."""
-    if initial not in _INITIAL_SPACE_STATES:
-        raise ValueError(f"initial must be 'plus' or 'minus', got {initial!r}")
-    pair = readout_traces(config)
-    return pair.plus if initial == "plus" else pair.minus
-
-
-def optimal_measurement_time(config: ReadoutConfig) -> OptimalReadout:
-    """Sample time maximizing the left-dot occupation contrast.
-
-    The contrast is ``|P_L(plus) - P_L(minus)|``; ties resolve to the
-    earliest sample.  With zero bias both space states are stationary and
-    the contrast is identically zero (degenerate readout).
-    """
-    times = _sample_times(config)
-    p_left, _ = _left_populations(_hamiltonian(config), times)
-    return _optima(times, p_left)[0]
 
 
 def scan_bias(
@@ -322,7 +310,7 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     """
     if target not in _INITIAL_SPACE_STATES:
         raise ValueError(f"target must be 'plus' or 'minus', got {target!r}")
-    best = optimal_measurement_time(config)
+    best = readout_traces(config).best
     u = readout_unitary(config, best.time_ns)
     forward = u @ (_TO_DOT_BASIS @ _INITIAL_SPACE_STATES[target])
     p_left = float(np.abs(forward[0]) ** 2)

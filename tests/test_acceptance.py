@@ -194,16 +194,14 @@ def test_criterion_6_readout_and_initialization(capsys):
     cfg = readout.ReadoutConfig(
         tunnel_coupling_ueV=5.0, bias_ueV=10.0, duration_ns=0.4, timestep_ns=0.0005
     )
-    conservation = max(
-        readout.readout_trace(cfg, "plus").norm_error,
-        readout.readout_trace(cfg, "minus").norm_error,
-    )
+    traces = readout.readout_traces(cfg)
+    conservation = max(traces.plus.norm_error, traces.minus.norm_error)
     best_cfg, best = readout.scan_bias(5.0, duration_ns=0.4, timestep_ns=0.0005)
     thermal = readout.thermal_occupancy(9.3 * K_B_UEV_PER_K, 1.0)
     init_gap = 0.0
     for target in ("plus", "minus"):
         plan = readout.init_by_reversed_readout(cfg, target)
-        trace = readout.readout_trace(cfg, target)
+        trace = traces.plus if target == "plus" else traces.minus
         idx = int(round(plan.duration_ns / cfg.timestep_ns))
         forward = trace.p_left[idx] if plan.source_dot == "L" else 1.0 - trace.p_left[idx]
         init_gap = max(init_gap, abs(plan.fidelity - float(forward)))

@@ -451,6 +451,7 @@ def test_flags_no_handler_reads_are_rejected(capsys, command_line):
 
 
 RABI_OVERFLOW = "--tunnel-coupling 1e308 --bias 1e308 --duration 1 --timestep 0.1"
+PHASE_OVERFLOW = "--tunnel-coupling 1 --bias 2 --duration 1e308 --timestep 1e304"
 
 
 @pytest.mark.parametrize("command_line, field", [
@@ -472,6 +473,10 @@ RABI_OVERFLOW = "--tunnel-coupling 1e308 --bias 1e308 --duration 1 --timestep 0.
     (f"readout {RABI_OVERFLOW}", "tunnel_coupling_ueV = 1e+308 and bias_ueV = 1e+308"),
     (f"readout {RABI_OVERFLOW} --format json", "tunnel_coupling_ueV = 1e+308 and bias_ueV"),
     (f"init {RABI_OVERFLOW}", "tunnel_coupling_ueV = 1e+308 and bias_ueV"),
+    # the end phase Rabi frequency * duration overflows
+    (f"readout {PHASE_OVERFLOW}", "duration_ns = 1e+308"),
+    (f"init {PHASE_OVERFLOW}", "duration_ns = 1e+308"),
+    ("readout --scan --tunnel-coupling 1 --duration 1e308 --timestep 1e304", "duration_ns"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, command_line, field):
     with warnings.catch_warnings():

@@ -10,6 +10,7 @@ from scipy.special import roots_legendre
 from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.decoherence import (
+    HBAR_C_UEV_NM,
     LEGENDRE_CACHE_SIZE,
     MAX_RESOLUTION,
     LENGTH_RANGE_NM,
@@ -108,7 +109,7 @@ def test_environment_derived_quantities():
     env = Environment(temperature_K=0.25)
     assert env.kT_ueV == pytest.approx(0.25 * K_B_UEV_PER_K, rel=1e-15)
     # hbar * c with c in m/s numerically equal to nm/ns
-    assert env.hbar_c_ueV_nm == pytest.approx(HBAR_UEV_NS * 5000.0, rel=1e-15)
+    assert HBAR_C_UEV_NM == pytest.approx(HBAR_UEV_NS * 5000.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("field", ["tau_anchor_s", "anchor_deps_ueV"])

@@ -21,9 +21,7 @@ from dqdsim.readout import (
     InitPlan,
     ReadoutConfig,
     init_by_reversed_readout,
-    optimal_measurement_time,
     rabi_frequency,
-    readout_trace,
     readout_traces,
     readout_unitary,
     scan_bias,
@@ -56,7 +54,7 @@ def test_config_rejects_non_finite_fields(field, bad):
 
 def test_trace_sample_count_is_capped():
     # floor(duration / timestep) + 1 samples; checked before any allocation
-    assert len(readout_trace(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).times_ns) == 10
+    assert len(readout_traces(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).plus.times_ns) == 10
     ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES - 1), 1.0)
     with pytest.raises(ValueError, match=str(MAX_TRACE_SAMPLES)):
         ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES), 1.0)
@@ -103,24 +101,22 @@ def test_trace_against_rabi_formula():
     sin_a, cos_a = 5.0 / e, 5.0 / e
     omega = rabi_frequency(CFG)
 
-    plus = readout_trace(CFG, "plus")
+    plus, minus, _ = readout_traces(CFG)
     t = plus.times_ns
     expect = 0.5 * (1.0 + sin_a * cos_a * (1.0 - np.cos(omega * t)))
     assert np.max(np.abs(plus.p_left - expect)) < 1e-12
 
-    minus = readout_trace(CFG, "minus")
     expect = 0.5 * (1.0 - sin_a * cos_a * (1.0 - np.cos(omega * t)))
     assert np.max(np.abs(minus.p_left - expect)) < 1e-12
 
 
 def test_trace_conserves_probability():
-    for initial in ("plus", "minus"):
-        trace = readout_trace(CFG, initial)
+    for trace in readout_traces(CFG)[:2]:
         assert trace.norm_error < 1e-12
 
 
 def test_trace_time_grid():
-    trace = readout_trace(CFG, "plus")
+    trace = readout_traces(CFG).plus
     assert trace.times_ns[0] == 0.0
     assert trace.times_ns[-1] == pytest.approx(0.4)
     assert np.allclose(np.diff(trace.times_ns), 0.0005)
@@ -129,13 +125,12 @@ def test_trace_time_grid():
 def test_space_states_fill_both_dots_evenly():
     # the bonding/antibonding levels spread the electron evenly over the two
     # dots; charge only localizes once the readout pulse superposes them
-    for initial in ("plus", "minus"):
-        trace = readout_trace(CFG, initial)
+    for trace in readout_traces(CFG)[:2]:
         assert trace.p_left[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_optimal_time_is_half_rabi_period():
-    best = optimal_measurement_time(CFG)
+    best = readout_traces(CFG).best
     omega = rabi_frequency(CFG)
     assert best.time_ns == pytest.approx(np.pi / omega, abs=CFG.timestep_ns)
     assert best.distinguishability > 0.9999
@@ -157,7 +152,7 @@ def test_balanced_bias_separates_states_perfectly():
 
 def test_zero_bias_gives_no_contrast():
     cfg = ReadoutConfig(5.0, 0.0, 0.4, 0.0005)
-    best = optimal_measurement_time(cfg)
+    best = readout_traces(cfg).best
     assert best.distinguishability == pytest.approx(0.0, abs=1e-12)
 
 
@@ -192,7 +187,7 @@ def test_init_plan_reverses_readout():
     assert plan.fidelity > 0.999
     # preparing by running the measurement backwards succeeds exactly as
     # often as the forward readout would have flagged the right dot
-    trace = readout_trace(CFG, "plus")
+    trace = readout_traces(CFG).plus
     idx = int(round(plan.duration_ns / CFG.timestep_ns))
     assert plan.fidelity == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
     assert plan.forward_probability == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
@@ -202,7 +197,7 @@ def test_init_plan_minus_comes_from_right_dot():
     plan = init_by_reversed_readout(CFG, "minus")
     assert plan.source_dot == "R"
     assert plan.fidelity > 0.999
-    trace = readout_trace(CFG, "minus")
+    trace = readout_traces(CFG).minus
     idx = int(round(plan.duration_ns / CFG.timestep_ns))
     assert plan.forward_probability == pytest.approx(1.0 - float(trace.p_left[idx]), abs=1e-12)
 
@@ -267,13 +262,12 @@ def test_traces_are_bitwise_the_one_state_evaluation():
         bias = float(rng.choice([0.0, rng.uniform(-40.0, 40.0)]))
         config = ReadoutConfig(float(10.0 ** rng.uniform(-2, 2)), bias, duration, timestep)
         pair = readout_traces(config)
-        single = readout_trace(config, "minus")
-        for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus"), (single, "minus")):
+        for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus")):
             times, p_left, norm_error = _oracle_trace(config, initial)
-            assert len(times) == samples and trace.initial == initial
+            assert len(times) == samples
             assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
             assert trace.norm_error == norm_error
-        assert tuple(pair.best) == _oracle_optimum(config) == tuple(optimal_measurement_time(config))
+        assert tuple(pair.best) == _oracle_optimum(config)
 
 
 @pytest.mark.parametrize("n_bias, samples", [
