@@ -5,7 +5,7 @@ density.  Three layers of model are exposed:
 
 * Pure scaling laws: the single-phonon relaxation time falls off as the
   fifth (deformation coupling) or third (piezoelectric) power of the level
-  splitting, with the absolute scale supplied as a calibration anchor.
+  splitting, with the absolute scale fixed by a per-kind calibration anchor.
 * A microscopic second-order (two-phonon) transition rate, evaluated by
   Gauss-Legendre quadrature over the phonon spectrum with closed-form
   Gaussian-orbital form factors.  The virtual-state denominators can be
@@ -18,8 +18,8 @@ density.  Three layers of model are exposed:
   both DQDs is allowed.
 
 Units: energies ueV, lengths nm, temperatures K, output rates 1/s.
-Absolute two-phonon rates carry the configurable coupling prefactor; the
-quantities this module asserts are ratios, scalings and selection rules.
+Absolute two-phonon rates carry a unit coupling prefactor; the quantities
+this module asserts are ratios, scalings and selection rules.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "SOUND_SPEED_M_PER_S",
     "HBAR_C_UEV_NM",
     "Q_CUTOFF_PER_NM",
+    "TAU_ANCHOR_S",
     "PhononBranch",
     "Environment",
     "DotGeometry",
@@ -84,31 +85,26 @@ HBAR_C_UEV_NM = HBAR_UEV_NS * SOUND_SPEED_M_PER_S  # m/s equals nm/ns
 #: Upper end of the phonon spectrum.
 Q_CUTOFF_PER_NM = 10.0
 
+#: Single-phonon lifetime of each coupling kind at a 1 ueV level splitting;
+#: a calibration, not a prediction.
+TAU_ANCHOR_S = {"deformation": 1e-6, "piezoelectric": 1e-2}
+
 
 @dataclass(frozen=True)
 class PhononBranch:
     """One acoustic coupling channel.
 
-    ``coupling_constant`` is the squared electron-phonon coupling prefactor
-    (``|F_q|^2 = coupling_constant * q`` for deformation coupling and
-    ``coupling_constant / q`` for piezoelectric); it absorbs the bath
-    normalization and is a configuration input, not a prediction.  The
-    relaxation-time anchor plays the same role for the single-phonon
-    power law.
+    The squared electron-phonon coupling is ``|F_q|^2 = q`` for deformation
+    coupling and ``1 / q`` for piezoelectric, with a unit prefactor: the
+    absolute rate scale is not a prediction of the model.  The
+    single-phonon lifetime is anchored by :data:`TAU_ANCHOR_S`.
     """
 
     kind: str
-    coupling_constant: float = 1.0
-    tau_anchor_s: float = 1.0
-    anchor_deps_ueV: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("deformation", "piezoelectric"):
             raise ValueError(f"kind must be 'deformation' or 'piezoelectric', got {self.kind!r}")
-        if not (np.isfinite(self.coupling_constant) and self.coupling_constant >= 0.0):
-            raise ValueError("coupling_constant must be >= 0")
-        if not (0.0 < self.tau_anchor_s < np.inf and 0.0 < self.anchor_deps_ueV < np.inf):
-            raise ValueError("tau anchor and its reference splitting must be finite and positive")
 
     @property
     def tau_exponent(self) -> int:
@@ -118,17 +114,15 @@ class PhononBranch:
     def coupling_sq(self, q_per_nm: np.ndarray | float) -> np.ndarray | float:
         """Squared coupling ``|F_q|^2`` in ueV^2 at wavevector ``q`` (1/nm)."""
         q = np.asarray(q_per_nm, dtype=float)
-        return self.coupling_constant * (q if self.kind == "deformation" else 1.0 / q)
+        return q if self.kind == "deformation" else 1.0 / q
 
     @classmethod
-    def deformation(cls, coupling_constant: float = 1.0, tau_anchor_s: float = 1e-6,
-                    anchor_deps_ueV: float = 1.0) -> "PhononBranch":
-        return cls("deformation", coupling_constant, tau_anchor_s, anchor_deps_ueV)
+    def deformation(cls) -> "PhononBranch":
+        return cls("deformation")
 
     @classmethod
-    def piezoelectric(cls, coupling_constant: float = 1.0, tau_anchor_s: float = 1e-2,
-                      anchor_deps_ueV: float = 1.0) -> "PhononBranch":
-        return cls("piezoelectric", coupling_constant, tau_anchor_s, anchor_deps_ueV)
+    def piezoelectric(cls) -> "PhononBranch":
+        return cls("piezoelectric")
 
 
 @dataclass(frozen=True)
@@ -210,15 +204,13 @@ def bose_einstein(eps_ueV: np.ndarray | float, temperature_K: float) -> np.ndarr
 def single_phonon_tau_s(deps_ueV: float, branch: PhononBranch) -> float:
     """Spontaneous one-phonon relaxation time, pure power law in the splitting.
 
-    ``tau = tau_anchor * (deps / anchor_deps) ** (-5 or -3)``; the anchor is
-    a calibration input (see :class:`PhononBranch`).  A splitting whose
-    lifetime overflows or underflows the float range is rejected.
+    ``tau = TAU_ANCHOR_S[kind] * (deps / 1 ueV) ** (-5 or -3)``.  A splitting
+    whose lifetime overflows or underflows the float range is rejected.
     """
     if not deps_ueV > 0.0:
         raise ValueError(f"deps must be positive, got {deps_ueV!r}")
-    ratio = np.float64(deps_ueV) / branch.anchor_deps_ueV
     with np.errstate(all="ignore"):
-        tau = float(branch.tau_anchor_s * ratio ** (-branch.tau_exponent))
+        tau = float(TAU_ANCHOR_S[branch.kind] * np.float64(deps_ueV) ** (-branch.tau_exponent))
     if not 0.0 < tau < np.inf:
         raise ValueError(f"deps = {float(deps_ueV)!r} ueV gives a lifetime outside the float range")
     return tau
@@ -333,9 +325,6 @@ def two_phonon_rate_per_s(
             RuntimeWarning,
             stacklevel=2,
         )
-    if branch.coupling_constant == 0.0:
-        return TwoPhononRate(0.0, 0.0)
-
     coarse = _two_phonon_integral(transition, branch, env, geom, mode, env.resolution)
     fine = _two_phonon_integral(transition, branch, env, geom, mode, 2 * env.resolution)
     scale = max(abs(fine), abs(coarse))
@@ -379,6 +368,8 @@ def coulomb_selection_rule(
     (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
     resolution; the reported error bound covers both elements.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if not 16 <= resolution <= MAX_SELECTION_RESOLUTION:
         raise ValueError(
             f"resolution must be in 16..{MAX_SELECTION_RESOLUTION}, got {resolution!r}"

@@ -38,13 +38,13 @@ def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
     return max_abs_diff(u.conj().T @ u, np.eye(u.shape[0])) <= atol
 
 
-def require_normalized(v: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Return ``v`` as a complex vector, raising if its 2-norm is not 1."""
+def require_normalized(v: np.ndarray) -> np.ndarray:
+    """Return ``v`` as a complex vector, raising if its 2-norm is not within 1e-9 of 1."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state vector is not normalized: norm = {norm!r}")
     return v
 

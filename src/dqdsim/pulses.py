@@ -278,7 +278,7 @@ def schedule_from_json(data: object) -> list[PulseSegment]:
             raise ValueError(f"segment {i}: duration_ns must be a number")
         try:
             segments.append(PulseSegment(electrode, float(amplitude), float(duration)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
             raise ValueError(f"segment {i}: {exc}") from None
     return segments
 

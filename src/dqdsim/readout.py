@@ -132,10 +132,6 @@ def _hamiltonians(tunnel_coupling_ueV: float, biases_ueV: np.ndarray) -> np.ndar
     return h
 
 
-def _hamiltonian(config: ReadoutConfig) -> np.ndarray:
-    return _hamiltonians(config.tunnel_coupling_ueV, [config.bias_ueV])
-
-
 def rabi_frequency(config: ReadoutConfig) -> float:
     """Angular frequency (rad/ns) of the charge oscillation."""
     energy = np.hypot(config.tunnel_coupling_ueV, config.bias_ueV / 2.0)
@@ -149,24 +145,25 @@ def _sample_times(config: ReadoutConfig) -> np.ndarray:
 
 def readout_unitary(config: ReadoutConfig, t_ns: float) -> np.ndarray:
     """Propagator in the dot basis after ``t_ns`` of readout evolution."""
-    return expm_hermitian(_hamiltonian(config)[0], t_ns / HBAR_UEV_NS)
+    h = _hamiltonians(config.tunnel_coupling_ueV, [config.bias_ueV])[0]
+    return expm_hermitian(h, t_ns / HBAR_UEV_NS)
 
 
 def _left_populations(
-    h: np.ndarray, times: np.ndarray, norm_error: bool = False
+    tunnel_coupling_ueV: float, biases_ueV: np.ndarray, times: np.ndarray, norm_error: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Left-dot populations of ``|+>`` and ``|->`` under stacked Hamiltonians.
+    """Left-dot populations of ``|+>`` and ``|->``, one readout Hamiltonian per bias.
 
     One ``eigh`` and one phase table per Hamiltonian serve both space
-    states.  When every Hamiltonian in the stack has exactly opposite
-    eigenvalues, as the traceless readout Hamiltonians do, one complex
-    exponential per sample fills both columns of the table.  Each
-    per-matrix product sees the operand layout of a one-Hamiltonian,
-    one-state evaluation, so every value is bitwise that evaluation's
-    whatever the stack size.
+    states.  The readout Hamiltonians are traceless, so their eigenvalues
+    are exactly opposite and one complex exponential per sample fills both
+    columns of the table.  Each per-matrix product sees the operand layout
+    of a one-Hamiltonian, one-state evaluation, so every value is bitwise
+    that evaluation's whatever the stack size.
 
     Args:
-        h: dot-basis Hamiltonians, shape ``(n_h, 2, 2)``.
+        tunnel_coupling_ueV: tunnel coupling shared by every Hamiltonian.
+        biases_ueV: biases, shape ``(n_h,)``.
         times: sample times (ns), shape ``(n_t,)``.
         norm_error: also return each trace's largest ``|P_L + P_R - 1|``.
 
@@ -174,17 +171,12 @@ def _left_populations(
         ``p_left`` of shape ``(2, n_h, n_t)`` (plus, then minus) and the
         norm errors of shape ``(2, n_h)``, or ``None`` when not asked for.
     """
-    eigvals, p = np.linalg.eigh(h)
+    eigvals, p = np.linalg.eigh(_hamiltonians(tunnel_coupling_ueV, biases_ueV))
     coeffs = np.swapaxes(p.conj(), -1, -2) @ _SPACE_STATE_COLUMNS
-    if np.array_equal(eigvals[:, 1], -eigvals[:, 0]):
-        # Traceless H: exp(-i(-x)) is conj(exp(-ix)) bit for bit, so one
-        # exponential per sample serves both eigenvalues.
-        half = np.exp(-1j * (times * eigvals[:, :1]) / HBAR_UEV_NS)
-        phases = np.stack((half, half.conj()), axis=-1)
-    else:
-        phases = np.exp(-1j * (times[:, None] * eigvals[:, None, :]) / HBAR_UEV_NS)
-    amplitudes = phases * np.swapaxes(coeffs, -1, -2)
-    del phases  # shared by both states; freed before the products below
+    # exp(-i(-x)) is conj(exp(-ix)) bit for bit, so one exponential per
+    # sample serves both eigenvalues.
+    half = np.exp(-1j * (times * eigvals[:, :1]) / HBAR_UEV_NS)
+    amplitudes = np.stack((half, half.conj()), axis=-1) * np.swapaxes(coeffs, -1, -2)
     p_left = np.square(np.abs((amplitudes @ p[:, 0, :, None])[..., 0]))
     if not norm_error:
         return p_left, None
@@ -222,7 +214,9 @@ def readout_traces(config: ReadoutConfig) -> ReadoutPair:
     contrast is identically zero (degenerate readout).
     """
     times = _sample_times(config)
-    p_left, errors = _left_populations(_hamiltonian(config), times, norm_error=True)
+    p_left, errors = _left_populations(
+        config.tunnel_coupling_ueV, [config.bias_ueV], times, norm_error=True
+    )
     return ReadoutPair(
         ReadoutTrace(times, p_left[0, 0], float(errors[0, 0])),
         ReadoutTrace(times, p_left[1, 0], float(errors[1, 0])),
@@ -258,11 +252,10 @@ def scan_bias(
         ReadoutConfig(tunnel_coupling_ueV, float(biases[0]), duration_ns, timestep_ns)
     )
     ReadoutConfig(tunnel_coupling_ueV, float(biases[-1]), duration_ns, timestep_ns)
-    h = _hamiltonians(tunnel_coupling_ueV, biases)
     step = max(1, _SCAN_ELEMENTS // len(times))
     best_i, best = 0, None
     for start in range(0, n_bias, step):
-        p_left, _ = _left_populations(h[start:start + step], times)
+        p_left, _ = _left_populations(tunnel_coupling_ueV, biases[start:start + step], times)
         for i, result in enumerate(_optima(times, p_left), start):
             if best is None or result.distinguishability > best.distinguishability + 1e-15:
                 best_i, best = i, result

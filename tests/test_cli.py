@@ -111,14 +111,20 @@ def test_evolve_requires_schedule(capsys):
 
 
 def test_evolve_rejects_malformed_schedule(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([
         {"electrode": "E1", "amplitude_ueV": 1.0, "duration_ns": 0.1},
         {"electrode": "bogus", "amplitude_ueV": 1.0, "duration_ns": 0.1},
     ]))
-    code, _, err = run(capsys, "evolve", "--schedule", str(path))
-    assert code == 2
-    assert "segment 1" in err
+    # An integer amplitude too large for a float.
+    huge = tmp_path / "huge.json"
+    huge.write_text('[{"electrode": "E1", "amplitude_ueV": 0.5, "duration_ns": 0.1}, '
+                    '{"electrode": "E1", "amplitude_ueV": 1' + "0" * 400 + ', "duration_ns": 0.1}]')
+    for path in (bad, huge):
+        code, out, err = run(capsys, "evolve", "--schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "segment 1" in err and "Traceback" not in err
 
 
 def test_evolve_accepts_custom_initial_state(capsys, tmp_path):
@@ -144,6 +150,15 @@ def test_compile_reports_frozen_embedding(capsys):
     emb = report["embedding"]
     assert [emb[k] for k in ("k_z1_pp", "k_z1_mm", "k_z2_pp", "k_z2_mm")] == [-2, -2, -2, -2]
     assert report["xor_4dim_convention"] == "minus_half_on_zero"
+
+
+def test_compile_and_verify_share_one_pass_rule(capsys):
+    # The default grid's cnot_residual is 2.94e-16; both commands hold it,
+    # and the two other decomposition residuals, to --tolerance.
+    for command in ("compile", "verify"):
+        code, out, _ = run(capsys, command, "--tolerance", "2.9e-16")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
 
 
 GOLDEN = Path(__file__).parent / "golden"

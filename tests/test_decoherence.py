@@ -95,14 +95,22 @@ def test_single_phonon_scaling_exponents():
 
 
 def test_branch_coupling_shapes():
-    df = PhononBranch.deformation(coupling_constant=3.0)
-    pz = PhononBranch.piezoelectric(coupling_constant=3.0)
-    assert df.coupling_sq(2.0) == 6.0
-    assert pz.coupling_sq(2.0) == 1.5
+    df = PhononBranch.deformation()
+    pz = PhononBranch.piezoelectric()
+    assert df.coupling_sq(2.0) == 2.0
+    assert pz.coupling_sq(2.0) == 0.5
     assert df.tau_exponent == 5
     assert pz.tau_exponent == 3
-    with pytest.raises(ValueError):
-        PhononBranch(kind="deformation", coupling_constant=-1.0, tau_anchor_s=1e-6)
+    with pytest.raises(ValueError, match="kind"):
+        PhononBranch("optical")
+
+
+@pytest.mark.parametrize("kind", ["deformation", "piezoelectric"])
+def test_branch_constructor_and_factory_agree(kind):
+    factory = getattr(PhononBranch, kind)()
+    assert factory == PhononBranch(kind)
+    for deps in (0.5, 1.0, 2.0):
+        assert single_phonon_tau_s(deps, PhononBranch(kind)) == single_phonon_tau_s(deps, factory)
 
 
 def test_environment_derived_quantities():
@@ -110,12 +118,6 @@ def test_environment_derived_quantities():
     assert env.kT_ueV == pytest.approx(0.25 * K_B_UEV_PER_K, rel=1e-15)
     # hbar * c with c in m/s numerically equal to nm/ns
     assert HBAR_C_UEV_NM == pytest.approx(HBAR_UEV_NS * 5000.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("field", ["tau_anchor_s", "anchor_deps_ueV"])
-def test_branch_rejects_infinite_anchors(field):
-    with pytest.raises(ValueError, match="finite"):
-        PhononBranch("deformation", **{field: np.inf})
 
 
 @pytest.mark.parametrize("resolution", [256.0, True, "256", np.float64(256.0)])
@@ -297,15 +299,28 @@ def test_two_phonon_rate_positive_and_increasing():
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
-def test_two_phonon_zero_coupling_gives_zero_rate():
-    env = Environment(temperature_K=0.2)
-    result = two_phonon_rate_per_s(
-        TransitionSpec(),
-        PhononBranch.deformation(coupling_constant=0.0),
-        env,
-        DotGeometry(),
-    )
-    assert result == (0.0, 0.0)
+# Deep in the low-temperature regime the reduced-mode integrand is
+# eps^m n(n+1) times a constant: q^4 of phase space, q^(+-2) from the squared
+# coupling and ((q d)^2 / 12)^2 from the squared flip form factor give m = 10
+# (deformation) and m = 6 (piezoelectric).  Integrating over eps gives
+# R -> C Gamma(m+1) zeta(m) (kT)^(m-1) with
+# C = (2 pi / hbar) 1e9 d^4 4 / (144 (1 - S^2)^2 (hbar c_s)^(m+2)).
+@pytest.mark.parametrize("kind, m, gamma, zeta", [
+    ("deformation", 10, 3628800.0, np.pi**10 / 93555.0),
+    ("piezoelectric", 6, 720.0, np.pi**6 / 945.0),
+])
+@pytest.mark.parametrize("kT_ueV", [0.001, 0.01])
+def test_two_phonon_rate_matches_low_temperature_closed_form(kind, m, gamma, zeta, kT_ueV):
+    geom = DotGeometry()
+    env = Environment(temperature_K=kT_ueV / K_B_UEV_PER_K, resolution=256)
+    s = geom.overlap
+    c = (2.0 * np.pi / HBAR_UEV_NS * 1e9 * geom.d_nm**4 * 4.0
+         / (144.0 * (1.0 - s * s) ** 2 * HBAR_C_UEV_NM ** (m + 2)))
+    closed_form = c * gamma * zeta * kT_ueV ** (m - 1)
+    rate = two_phonon_rate_per_s(
+        TransitionSpec(delta_eps_ueV=1e-4), PhononBranch(kind), env, geom
+    ).rate_per_s
+    assert rate / closed_form == pytest.approx(1.0, abs=1e-6)
 
 
 def test_two_phonon_deep_dipole_exponents_reduced_mode():
@@ -449,6 +464,7 @@ def test_selection_rule_forbidden_elements_vanish():
     assert table["ratio_allowed_to_bound"] > 1e3
     # the forbidden elements sit far below the quadrature error bound
     assert table["forbidden_pp_abs"] < table["error_bound"]
+    assert coulomb_selection_rule(DotGeometry(), np.int64(800)) == table
 
 
 def test_quadrature_resolutions_are_capped():
@@ -458,6 +474,12 @@ def test_quadrature_resolutions_are_capped():
     # raises before building the n x n kernel
     with pytest.raises(ValueError, match=str(MAX_SELECTION_RESOLUTION)):
         coulomb_selection_rule(DotGeometry(), resolution=MAX_SELECTION_RESOLUTION + 1)
+
+
+@pytest.mark.parametrize("resolution", [800.5, 801.9, True, "800", np.float64(800.0)])
+def test_selection_rule_resolution_must_be_an_integer(resolution):
+    with pytest.raises(ValueError, match="integer"):
+        coulomb_selection_rule(DotGeometry(), resolution=resolution)
 
 
 def test_selection_rule_convergence_gate():

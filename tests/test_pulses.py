@@ -264,5 +264,7 @@ def test_schedule_from_json_names_offending_segment():
     bad = {"electrode": "Q9", "amplitude_ueV": 1.0, "duration_ns": 0.1}
     with pytest.raises(ValueError, match="segment 1"):
         schedule_from_json([good, bad])
+    with pytest.raises(ValueError, match="segment 1"):
+        schedule_from_json([good, {**good, "amplitude_ueV": 10**400}])
     with pytest.raises(ValueError):
         schedule_from_json({"not": "a list"})

@@ -14,8 +14,6 @@ from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.linalg import is_unitary, max_abs_diff
 from dqdsim.readout import (
-    _hamiltonians,
-    _left_populations,
     MAX_BIAS_SAMPLES,
     MAX_TRACE_SAMPLES,
     InitPlan,
@@ -310,22 +308,6 @@ def test_edge_traces_are_bitwise_the_one_state_evaluation(config):
         assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
         assert trace.norm_error == norm_error
     assert tuple(pair.best) == _oracle_optimum(config)
-
-
-def test_kernel_takes_any_hermitian_stack():
-    # A stack whose Hamiltonians are not traceless has no opposite
-    # eigenvalues to share, so every phase gets its own exponential.
-    rng = np.random.default_rng(5)
-    h = _hamiltonians(2.0, rng.uniform(-20.0, 20.0, size=6))
-    h[::2] += rng.uniform(-9.0, 9.0, size=3)[:, None, None] * np.eye(2)
-    h[1, 0, 1], h[1, 1, 0] = 1.5 - 0.5j, 1.5 + 0.5j
-    times = np.arange(701) * 0.0009
-    p_left, errors = _left_populations(h, times, norm_error=True)
-    for k in range(len(h)):
-        for state, initial in enumerate(("plus", "minus")):
-            expected, norm_error = _oracle_populations(h[k], times, initial)
-            assert np.array_equal(p_left[state, k], expected)
-            assert errors[state, k] == norm_error
 
 
 def test_rabi_frequency_overflow_is_rejected_at_construction():

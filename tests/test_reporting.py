@@ -138,3 +138,41 @@ def test_render_csv_passes_meet_at_chunk_edges():
     ):
         with pytest.raises(ValueError, match=message):
             render_csv(("a", "b"), bad_rows)
+
+
+# ---------------------------------------------------------------------------
+# JSON round trip: every finite double comes back bit for bit, and strings
+# come back unchanged, however they are nested.
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS + (-1.7976931348623157e308, 1e22, -1.0, 1.0)),
+)
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(list('"\\\x00\x08\x1f\n\r\t\x7f')), st.characters()),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_FLOATS, _JSON_TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_JSON_TEXT, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _bits(value):
+    """``value`` with each float replaced by its IEEE bit pattern, dicts as item lists."""
+    if isinstance(value, float):
+        return ("float", np.float64(value).view(np.uint64).item())
+    if isinstance(value, dict):
+        return ("dict", [(key, _bits(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [_bits(item) for item in value])
+    return (type(value).__name__, value)
+
+
+@given(_JSON_VALUES)
+def test_render_json_round_trips_doubles_and_strings(value):
+    parsed = json.loads(render_json(value), parse_int=float)
+    assert _bits(parsed) == _bits(value)
