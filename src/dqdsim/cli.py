@@ -27,7 +27,6 @@ import numpy as np
 
 from . import compiler, decoherence, pulses, readout
 from .basis import basis_labels, computational_basis_state, leakage_population
-from .constants import K_B_UEV_PER_K
 from .gates import GateId, gate_matrix, verify_catalog_identities
 from .linalg import dist_up_to_global_phase, require_normalized
 from .reporting import render_csv, render_json, write_text
@@ -186,8 +185,8 @@ def _tau_sweep(args: argparse.Namespace) -> Result:
 
 
 def _rate_sweep(args: argparse.Namespace) -> Result:
-    transition = decoherence.TransitionSpec(delta_eps_ueV=args.deps)
-    t_min = 10.0 * args.deps / K_B_UEV_PER_K if args.t_min is None else args.t_min
+    edge = decoherence.validity_edge_K(args.deps)  # checks --deps even when --t-min is set
+    t_min = edge if args.t_min is None else args.t_min
     t_max = 10.0 * t_min if args.t_max is None else args.t_max
     grid = _sweep_grid("t_min", t_min, "t_max", t_max, 7 if args.points is None else args.points)
     resolution = 256 if args.resolution is None else args.resolution
@@ -203,7 +202,7 @@ def _rate_sweep(args: argparse.Namespace) -> Result:
         rates = []
         for t in grid:
             env = decoherence.Environment(temperature_K=float(t), resolution=resolution)
-            rate, est_error = decoherence.two_phonon_rate_per_s(transition, branch, env, geom, mode=mode)
+            rate, est_error = decoherence.two_phonon_rate_per_s(args.deps, branch, env, geom, mode=mode)
             rates.append(rate)
             rows.append((float(t), branch.kind, mode, rate, est_error))
         slope = decoherence.fit_scaling_exponent(zip(grid, rates))
@@ -241,8 +240,8 @@ def _selection_table(args: argparse.Namespace) -> Result:
 
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
-    branches = (decoherence.PhononBranch.deformation(), decoherence.PhononBranch.piezoelectric())
-    return [b for b in branches if choice in (b.kind, "both")]
+    kinds = ("deformation", "piezoelectric")
+    return [decoherence.PhononBranch(k) for k in kinds if choice in (k, "both")]
 
 
 def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:

@@ -46,7 +46,7 @@ __all__ = [
     "PhononBranch",
     "Environment",
     "DotGeometry",
-    "TransitionSpec",
+    "validity_edge_K",
     "bose_einstein",
     "single_phonon_tau_s",
     "angular_flip_weight",
@@ -57,8 +57,8 @@ __all__ = [
 ]
 
 #: Largest two-phonon quadrature resolution; the convergence check runs
-#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^2) setup is paid once
-#: per node count (see ``LEGENDRE_CACHE_SIZE``).
+#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^3) ``leggauss`` setup
+#: is paid once per node count (see ``LEGENDRE_CACHE_SIZE``).
 MAX_RESOLUTION = 1024
 
 #: Largest selection-rule resolution; the quadrature holds an n x n kernel.
@@ -116,14 +116,6 @@ class PhononBranch:
         q = np.asarray(q_per_nm, dtype=float)
         return q if self.kind == "deformation" else 1.0 / q
 
-    @classmethod
-    def deformation(cls) -> "PhononBranch":
-        return cls("deformation")
-
-    @classmethod
-    def piezoelectric(cls) -> "PhononBranch":
-        return cls("piezoelectric")
-
 
 @dataclass(frozen=True)
 class Environment:
@@ -169,25 +161,14 @@ class DotGeometry:
         return float(np.exp(-self.d_nm**2 / (4.0 * self.a_nm**2)))
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
-    """The two-DQD flip ``|+-> -> |-+>`` through the virtual ``|++>`` and ``|-->``.
+def validity_edge_K(delta_eps_ueV: float) -> float:
+    """Lowest temperature of the two-phonon regime ``kT >= 10 * delta_eps``.
 
-    Energies are relative to the initial configuration.  The two logical
-    configurations are degenerate; the doubly-symmetric / doubly-
-    antisymmetric intermediates sit one level splitting below and above.
+    The regime is tested in temperature, so the edge itself is inside.
     """
-
-    delta_eps_ueV: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.delta_eps_ueV) and self.delta_eps_ueV > 0.0):
-            raise ValueError("delta_eps_ueV must be positive")
-
-    @property
-    def eps_intermediates_ueV(self) -> tuple[float, float]:
-        """Energies of ``|++>`` and ``|-->``."""
-        return (-self.delta_eps_ueV, self.delta_eps_ueV)
+    if not (np.isfinite(delta_eps_ueV) and delta_eps_ueV > 0.0):
+        raise ValueError("delta_eps_ueV must be positive")
+    return 10.0 * delta_eps_ueV / K_B_UEV_PER_K
 
 
 def bose_einstein(eps_ueV: np.ndarray | float, temperature_K: float) -> np.ndarray | float:
@@ -244,7 +225,7 @@ def _gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _two_phonon_integral(
-    transition: TransitionSpec,
+    delta_eps_ueV: float,
     branch: PhononBranch,
     env: Environment,
     geom: DotGeometry,
@@ -269,7 +250,7 @@ def _two_phonon_integral(
         denom = (2.0 / kT) ** 2 * np.ones_like(eps)
     else:
         amplitude = np.zeros(eps.shape, dtype=complex)
-        for eps_z in transition.eps_intermediates_ueV:
+        for eps_z in (-delta_eps_ueV, delta_eps_ueV):
             amplitude += 1.0 / (eps_z - eps + 1j * (0.01 * kT))
         denom = np.abs(amplitude) ** 2
 
@@ -290,7 +271,7 @@ class TwoPhononRate(NamedTuple):
 
 
 def two_phonon_rate_per_s(
-    transition: TransitionSpec,
+    delta_eps_ueV: float,
     branch: PhononBranch,
     env: Environment,
     geom: DotGeometry,
@@ -298,12 +279,14 @@ def two_phonon_rate_per_s(
 ) -> TwoPhononRate:
     """Second-order two-phonon transition rate by quadrature.
 
-    One thermal phonon is absorbed and one emitted; the energy-conserving
-    delta collapses the emitted radial integral, leaving a single integral
-    over the absorbed phonon energy with the three-dimensional acoustic
-    density of states, the squared couplings of ``branch``, the
-    orientation-averaged flip form factors, thermal occupations, and the
-    virtual-state denominators.
+    The transition is the two-DQD flip ``|+-> -> |-+>`` between degenerate
+    configurations, through the virtual ``|++>`` and ``|-->`` at
+    ``-delta_eps_ueV`` and ``+delta_eps_ueV``.  One thermal phonon is
+    absorbed and one emitted; the energy-conserving delta collapses the
+    emitted radial integral, leaving a single integral over the absorbed
+    phonon energy with the three-dimensional acoustic density of states,
+    the squared couplings of ``branch``, the orientation-averaged flip form
+    factors, thermal occupations, and the virtual-state denominators.
 
     ``mode="reduced"`` replaces each denominator by the thermal energy
     (the high-temperature shortcut); ``mode="exact"`` keeps the
@@ -312,21 +295,21 @@ def two_phonon_rate_per_s(
 
     The result is checked for quadrature convergence by doubling the node
     count; disagreement beyond 1% raises, and the difference is returned as
-    the error estimate.  A warning flags the regime ``kT < 10 * delta_eps``
-    where the high-temperature reduction is dubious; the test runs in
-    temperature, so the edge ``T = 10 * delta_eps / k_B`` itself is inside.
+    the error estimate.  A warning flags temperatures below
+    :func:`validity_edge_K`, where the high-temperature reduction is
+    dubious; the edge itself is inside.
     """
     if mode not in ("reduced", "exact"):
         raise ValueError(f"mode must be 'reduced' or 'exact', got {mode!r}")
-    if env.temperature_K < 10.0 * transition.delta_eps_ueV / K_B_UEV_PER_K:
+    if env.temperature_K < validity_edge_K(delta_eps_ueV):
         warnings.warn(
             "two-phonon model assumes kT >> level splitting; "
-            f"kT/deps = {env.kT_ueV / transition.delta_eps_ueV:.3g}",
+            f"kT/deps = {env.kT_ueV / delta_eps_ueV:.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    coarse = _two_phonon_integral(transition, branch, env, geom, mode, env.resolution)
-    fine = _two_phonon_integral(transition, branch, env, geom, mode, 2 * env.resolution)
+    coarse = _two_phonon_integral(delta_eps_ueV, branch, env, geom, mode, env.resolution)
+    fine = _two_phonon_integral(delta_eps_ueV, branch, env, geom, mode, 2 * env.resolution)
     scale = max(abs(fine), abs(coarse))
     if scale > 0.0 and abs(fine - coarse) > 0.01 * scale:
         raise RuntimeError(

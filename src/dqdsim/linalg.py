@@ -87,11 +87,16 @@ def _phase_residual(u: np.ndarray, v: np.ndarray, phi: float) -> float:
 def dist_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:
     """``min over |c| = 1`` of the max-entry norm of ``u - c * v``.
 
-    Matrices that agree up to a global phase come out at roundoff level;
-    the value is symmetric in its arguments to within the refinement
-    tolerance.  Candidate phases are seeded from the largest-magnitude
-    entry of ``v``, the trace alignment ``tr(v^dag u)`` and a coarse grid,
-    then polished by golden-section search.
+    Candidate phases are seeded from the largest-magnitude entry of ``v``,
+    the trace alignment ``tr(v^dag u)`` and a coarse grid, then polished by
+    golden-section search within 0.11 rad of the best seed.  The value is
+    the residual at the best phase tried, never below the minimum.
+    Matrices equal up to a global phase give
+    roundoff, and near that equivalence the value is symmetric in its
+    arguments and blind to a global phase on either to ~1e-12.  Far from
+    it the polish is local: on random complex pairs the value sat up to ~1%
+    above a dense phase scan and moved by as much when the arguments were
+    swapped or one was rephased.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)

@@ -114,34 +114,22 @@ def test_criterion_3_embedding_search(capsys):
 
 
 def test_criterion_4_decoherence_scaling(capsys):
+    # The shipped sweep reports at their defaults: one-phonon lifetimes over
+    # deps = 0.5..5 ueV, and the two-phonon rate over the decade starting at
+    # the validity edge kT = 10 * splitting, reduced-denominator mode,
+    # default resolution.
     start = time.perf_counter()
-
-    # one-phonon lifetime laws, analytic
-    deps_grid = np.geomspace(0.5, 5.0, 10)
-    tau_fits = {}
-    for branch in (decoherence.PhononBranch.deformation(), decoherence.PhononBranch.piezoelectric()):
-        samples = [(float(d), decoherence.single_phonon_tau_s(float(d), branch)) for d in deps_grid]
-        tau_fits[branch.kind] = decoherence.fit_scaling_exponent(samples)
+    tau_code = cli.main(["decohere", "--sweep", "tau", "--format", "json"])
+    tau_report = json.loads(capsys.readouterr().out)
+    cli.main(["decohere", "--sweep", "rate", "--format", "json"])
+    rate_report = json.loads(capsys.readouterr().out)
+    elapsed = time.perf_counter() - start
+    tau_fits = tau_report["fitted_exponents"]
+    rate_fits = rate_report["fitted_exponents"]
     tau_ok = (
         abs(tau_fits["deformation"] + 5.0) <= TAU_EXPONENT_TOL
         and abs(tau_fits["piezoelectric"] + 3.0) <= TAU_EXPONENT_TOL
     )
-
-    # two-phonon rate over the decade starting at the validity edge
-    # kT = 10 * splitting, reduced-denominator mode, default resolution
-    deps = 0.1
-    t_min = 10.0 * deps / K_B_UEV_PER_K
-    transition = decoherence.TransitionSpec(delta_eps_ueV=deps)
-    geom = decoherence.DotGeometry()
-    rate_fits = {}
-    for branch in (decoherence.PhononBranch.deformation(), decoherence.PhononBranch.piezoelectric()):
-        samples = []
-        for t in np.geomspace(t_min, 10.0 * t_min, 7):
-            env = decoherence.Environment(temperature_K=float(t))
-            rate = decoherence.two_phonon_rate_per_s(transition, branch, env, geom, mode="reduced")
-            samples.append((float(t), rate.rate_per_s))
-        rate_fits[branch.kind] = decoherence.fit_scaling_exponent(samples)
-    elapsed = time.perf_counter() - start
     rate_ok = (
         abs(rate_fits["deformation"] - 6.0) <= RATE_EXPONENT_TOL
         and abs(rate_fits["piezoelectric"] - 2.0) <= RATE_EXPONENT_TOL
@@ -158,9 +146,14 @@ def test_criterion_4_decoherence_scaling(capsys):
     assert elapsed < 60.0
     # the lifetime magnitudes are calibration anchors, not predictions, and
     # the sweep report must say so
-    assert cli.main(["decohere", "--sweep", "tau", "--format", "json"]) == 0
-    tau_report = json.loads(capsys.readouterr().out)
+    assert tau_code == 0
     assert tau_report["anchors_are_calibration_inputs"] is True
+    # the fits cover the criterion's windows and the report declares its pair
+    assert tau_report["deps_ueV"] == np.geomspace(0.5, 5.0, 10).tolist()
+    edge = decoherence.validity_edge_K(0.1)
+    assert rate_report["temperature_K"] == np.geomspace(edge, 10.0 * edge, 7).tolist()
+    assert rate_report["mode"] == "reduced"
+    assert rate_report["declared_exponents"] == {"deformation": 6.0, "piezoelectric": 2.0}
     assert rate_ok, (
         f"two-phonon W(T) exponents fitted {rate_fits['deformation']:.3f} (deformation) and "
         f"{rate_fits['piezoelectric']:.3f} (piezoelectric) on the decade kT = 10..100 x splitting; "

@@ -11,8 +11,7 @@ import pytest
 from dqdsim import cli
 from dqdsim.cli import MAX_SWEEP_POINTS, main
 from dqdsim.compiler import MAX_OFFSETS
-from dqdsim.constants import K_B_UEV_PER_K
-from dqdsim.decoherence import MAX_RESOLUTION, MAX_SELECTION_RESOLUTION
+from dqdsim.decoherence import MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, validity_edge_K
 from dqdsim.readout import MAX_BIAS_SAMPLES, MAX_TRACE_SAMPLES
 from dqdsim.gates import GateId
 from dqdsim.pulses import calibrate, schedule_to_json, swap_sequence
@@ -327,7 +326,7 @@ def test_default_rate_sweep_stays_inside_the_validity_window(capsys):
         code, _, _ = run(capsys, "decohere", "--sweep", "rate")
     assert code == 1
     # the default t_min is the window's edge; just below it the model warns
-    edge = 10.0 * 0.1 / K_B_UEV_PER_K
+    edge = validity_edge_K(0.1)
     with pytest.warns(RuntimeWarning, match="kT >> level splitting"):
         run(capsys, "decohere", "--sweep", "rate", "--branch", "piezoelectric",
             "--points", "2", "--t-min", repr(0.99 * edge))
@@ -343,11 +342,19 @@ def test_decohere_selection_rule(capsys):
     assert report["ratio_allowed_to_bound"] > 1e3
 
 
-def test_decohere_rejects_unknown_sweep(capsys):
+def test_decohere_rejects_reversed_splitting_range(capsys):
     code, _, err = run(capsys, "decohere", "--sweep", "tau", "--branch", "deformation",
                        "--deps-min", "5", "--deps-max", "1")
     assert code == 2
     assert "error:" in err
+
+
+def test_decohere_rejects_unknown_sweep(capsys):
+    code, out, err = run_to_exit(capsys, "decohere", "--sweep", "frobnicate")
+    assert code == 2
+    assert out == ""
+    assert "--sweep" in err and "frobnicate" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +488,8 @@ PHASE_OVERFLOW = "--tunnel-coupling 1 --bias 2 --duration 1e308 --timestep 1e304
     # t_min = 10 deps / k_B, where (n / kT)**2 would overflow
     ("decohere --sweep rate --points 2 --branch piezoelectric --deps 1e-300", "temperature_K"),
     ("decohere --sweep rate --t-min 1e-300 --t-max 1e-299", "temperature_K"),
+    ("decohere --sweep rate --points 2 --deps nan", "delta_eps_ueV"),
+    ("decohere --sweep rate --deps 0 --t-min 1 --t-max 2", "delta_eps_ueV"),
     # the lifetime (deps / anchor)**-5 overflows to inf or underflows to 0
     ("decohere --sweep tau --deps-min 1e-300", "deps"),
     ("decohere --sweep tau --deps-max 1e300", "deps"),

@@ -19,7 +19,6 @@ from dqdsim.decoherence import (
     DotGeometry,
     Environment,
     PhononBranch,
-    TransitionSpec,
     angular_flip_weight,
     bose_einstein,
     coulomb_selection_rule,
@@ -27,6 +26,7 @@ from dqdsim.decoherence import (
     single_phonon_tau_s,
     _legendre_nodes,
     two_phonon_rate_per_s,
+    validity_edge_K,
 )
 
 
@@ -79,15 +79,15 @@ def test_bose_einstein_rejects_nonpositive_energy():
 # ---------------------------------------------------------------------------
 
 def test_single_phonon_anchor_values():
-    assert single_phonon_tau_s(1.0, PhononBranch.deformation()) == 1e-6
-    assert single_phonon_tau_s(1.0, PhononBranch.piezoelectric()) == 1e-2
+    assert single_phonon_tau_s(1.0, PhononBranch("deformation")) == 1e-6
+    assert single_phonon_tau_s(1.0, PhononBranch("piezoelectric")) == 1e-2
 
 
 def test_single_phonon_scaling_exponents():
     deps = np.geomspace(0.2, 20.0, 9)
     for branch, expected in (
-        (PhononBranch.deformation(), -5.0),
-        (PhononBranch.piezoelectric(), -3.0),
+        (PhononBranch("deformation"), -5.0),
+        (PhononBranch("piezoelectric"), -3.0),
     ):
         samples = [(float(d), single_phonon_tau_s(float(d), branch)) for d in deps]
         slope = fit_scaling_exponent(samples)
@@ -95,22 +95,14 @@ def test_single_phonon_scaling_exponents():
 
 
 def test_branch_coupling_shapes():
-    df = PhononBranch.deformation()
-    pz = PhononBranch.piezoelectric()
+    df = PhononBranch("deformation")
+    pz = PhononBranch("piezoelectric")
     assert df.coupling_sq(2.0) == 2.0
     assert pz.coupling_sq(2.0) == 0.5
     assert df.tau_exponent == 5
     assert pz.tau_exponent == 3
     with pytest.raises(ValueError, match="kind"):
         PhononBranch("optical")
-
-
-@pytest.mark.parametrize("kind", ["deformation", "piezoelectric"])
-def test_branch_constructor_and_factory_agree(kind):
-    factory = getattr(PhononBranch, kind)()
-    assert factory == PhononBranch(kind)
-    for deps in (0.5, 1.0, 2.0):
-        assert single_phonon_tau_s(deps, PhononBranch(kind)) == single_phonon_tau_s(deps, factory)
 
 
 def test_environment_derived_quantities():
@@ -272,29 +264,26 @@ def test_angular_flip_weight_small_q_suppression():
 # ---------------------------------------------------------------------------
 
 def _decade_slope(branch: PhononBranch, mode: str, resolution: int = 256) -> float:
-    deps = 0.1
-    t_min = 10.0 * deps / K_B_UEV_PER_K
+    t_min = validity_edge_K(0.1)
     geom = DotGeometry()
-    transition = TransitionSpec(delta_eps_ueV=deps)
     samples = []
     # the decade starts at the validity edge kT = 10 * splitting, which is inside
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for T in np.geomspace(t_min, 10 * t_min, 7):
             env = Environment(temperature_K=float(T), resolution=resolution)
-            rate = two_phonon_rate_per_s(transition, branch, env, geom, mode=mode).rate_per_s
+            rate = two_phonon_rate_per_s(0.1, branch, env, geom, mode=mode).rate_per_s
             samples.append((float(T), rate))
     return fit_scaling_exponent(samples)
 
 
 def test_two_phonon_rate_positive_and_increasing():
     geom = DotGeometry()
-    transition = TransitionSpec()
-    branch = PhononBranch.deformation()
+    branch = PhononBranch("deformation")
     rates = []
     for T in (0.05, 0.1, 0.2, 0.4):
         env = Environment(temperature_K=T)
-        rates.append(two_phonon_rate_per_s(transition, branch, env, geom).rate_per_s)
+        rates.append(two_phonon_rate_per_s(0.1, branch, env, geom).rate_per_s)
     assert all(r > 0 for r in rates)
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
@@ -317,38 +306,35 @@ def test_two_phonon_rate_matches_low_temperature_closed_form(kind, m, gamma, zet
     c = (2.0 * np.pi / HBAR_UEV_NS * 1e9 * geom.d_nm**4 * 4.0
          / (144.0 * (1.0 - s * s) ** 2 * HBAR_C_UEV_NM ** (m + 2)))
     closed_form = c * gamma * zeta * kT_ueV ** (m - 1)
-    rate = two_phonon_rate_per_s(
-        TransitionSpec(delta_eps_ueV=1e-4), PhononBranch(kind), env, geom
-    ).rate_per_s
+    rate = two_phonon_rate_per_s(1e-4, PhononBranch(kind), env, geom).rate_per_s
     assert rate / closed_form == pytest.approx(1.0, abs=1e-6)
 
 
 def test_two_phonon_deep_dipole_exponents_reduced_mode():
     # measured on the decade starting at kT = 10 * level splitting; the
     # frozen values sit close to the analytic small-q counting of 9 and 5
-    assert _decade_slope(PhononBranch.deformation(), "reduced") == pytest.approx(
+    assert _decade_slope(PhononBranch("deformation"), "reduced") == pytest.approx(
         8.966984, abs=0.02
     )
-    assert _decade_slope(PhononBranch.piezoelectric(), "reduced") == pytest.approx(
+    assert _decade_slope(PhononBranch("piezoelectric"), "reduced") == pytest.approx(
         4.986108, abs=0.02
     )
 
 
 def test_two_phonon_exact_denominators_agree_with_reduced_scaling():
-    assert _decade_slope(PhononBranch.deformation(), "exact") == pytest.approx(
+    assert _decade_slope(PhononBranch("deformation"), "exact") == pytest.approx(
         8.977359, abs=0.02
     )
-    assert _decade_slope(PhononBranch.piezoelectric(), "exact") == pytest.approx(
+    assert _decade_slope(PhononBranch("piezoelectric"), "exact") == pytest.approx(
         4.991865, abs=0.02
     )
 
 
 def test_two_phonon_quadrature_converged_in_resolution():
     geom = DotGeometry()
-    transition = TransitionSpec()
-    branch = PhononBranch.piezoelectric()
-    r256 = two_phonon_rate_per_s(transition, branch, Environment(temperature_K=0.3, resolution=256), geom)
-    r512 = two_phonon_rate_per_s(transition, branch, Environment(temperature_K=0.3, resolution=512), geom)
+    branch = PhononBranch("piezoelectric")
+    r256 = two_phonon_rate_per_s(0.1, branch, Environment(temperature_K=0.3, resolution=256), geom)
+    r512 = two_phonon_rate_per_s(0.1, branch, Environment(temperature_K=0.3, resolution=512), geom)
     assert r256.rate_per_s == pytest.approx(r512.rate_per_s, rel=1e-6)
     # resolution n returns the 2n-node rate; its error estimate is the
     # difference to the n-node rate, which resolution n/2 returns
@@ -359,7 +345,7 @@ def test_two_phonon_quadrature_converged_in_resolution():
 def test_two_phonon_rejects_unconverged_quadrature():
     env = Environment(temperature_K=0.3, resolution=8)
     with pytest.raises(RuntimeError):
-        two_phonon_rate_per_s(TransitionSpec(), PhononBranch.deformation(), env, DotGeometry())
+        two_phonon_rate_per_s(0.1, PhononBranch("deformation"), env, DotGeometry())
     with pytest.raises(ValueError):
         Environment(temperature_K=0.3, resolution=4)
 
@@ -367,12 +353,20 @@ def test_two_phonon_rejects_unconverged_quadrature():
 def test_two_phonon_warns_when_kt_comparable_to_splitting():
     env = Environment(temperature_K=0.005)
     with pytest.warns(RuntimeWarning):
-        two_phonon_rate_per_s(TransitionSpec(), PhononBranch.deformation(), env, DotGeometry())
+        two_phonon_rate_per_s(0.1, PhononBranch("deformation"), env, DotGeometry())
 
 
-def test_transition_spec_fills_intermediate_energies():
-    transition = TransitionSpec(delta_eps_ueV=0.4)
-    assert transition.eps_intermediates_ueV == (-0.4, 0.4)
+def test_validity_edge_is_ten_splittings():
+    assert validity_edge_K(0.4) * K_B_UEV_PER_K == pytest.approx(4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("deps", [0.0, -1.0, np.nan, np.inf])
+def test_splitting_must_be_finite_and_positive(deps):
+    with pytest.raises(ValueError, match="delta_eps_ueV"):
+        validity_edge_K(deps)
+    env = Environment(temperature_K=0.3)
+    with pytest.raises(ValueError, match="delta_eps_ueV"):
+        two_phonon_rate_per_s(deps, PhononBranch("deformation"), env, DotGeometry())
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,30 @@ def test_phase_distance_detects_real_difference():
     v = random_unitary(4, rng)
     d = dist_up_to_global_phase(u, v)
     assert d > 0.1
-    # and it is symmetric up to the optimizer tolerance
+    # for this pair both argument orders find the same minimum
     assert abs(d - dist_up_to_global_phase(v, u)) < 1e-8
+
+
+_PHASES = st.floats(0.0, 2.0 * np.pi)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), _PHASES, _PHASES, st.floats(0.0, 1e-3))
+def test_phase_distance_is_symmetric_and_phase_blind_near_equivalence(n, seed, a, b, eps):
+    # the polish is local, so these hold near phase equivalence, not for far pairs
+    rng = np.random.default_rng(seed)
+    u = random_unitary(n, rng)
+    c, c2 = np.exp(1j * a), np.exp(1j * b)
+    assert dist_up_to_global_phase(u, c * u) <= 1e-15
+    e = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
+    v = c * u + eps * e
+    d = dist_up_to_global_phase(u, v)
+    assert abs(dist_up_to_global_phase(v, u) - d) <= 1e-10
+    assert abs(dist_up_to_global_phase(u, c2 * v) - d) <= 1e-10
+    assert abs(dist_up_to_global_phase(c2 * u, v) - d) <= 1e-10
+    # and no phase within 0.01 rad of the trace alignment does better
+    grid = np.angle(np.vdot(v, u)) + np.linspace(-1e-2, 1e-2, 20001)
+    scan = np.abs(u - np.exp(1j * grid)[:, None, None] * v).reshape(grid.size, -1).max(axis=1)
+    assert d <= scan.min() + 1e-10
 
 
 def test_phase_distance_diag_sign_flip():
