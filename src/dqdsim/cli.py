@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -299,18 +300,7 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
 def _cmd_init(args: argparse.Namespace) -> Result:
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
     matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
-    report = {
-        "target": plan.target,
-        "source_dot": plan.source_dot,
-        "bias_ueV": plan.bias_ueV,
-        "tunnel_coupling_ueV": plan.tunnel_coupling_ueV,
-        "duration_ns": plan.duration_ns,
-        "fidelity": plan.fidelity,
-        "forward_probability": plan.forward_probability,
-        "fidelity_matches_forward": matches,
-        "passed": matches,
-    }
-    return Result(report)
+    return Result({**asdict(plan), "fidelity_matches_forward": matches, "passed": matches})
 
 
 def _tolerance(text: str) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import COMPUTATIONAL_ROWS
 from .gates import GateId, gate_matrix
-from .linalg import dist_up_to_global_phase
+from .linalg import dist_up_to_global_phase, require_count
 
 __all__ = [
     "PhaseEmbedding",
@@ -33,7 +33,6 @@ __all__ = [
     "build_cnot",
     "MAX_OFFSETS",
     "search_embedding",
-    "XorCheck",
     "verify_xor_4dim",
     "decomposition_report",
 ]
@@ -219,10 +218,7 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     result is deterministic, with ties broken to the smallest parameter
     tuple in lexicographic order.
     """
-    if isinstance(n_offsets, bool) or not isinstance(n_offsets, (int, np.integer)):
-        raise ValueError(f"offset-grid size must be an integer, got {n_offsets!r}")
-    if not 1 <= n_offsets <= MAX_OFFSETS:
-        raise ValueError(f"offset-grid size must be in 1..{MAX_OFFSETS}, got {n_offsets}")
+    n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
     offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
 
@@ -250,29 +246,20 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     return best, float(best_residual)
 
 
-@dataclass(frozen=True)
-class XorCheck:
-    """Result of the four-dimensional controlled-phase reconstruction."""
-
-    residual: float
-    convention: str
-    residual_by_convention: dict[str, float]
-
-
 def _z4(qubit: int, theta: float, convention: str) -> np.ndarray:
     """:func:`z_gate` on the computational rows, in either sign convention."""
     sign = 1.0 if convention == "minus_half_on_zero" else -1.0
     return np.diag(_z_phases(qubit, sign * theta, 0, 0, 0.0)[list(COMPUTATIONAL_ROWS)])
 
 
-def verify_xor_4dim() -> XorCheck:
+def verify_xor_4dim() -> dict[str, float]:
     """Reconstruct the 4-dim controlled phase from swap square roots.
 
     Computes ``Z1(pi/2) Z2(-pi/2) S Z1(pi) S`` in both z-gate sign
     conventions and compares against ``diag(1,1,1,-1)`` up to a global
     phase.  One convention reproduces it exactly; the other does not, and
-    both residuals are reported so the winning convention is documented
-    rather than assumed.
+    both are returned, ``{convention: residual}`` in ``_XOR_CONVENTIONS``
+    order, so the winning convention is documented rather than assumed.
     """
     s = SQRT_SWAP_4
     residuals: dict[str, float] = {}
@@ -281,8 +268,7 @@ def verify_xor_4dim() -> XorCheck:
         db = _z4(1, np.pi, convention)
         u = da @ s @ db @ s
         residuals[convention] = dist_up_to_global_phase(u, CZ_4)
-    winner = min(_XOR_CONVENTIONS, key=lambda c: residuals[c])
-    return XorCheck(residuals[winner], winner, residuals)
+    return residuals
 
 
 def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
@@ -291,14 +277,15 @@ def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
     trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_matrix(GateId.PHASE))
     cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_matrix(GateId.CNOT))
     xor = verify_xor_4dim()
+    convention = min(_XOR_CONVENTIONS, key=xor.__getitem__)
     report: dict[str, object] = {
         "phase_gate_best_residual": best_residual,
         "phase_gate_trivial_residual": trivial_residual,
         "phase_gate_reproduced": best_residual <= 1e-10,
         "cnot_residual": cnot_residual,
-        "xor_4dim_residual": xor.residual,
-        "xor_4dim_convention": xor.convention,
-        "xor_4dim_residuals": dict(xor.residual_by_convention),
+        "xor_4dim_residual": xor[convention],
+        "xor_4dim_convention": convention,
+        "xor_4dim_residuals": xor,
         "embedding": asdict(emb),
     }
     if best_residual > 1e-10:

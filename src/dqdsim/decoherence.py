@@ -32,6 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
+from .linalg import require_count
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -128,10 +129,7 @@ class Environment:
         if not MIN_TEMPERATURE_K <= self.temperature_K < np.inf:
             raise ValueError(f"temperature_K must be finite and at least {MIN_TEMPERATURE_K}, "
                              f"got {self.temperature_K!r}")
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
-            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
-        if not 8 <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}, got {self.resolution!r}")
+        require_count("resolution", self.resolution, 8, MAX_RESOLUTION)
 
     @property
     def kT_ueV(self) -> float:
@@ -351,12 +349,7 @@ def coulomb_selection_rule(
     (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
     resolution; the reported error bound covers both elements.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if not 16 <= resolution <= MAX_SELECTION_RESOLUTION:
-        raise ValueError(
-            f"resolution must be in 16..{MAX_SELECTION_RESOLUTION}, got {resolution!r}"
-        )
+    resolution = require_count("resolution", resolution, 16, MAX_SELECTION_RESOLUTION)
     w = geom.a_nm / 10.0
 
     def elements(n: int) -> tuple[float, float, float]:

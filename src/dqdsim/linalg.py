@@ -16,6 +16,7 @@ __all__ = [
     "max_abs_diff",
     "is_unitary",
     "require_normalized",
+    "require_count",
     "expm_hermitian",
     "dist_up_to_global_phase",
 ]
@@ -47,6 +48,15 @@ def require_normalized(v: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state vector is not normalized: norm = {norm!r}")
     return v
+
+
+def require_count(name: str, value: object, lo: int, hi: int) -> int:
+    """``value`` as an ``int`` in ``lo..hi``; bools and non-integers raise, numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
+    return int(value)
 
 
 def expm_hermitian(h: np.ndarray, angle: float | np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ the order listed, first segment acting first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,6 +78,15 @@ _GENERATORS: dict[str, tuple[float, np.ndarray]] = {
     "T4": (-1.0, _Z2),
 }
 
+#: Pulse-native catalog gate -> (electrode, pulse length in half periods).
+_NATIVE: dict[GateId, tuple[str, float]] = {
+    GateId.NOT1: ("E1", 1.0),
+    GateId.NOT2: ("E2", 1.0),
+    GateId.SQRT_NOT1: ("E1", 0.5),
+    GateId.SQRT_NOT2: ("E2", 0.5),
+    GateId.EXCHANGE: ("E12", 1.0),
+}
+
 # Per-electrode signs and unit generators as arrays, in ELECTRODES order.
 _SIGNS = np.array([_GENERATORS[e][0] for e in ELECTRODES])
 _UNITS = np.stack([_GENERATORS[e][1] for e in ELECTRODES])
@@ -104,6 +114,10 @@ class PulseSegment:
             raise ValueError(f"amplitude must be finite, got {self.amplitude_ueV!r}")
         if not (np.isfinite(self.duration_ns) and self.duration_ns >= 0.0):
             raise ValueError(f"duration must be >= 0 ns, got {self.duration_ns!r}")
+        phase = abs(float(self.amplitude_ueV)) * (float(self.duration_ns) / HBAR_UEV_NS)
+        if not math.isfinite(phase):  # evolve's largest rotation angle, in its own order
+            raise ValueError(f"amplitude_ueV = {self.amplitude_ueV!r} and duration_ns = "
+                             f"{self.duration_ns!r} give a pulse phase outside the float range")
 
 
 def segment_generator(segment: PulseSegment) -> np.ndarray:
@@ -154,28 +168,27 @@ def evolve(
     return state
 
 
+def _half_period(amplitude_ueV: float) -> float:
+    """Duration ``pi * hbar / (2 * amplitude)`` of a half-period pulse; only
+    positive amplitudes are physical here."""
+    a = float(amplitude_ueV)
+    if not (np.isfinite(a) and a > 0.0):
+        raise ValueError(f"amplitude must be positive, got {amplitude_ueV!r}")
+    return np.pi * HBAR_UEV_NS / (2.0 * a)
+
+
 def calibrate(gate: GateId, amplitude_ueV: float) -> list[PulseSegment]:
     """Single-segment schedule reproducing a pulse-native catalog gate.
 
     The full inversions and the inner exchange need a half-period pulse of
     duration ``pi * hbar / (2 * amplitude)``; the square roots take exactly
-    half that.  Only positive amplitudes are physical here.
+    half that (see ``_NATIVE``).
     """
-    a = float(amplitude_ueV)
-    if not (np.isfinite(a) and a > 0.0):
-        raise ValueError(f"amplitude must be positive, got {amplitude_ueV!r}")
-    half_period = np.pi * HBAR_UEV_NS / (2.0 * a)
-    if gate is GateId.NOT1:
-        return [PulseSegment("E1", a, half_period)]
-    if gate is GateId.NOT2:
-        return [PulseSegment("E2", a, half_period)]
-    if gate is GateId.SQRT_NOT1:
-        return [PulseSegment("E1", a, half_period / 2.0)]
-    if gate is GateId.SQRT_NOT2:
-        return [PulseSegment("E2", a, half_period / 2.0)]
-    if gate is GateId.EXCHANGE:
-        return [PulseSegment("E12", a, half_period)]
-    raise ValueError(f"no single-pulse calibration for gate {gate.value!r}")
+    half_period = _half_period(amplitude_ueV)
+    if gate not in _NATIVE:
+        raise ValueError(f"no single-pulse calibration for gate {gate.value!r}")
+    electrode, half_periods = _NATIVE[gate]
+    return [PulseSegment(electrode, float(amplitude_ueV), half_period * half_periods)]
 
 
 def calibrate_phase_flip(dqd: int, amplitude_ueV: float) -> list[PulseSegment]:
@@ -186,10 +199,13 @@ def calibrate_phase_flip(dqd: int, amplitude_ueV: float) -> list[PulseSegment]:
     """
     if dqd not in (1, 2, 3, 4):
         raise ValueError(f"dqd must be 1..4, got {dqd}")
-    a = float(amplitude_ueV)
-    if not (np.isfinite(a) and a > 0.0):
-        raise ValueError(f"amplitude must be positive, got {amplitude_ueV!r}")
-    return [PulseSegment(f"T{dqd}", a, np.pi * HBAR_UEV_NS / (2.0 * a))]
+    return [PulseSegment(f"T{dqd}", float(amplitude_ueV), _half_period(amplitude_ueV))]
+
+
+def _exchange_sandwich(amplitude_ueV: float, inner1: GateId, inner2: GateId) -> list[PulseSegment]:
+    """Exchange, ``inner1``, ``inner2``, exchange, all at one amplitude."""
+    exchange = calibrate(GateId.EXCHANGE, amplitude_ueV)
+    return exchange + calibrate(inner1, amplitude_ueV) + calibrate(inner2, amplitude_ueV) + exchange
 
 
 def swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
@@ -198,23 +214,13 @@ def swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
     Every pulse has the same amplitude.  Composes to the catalog swap gate
     exactly (global phase included).
     """
-    return (
-        calibrate(GateId.EXCHANGE, amplitude_ueV)
-        + calibrate(GateId.NOT1, amplitude_ueV)
-        + calibrate(GateId.NOT2, amplitude_ueV)
-        + calibrate(GateId.EXCHANGE, amplitude_ueV)
-    )
+    return _exchange_sandwich(amplitude_ueV, GateId.NOT1, GateId.NOT2)
 
 
 def sqrt_swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
     """Four-pulse square root of swap: like :func:`swap_sequence` with
     half-duration inner pulses."""
-    return (
-        calibrate(GateId.EXCHANGE, amplitude_ueV)
-        + calibrate(GateId.SQRT_NOT1, amplitude_ueV)
-        + calibrate(GateId.SQRT_NOT2, amplitude_ueV)
-        + calibrate(GateId.EXCHANGE, amplitude_ueV)
-    )
+    return _exchange_sandwich(amplitude_ueV, GateId.SQRT_NOT1, GateId.SQRT_NOT2)
 
 
 def reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
@@ -224,7 +230,7 @@ def reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
     swap sequences, and the phase flip of DQD 1 on the computational rows.
     """
     checks: dict[str, float] = {}
-    for gid in (GateId.NOT1, GateId.NOT2, GateId.SQRT_NOT1, GateId.SQRT_NOT2, GateId.EXCHANGE):
+    for gid in _NATIVE:
         u = evolve(calibrate(gid, amplitude_ueV))
         checks[f"pulse[{gid.value}]"] = dist_up_to_global_phase(u, gate_matrix(gid))
     checks["pulse[swap_sequence]"] = dist_up_to_global_phase(

@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
-from .linalg import expm_hermitian
+from .constants import HBAR_UEV_NS
+from .decoherence import bose_einstein
+from .linalg import expm_hermitian, require_count
 
 __all__ = [
     "MAX_TRACE_SAMPLES",
@@ -240,10 +241,7 @@ def scan_bias(
     """
     if not tunnel_coupling_ueV > 0.0:
         raise ValueError("tunnel coupling must be positive for a bias scan")
-    if isinstance(n_bias, bool) or not isinstance(n_bias, (int, np.integer)):
-        raise ValueError(f"n_bias must be an integer, got {n_bias!r}")
-    if not 2 <= n_bias <= MAX_BIAS_SAMPLES:
-        raise ValueError(f"n_bias must be in 2..{MAX_BIAS_SAMPLES}, got {n_bias!r}")
+    n_bias = require_count("n_bias", n_bias, 2, MAX_BIAS_SAMPLES)
     with np.errstate(over="ignore"):
         biases = 4.0 * tunnel_coupling_ueV * np.arange(1, n_bias + 1) / n_bias
     # The first config checks the pulse; biases grow with i, so the last
@@ -264,15 +262,14 @@ def scan_bias(
 
 
 def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:
-    """Equilibrium population of the upper space level at splitting ``deps``."""
-    if not deps_ueV > 0.0:
-        raise ValueError("level splitting must be positive")
-    if not temperature_K > 0.0:
-        raise ValueError("temperature must be positive")
-    x = deps_ueV / (K_B_UEV_PER_K * temperature_K)
-    # exp(-x) never overflows for x > 0, unlike exp(x)
-    e = np.exp(-x)
-    return float(e / (1.0 + e))
+    """Upper-level population ``n / (1 + 2n) = 1 / (1 + exp(deps / kT))``.
+
+    ``n`` is :func:`~dqdsim.decoherence.bose_einstein`; it overflows to 0, the
+    exact population in floats, beyond ``deps / kT`` of about 709.
+    """
+    with np.errstate(over="ignore"):
+        n = bose_einstein(deps_ueV, temperature_K)
+    return n / (1.0 + 2.0 * n)
 
 
 @dataclass(frozen=True)

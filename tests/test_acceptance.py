@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from dqdsim import cli, compiler, decoherence, pulses, readout
+from dqdsim import cli, decoherence, pulses, readout
 from dqdsim.basis import computational_basis_state, leakage_population
 from dqdsim.constants import K_B_UEV_PER_K
 from dqdsim.gates import GateId, gate_matrix, verify_catalog_identities
@@ -96,7 +96,8 @@ def test_criterion_2_pulse_engine(capsys):
 
 
 def test_criterion_3_embedding_search(capsys):
-    report = compiler.decomposition_report()
+    cli.main(["compile", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
     residual = float(report["phase_gate_best_residual"])
     xor = float(report["xor_4dim_residual"])
     reproduced = bool(report["phase_gate_reproduced"])
@@ -166,8 +167,10 @@ def test_criterion_4_decoherence_scaling(capsys):
 
 def test_criterion_5_coulomb_selection_rule(capsys):
     start = time.perf_counter()
-    table = decoherence.coulomb_selection_rule(decoherence.DotGeometry())
-    finer = decoherence.coulomb_selection_rule(decoherence.DotGeometry(), resolution=1600)
+    cli.main(["decohere", "--sweep", "selection", "--format", "json"])
+    table = json.loads(capsys.readouterr().out)
+    cli.main(["decohere", "--sweep", "selection", "--resolution", "1600", "--format", "json"])
+    finer = json.loads(capsys.readouterr().out)
     elapsed = time.perf_counter() - start
     allowed = table["allowed_abs"]
     worst_forbidden = max(table["forbidden_pp_abs"], table["forbidden_mm_abs"])

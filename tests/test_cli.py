@@ -119,8 +119,16 @@ def test_evolve_rejects_malformed_schedule(capsys, tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('[{"electrode": "E1", "amplitude_ueV": 0.5, "duration_ns": 0.1}, '
                     '{"electrode": "E1", "amplitude_ueV": 1' + "0" * 400 + ', "duration_ns": 0.1}]')
-    for path in (bad, huge):
-        code, out, err = run(capsys, "evolve", "--schedule", str(path))
+    # A pulse phase |amplitude| * duration / hbar beyond the float range.
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps([
+        {"electrode": "E1", "amplitude_ueV": 1.0, "duration_ns": 0.1},
+        {"electrode": "E1", "amplitude_ueV": 1e10, "duration_ns": 1e300},
+    ]))
+    for path in (bad, huge, overflow):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "evolve", "--schedule", str(path))
         assert code == 2
         assert out == ""
         assert "segment 1" in err and "Traceback" not in err
@@ -207,7 +215,6 @@ GOLDEN_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:two-phonon model assumes")
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
 def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
     name, expected_code, argv = GOLDEN_CASES[case]

@@ -73,12 +73,11 @@ def test_z_gates_on_different_qubits_commute():
 
 
 def test_xor_identity_holds_in_four_dims():
-    check = verify_xor_4dim()
-    assert check.residual < 1e-12
-    assert check.convention == "minus_half_on_zero"
+    residuals = verify_xor_4dim()
+    assert list(residuals) == ["minus_half_on_zero", "plus_half_on_zero"]
+    assert residuals["minus_half_on_zero"] < 1e-12
     # the opposite sign convention misses by a hard sqrt(2)
-    loser = check.residual_by_convention["plus_half_on_zero"]
-    assert abs(loser - SQRT2) < 1e-9
+    assert abs(residuals["plus_half_on_zero"] - SQRT2) < 1e-9
 
 
 def test_search_finds_frozen_embedding():

@@ -6,6 +6,14 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dqdsim.compiler import MAX_OFFSETS, search_embedding
+from dqdsim.decoherence import (
+    MAX_RESOLUTION,
+    MAX_SELECTION_RESOLUTION,
+    DotGeometry,
+    Environment,
+    coulomb_selection_rule,
+)
 from dqdsim.linalg import (
     dist_up_to_global_phase,
     expm_hermitian,
@@ -13,6 +21,7 @@ from dqdsim.linalg import (
     max_abs_diff,
     require_normalized,
 )
+from dqdsim.readout import MAX_BIAS_SAMPLES, scan_bias
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,6 +48,34 @@ def test_require_normalized():
     require_normalized(v)
     with pytest.raises(ValueError):
         require_normalized(2 * v)
+
+
+# Every count the library takes, as (name in its messages, call, lo, hi,
+# an accepted value).  The selection rule raises its convergence
+# RuntimeError at 16 nodes, so it is accepted at 800.
+COUNT_SITES = {
+    "search_embedding": ("offset-grid size", search_embedding, 1, MAX_OFFSETS, 1),
+    "Environment": ("resolution", lambda n: Environment(temperature_K=0.3, resolution=n),
+                    8, MAX_RESOLUTION, 8),
+    "coulomb_selection_rule": ("resolution", lambda n: coulomb_selection_rule(DotGeometry(), n),
+                               16, MAX_SELECTION_RESOLUTION, 800),
+    "scan_bias": ("n_bias", lambda n: scan_bias(5.0, 0.4, 0.0005, n_bias=n),
+                  2, MAX_BIAS_SAMPLES, 2),
+}
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_site_applies_one_rule(site):
+    name, call, lo, hi, accepted = COUNT_SITES[site]
+    for value in (True, 2.0, "4", None):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be in {lo}..{hi}, got {value!r}"
+    call(np.int64(accepted))
 
 
 def test_expm_hermitian_matches_series():

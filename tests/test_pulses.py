@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from dqdsim.basis import COMPUTATIONAL_ROWS, computational_basis_state
+from dqdsim.basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, computational_basis_state
 from dqdsim.constants import HBAR_UEV_NS
 from dqdsim.gates import GateId, gate_matrix
-from dqdsim.linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, max_abs_diff
+from dqdsim.linalg import dist_up_to_global_phase, expm_hermitian, max_abs_diff
 from dqdsim.pulses import (
     ELECTRODES,
     PulseSegment,
@@ -155,17 +157,28 @@ def test_chunked_evolve_is_bitwise_the_per_segment_loop(n):
         assert np.array_equal(evolve(schedule, initial), expected)
 
 
-def test_evolve_preserves_norm_and_unitarity():
-    rng = np.random.default_rng(4)
-    schedule = [
-        PulseSegment(rng.choice(ELECTRODES), float(rng.uniform(0.5, 20)), float(rng.uniform(0.01, 2)))
-        for _ in range(6)
-    ]
+_segments = st.lists(
+    st.builds(
+        PulseSegment,
+        st.sampled_from(ELECTRODES),
+        st.floats(-20.0, 20.0),
+        st.floats(0.0, 2.0),
+    ),
+    max_size=40,
+)
+
+
+@given(schedule=_segments, parts=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_evolve_is_unitary_norm_preserving_and_leak_free_without_e12(schedule, parts):
     u = evolve(schedule)
-    assert is_unitary(u, atol=1e-10)
-    v = computational_basis_state("01")
-    out = evolve(schedule, initial=v)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+    assert max_abs_diff(u.conj().T @ u, np.eye(6)) <= 1e-12
+    v = np.array(parts[:6]) + 1j * np.array(parts[6:])
+    assume(np.linalg.norm(v) > 0.1)
+    v /= np.linalg.norm(v)
+    assert abs(np.linalg.norm(evolve(schedule, v)) - 1.0) <= 1e-12
+    intra = evolve([s for s in schedule if s.electrode != "E12"])
+    assert np.max(np.abs(intra[np.ix_(LEAKAGE_ROWS, COMPUTATIONAL_ROWS)])) <= 1e-12
+    assert np.max(np.abs(intra[np.ix_(COMPUTATIONAL_ROWS, LEAKAGE_ROWS)])) <= 1e-12
 
 
 def test_evolve_rejects_unnormalized_vector():

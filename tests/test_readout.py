@@ -3,10 +3,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -176,6 +178,22 @@ def test_thermal_occupancy_limits():
         thermal_occupancy(0.0, 1.0)
     with pytest.raises(ValueError):
         thermal_occupancy(1.0, 0.0)
+
+
+@given(
+    temperature_K=st.floats(1e-3, 30.0),
+    log10_ratio=st.floats(-12.0, np.log10(700.0)),
+    huge_ratio=st.floats(710.0, 1e12),
+)
+def test_thermal_occupancy_is_the_logistic_of_deps_over_kt(temperature_K, log10_ratio, huge_ratio):
+    kT = K_B_UEV_PER_K * temperature_K
+    deps = 10.0**log10_ratio * kT
+    expected = scipy.special.expit(-deps / kT)
+    assert abs(thermal_occupancy(deps, temperature_K) - expected) <= 1e-15 * expected
+    # bose_einstein overflows to 0 here, which is the exact population in floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermal_occupancy(huge_ratio * kT, temperature_K) == 0.0
 
 
 def test_init_plan_reverses_readout():
