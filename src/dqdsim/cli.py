@@ -12,6 +12,12 @@ one is not, 2 on a usage or data error.  Structured results are JSON,
 sweeps and traces CSV; floats carry 17 significant digits so identical runs
 produce byte-identical output.  Reports contain no timestamps for the same
 reason.
+
+Importing this module loads ``compiler``, ``gates``, ``pulses`` and
+``reporting``, all that ``verify``, ``compile`` and ``evolve`` run.  The
+``decohere`` handlers import ``decoherence``, and the ``readout`` and
+``init`` handlers import ``readout``, when they run, so a cold ``verify``
+or ``compile`` process never loads either.
 """
 
 from __future__ import annotations
@@ -22,15 +28,19 @@ import sys
 from dataclasses import asdict
 from functools import cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import compiler, decoherence, pulses, readout
+from . import compiler, pulses
 from .basis import basis_labels, computational_basis_state, leakage_population
+from .constants import MAX_BIAS_SAMPLES, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, MAX_TRACE_SAMPLES
 from .gates import GateId, gate_matrix, verify_catalog_identities
 from .linalg import dist_up_to_global_phase, require_normalized
 from .reporting import render_csv, render_json, write_text
+
+if TYPE_CHECKING:
+    from . import decoherence, readout
 
 __all__ = ["MAX_SWEEP_POINTS", "main"]
 
@@ -160,6 +170,7 @@ def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -
 
 
 def _tau_sweep(args: argparse.Namespace) -> Result:
+    from . import decoherence
     points = 10 if args.points is None else args.points
     grid = _sweep_grid("deps_min", args.deps_min, "deps_max", args.deps_max, points)
     branches = _selected_branches(args.branch)
@@ -186,6 +197,7 @@ def _tau_sweep(args: argparse.Namespace) -> Result:
 
 
 def _rate_sweep(args: argparse.Namespace) -> Result:
+    from . import decoherence
     edge = decoherence.validity_edge_K(args.deps)  # checks --deps even when --t-min is set
     t_min = edge if args.t_min is None else args.t_min
     t_max = 10.0 * t_min if args.t_max is None else args.t_max
@@ -224,6 +236,7 @@ def _rate_sweep(args: argparse.Namespace) -> Result:
 
 
 def _selection_table(args: argparse.Namespace) -> Result:
+    from . import decoherence
     resolution = 800 if args.resolution is None else args.resolution
     table = decoherence.coulomb_selection_rule(_geometry(args), resolution=resolution)
     ratio_pp = table["forbidden_pp_abs"] / table["allowed_abs"]
@@ -241,11 +254,13 @@ def _selection_table(args: argparse.Namespace) -> Result:
 
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
+    from . import decoherence
     kinds = ("deformation", "piezoelectric")
     return [decoherence.PhononBranch(k) for k in kinds if choice in (k, "both")]
 
 
 def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
+    from . import decoherence
     return decoherence.DotGeometry(d_nm=args.dot_separation_nm, a_nm=args.orbital_width_nm)
 
 
@@ -257,6 +272,7 @@ def _cmd_decohere(args: argparse.Namespace) -> Result:
 
 
 def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
+    from . import readout
     return readout.ReadoutConfig(
         tunnel_coupling_ueV=args.tunnel_coupling,
         bias_ueV=args.bias,
@@ -266,6 +282,7 @@ def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
 
 
 def _cmd_readout(args: argparse.Namespace) -> Result:
+    from . import readout
     cfg = _readout_config(args)
     if args.scan:
         best_cfg, best = readout.scan_bias(
@@ -298,6 +315,7 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
 
 
 def _cmd_init(args: argparse.Namespace) -> Result:
+    from . import readout
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
     matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
     return Result({**asdict(plan), "fidelity_matches_forward": matches, "passed": matches})
@@ -323,7 +341,7 @@ def _add_readout_pulse(p: argparse.ArgumentParser) -> None:
     p.add_argument("--duration", type=float, default=0.4)
     p.add_argument("--timestep", type=float, default=0.0005,
                    help="sample spacing (ns); duration/timestep may give at most %d samples"
-                        % readout.MAX_TRACE_SAMPLES)
+                        % MAX_TRACE_SAMPLES)
 
 
 @cache
@@ -364,7 +382,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--resolution", type=int,
                    help="quadrature nodes: 8..%d for rate sweeps (default 256), 16..%d for the "
                         "selection rule (default 800)"
-                        % (decoherence.MAX_RESOLUTION, decoherence.MAX_SELECTION_RESOLUTION))
+                        % (MAX_RESOLUTION, MAX_SELECTION_RESOLUTION))
     p.add_argument("--sweep", choices=("tau", "rate", "selection"), default="tau")
     p.add_argument("--branch", choices=("deformation", "piezoelectric", "both"), default="both")
     p.add_argument("--deps", type=float, default=0.1, help="level splitting (ueV) for rate sweeps")
@@ -382,7 +400,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.set_defaults(handler=_cmd_readout)
     _add_common(p)
     p.add_argument("--resolution", type=int, default=40,
-                   help="bias samples of --scan, 2..%d" % readout.MAX_BIAS_SAMPLES)
+                   help="bias samples of --scan, 2..%d" % MAX_BIAS_SAMPLES)
     _add_readout_pulse(p)
     p.add_argument("--scan", action="store_true",
                    help="scan biases in (0, 4*tunnel_coupling] for the best contrast")

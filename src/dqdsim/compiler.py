@@ -143,39 +143,53 @@ def build_cnot(emb: PhaseEmbedding) -> np.ndarray:
 #: screens ``625 * n**2`` candidates, 2.56 million at the cap.
 MAX_OFFSETS = 64
 
-# Candidates screened per batch; keeps the (chunk, 6, 6) stacks small so
-# memory does not grow with the grid.
-_SCREEN_CHUNK = 128
-
 # Margin of the screen over the smallest upper bound.  It covers the
-# roundoff between the stacked products and build_pi and is far wider
+# roundoff between the factored products and build_pi and is far wider
 # than the 1e-14 tie window of the exact pass.
 _SCREEN_SLACK = 1e-12
 
 _K_VALUES = np.arange(-2, 3)
 
 
-def _candidates(index, offsets: np.ndarray) -> tuple:
-    """Parameters ``(k1p, k1m, k2p, k2m, o1, o2)`` of lexicographic candidates."""
-    n = offsets.size
-    k1p, k1m, k2p, k2m, i1, i2 = np.unravel_index(index, (_K_VALUES.size,) * 4 + (n, n))
-    return (_K_VALUES[k1p], _K_VALUES[k1m], _K_VALUES[k2p], _K_VALUES[k2m],
-            offsets[i1], offsets[i2])
-
-
 def _embedding_at(index: int, offsets: np.ndarray) -> PhaseEmbedding:
-    k1p, k1m, k2p, k2m, o1, o2 = _candidates(index, offsets)
-    return PhaseEmbedding(int(k1p), int(k1m), int(k2p), int(k2m), float(o1), float(o2))
+    """The candidate at ``index`` in the lexicographic order of ``(k1p, k1m, k2p, k2m, o1, o2)``."""
+    *ks, i1, i2 = np.unravel_index(index, (_K_VALUES.size,) * 4 + (offsets.size,) * 2)
+    return PhaseEmbedding(*(int(_K_VALUES[k]) for k in ks), float(offsets[i1]), float(offsets[i2]))
 
 
-def _stacked_pi(params: tuple) -> np.ndarray:
-    """:func:`build_pi` for a batch of embeddings, shape ``(n, 6, 6)``."""
-    k1p, k1m, k2p, k2m, o1, o2 = params
+def _screen_products(offsets: np.ndarray):
+    """:func:`build_pi` of every candidate, 125 candidates at a time.
+
+    A candidate pairs a qubit-1 triple ``(k_z1_pp, k_z1_mm, offset_z1)``
+    with a qubit-2 triple.  With ``A = a1 * a2``, the product of the two
+    ``pi/2`` z-gate diagonals, and ``b1`` the qubit-1 ``pi`` diagonal, the
+    product factors as ``diag(A) S diag(A) (S diag(b1) S)``; the last factor
+    depends on qubit 1 only.  Yields, for each ``(k_z1_pp, offset_z1,
+    offset_z2)``, the lexicographic indices of its candidates and their
+    products, shape ``(125, 6, 6)``, in the lexicographic order of
+    ``(k_z1_mm, k_z2_pp, k_z2_mm)``.  A batch holds ~72 kB of products at
+    every grid size; only the ``(n, 25, 6)`` table of qubit-2 diagonals
+    grows with ``n`` (150 kB at the cap).  Batches over all qubit-2 triples
+    would hold ``(25 n, 6, 6)`` stacks, 0.9 MB each at the cap.
+    """
+    n = offsets.size
+    k = _K_VALUES.size
     s = gate_matrix(GateId.SQRT_SWAP)
-    a = _z_phases(1, np.pi / 2.0, k1p, k1m, o1) * _z_phases(2, -np.pi / 2.0, k2p, k2m, o2)
-    b = _z_phases(1, np.pi, k1p, k1m, o1)
-    a_s = a[:, :, None] * s
-    return (a_s @ a_s) @ (b[:, :, None] * s)
+    # Qubit-2 diagonals per offset, one row per (k_z2_pp, k_z2_mm): shape (n, 25, 6).
+    a2 = _z_phases(2, -np.pi / 2.0, _K_VALUES[:, None], _K_VALUES, offsets[:, None, None])
+    a2 = a2.reshape(n, k * k, 6)
+    block = np.arange(k**3) * (n * n)
+    for p, k1p in enumerate(_K_VALUES):
+        for i1, o1 in enumerate(offsets):
+            # Qubit-1 diagonals and tails, one per k_z1_mm.
+            a1 = _z_phases(1, np.pi / 2.0, k1p, _K_VALUES, o1)[:, None]
+            tails = (s @ (_z_phases(1, np.pi, k1p, _K_VALUES, o1)[:, :, None] * s))[:, None]
+            for i2 in range(n):
+                a = (a1 * a2[i2]).reshape(-1, 6)
+                products = a[:, :, None] * s
+                products *= a[:, None, :]
+                products = products.reshape(k, k * k, 6, 6) @ tails
+                yield block + ((p * k**3 * n + i1) * n + i2), products.reshape(-1, 6, 6)
 
 
 def _screen_bounds(products: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +200,14 @@ def _screen_bounds(products: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     the exact distance tries (phase 1 where the trace vanishes, which its
     coarse scan also covers).
     """
-    lb = np.abs(np.abs(products) - np.abs(target)).max(axis=(1, 2))
+    residual = np.abs(products)
+    residual -= np.abs(target)
+    lb = np.abs(residual, out=residual).max(axis=(1, 2))
     overlap = np.einsum("ij,nij->n", target.conj(), products)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    ub = np.abs(products - phase[:, None, None] * target).max(axis=(1, 2))
+    diff = phase[:, None, None] * target
+    ub = np.abs(np.subtract(products, diff, out=diff), out=residual).max(axis=(1, 2))
     return lb, ub
 
 
@@ -204,31 +221,32 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     :func:`build_pi` and the catalog phase gate, together with that
     residual.
 
-    The candidates are screened in fixed-size batches of stacked
-    products.  Each gets a lower bound ``max| |P| - |T| |`` (valid because
-    ``| |u| - |t| | <= |u - c t|`` for ``|c| = 1``) and an upper bound, the
-    residual at the trace-aligned phase ``tr(T^H P) / |tr(T^H P)|``.  Only
-    candidates whose lower bound is within a slack of ``1e-12`` of the
-    smallest upper bound are evaluated exactly, with
-    :func:`dist_up_to_global_phase` on :func:`build_pi`, in lexicographic
-    order; a candidate replaces the best only when it improves the
-    residual by more than ``1e-14``.  A dropped candidate misses the
-    minimum by more than the slack less roundoff, far beyond that tie
-    window, so it is never the one this in-order rule settles on.  The
-    result is deterministic, with ties broken to the smallest parameter
-    tuple in lexicographic order.
+    The candidates are screened 125 at a time on products factored per
+    qubit (see :func:`_screen_products`).  Each gets a lower bound
+    ``max| |P| - |T| |`` (valid because ``| |u| - |t| | <= |u - c t|`` for
+    ``|c| = 1``) and an upper bound, the residual at the trace-aligned phase
+    ``tr(T^H P) / |tr(T^H P)|``.  Only candidates whose lower bound is
+    within a slack of ``1e-12`` of the smallest upper bound are evaluated
+    exactly, with :func:`dist_up_to_global_phase` on :func:`build_pi`, in
+    lexicographic order; a candidate replaces the best only when it
+    improves the residual by more than ``1e-14``.  A dropped candidate
+    misses the minimum by more than the slack less roundoff, far beyond
+    that tie window, so it is never the one this in-order rule settles on.
+    Residuals are never negative, so once the best is within ``1e-14`` of
+    zero no later candidate can replace it and the exact pass stops; at
+    the default grid that is after the first survivor.  The result is
+    deterministic, with ties broken to the smallest parameter tuple in
+    lexicographic order.
     """
     n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
     offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
 
-    total = _K_VALUES.size**4 * offsets.size**2
     survivors = np.empty(0, dtype=np.intp)
     survivor_lb = np.empty(0)
     best_ub = np.inf
-    for start in range(0, total, _SCREEN_CHUNK):
-        index = np.arange(start, min(start + _SCREEN_CHUNK, total))
-        lb, ub = _screen_bounds(_stacked_pi(_candidates(index, offsets)), target)
+    for index, products in _screen_products(offsets):
+        lb, ub = _screen_bounds(products, target)
         best_ub = min(best_ub, float(ub.min()))
         survivors = np.concatenate((survivors, index))
         survivor_lb = np.concatenate((survivor_lb, lb))
@@ -237,11 +255,14 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
 
     best: PhaseEmbedding | None = None
     best_residual = np.inf
-    for index in survivors:
+    # A list sort: numpy's sort kernels would add their code pages to the peak RSS.
+    for index in sorted(survivors.tolist()):
         emb = _embedding_at(index, offsets)
         residual = dist_up_to_global_phase(build_pi(emb), target)
         if residual < best_residual - 1e-14:
             best, best_residual = emb, residual
+            if best_residual <= 1e-14:
+                break  # residuals are >= 0: no later candidate can improve by 1e-14
     assert best is not None
     return best, float(best_residual)
 

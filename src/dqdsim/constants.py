@@ -4,6 +4,9 @@ Energies are microelectronvolts (ueV), times nanoseconds (ns), lengths
 nanometres (nm), temperatures kelvin (K).  These units put single-qubit
 pulse amplitudes, thermal energies at dilution-fridge temperatures and
 phonon wavevectors all within a few orders of magnitude of unity.
+
+The caps on input sizes live here too, so the command-line help can name
+them without loading the modules that enforce them.
 """
 
 #: Reduced Planck constant, ueV * ns.
@@ -11,3 +14,17 @@ HBAR_UEV_NS = 0.6582119569
 
 #: Boltzmann constant, ueV / K.
 K_B_UEV_PER_K = 86.17333262
+
+#: Largest two-phonon quadrature resolution; the convergence check runs
+#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^3) ``leggauss`` setup
+#: is paid once per node count (see ``decoherence.LEGENDRE_CACHE_SIZE``).
+MAX_RESOLUTION = 1024
+
+#: Largest selection-rule resolution; the quadrature holds an n x n kernel.
+MAX_SELECTION_RESOLUTION = 3200
+
+#: Largest number of samples ``duration / timestep`` may give a readout trace.
+MAX_TRACE_SAMPLES = 100_000
+
+#: Largest number of biases ``readout.scan_bias`` evaluates.
+MAX_BIAS_SAMPLES = 1000

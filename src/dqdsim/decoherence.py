@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .constants import HBAR_UEV_NS, K_B_UEV_PER_K
+from .constants import HBAR_UEV_NS, K_B_UEV_PER_K, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION
 from .linalg import require_count
 
 __all__ = [
@@ -56,14 +56,6 @@ __all__ = [
     "fit_scaling_exponent",
     "coulomb_selection_rule",
 ]
-
-#: Largest two-phonon quadrature resolution; the convergence check runs
-#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^3) ``leggauss`` setup
-#: is paid once per node count (see ``LEGENDRE_CACHE_SIZE``).
-MAX_RESOLUTION = 1024
-
-#: Largest selection-rule resolution; the quadrature holds an n x n kernel.
-MAX_SELECTION_RESOLUTION = 3200
 
 #: Node counts whose Gauss-Legendre rule stays cached.  Holds with room to
 #: spare the eight counts of rate sweeps at n = 128..512 and selection sweeps

@@ -17,6 +17,7 @@ __all__ = [
     "is_unitary",
     "require_normalized",
     "require_count",
+    "require_float",
     "expm_hermitian",
     "dist_up_to_global_phase",
 ]
@@ -57,6 +58,16 @@ def require_count(name: str, value: object, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
     return int(value)
+
+
+def require_float(name: str, value: object) -> float:
+    """``value`` as a ``float`` (inf and nan pass); strings and out-of-range integers raise."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer beyond the float range") from None
 
 
 def expm_hermitian(h: np.ndarray, angle: float | np.ndarray) -> np.ndarray:

@@ -41,7 +41,8 @@ import numpy as np
 from .basis import COMPUTATIONAL_ROWS
 from .constants import HBAR_UEV_NS
 from .gates import GateId, gate_matrix
-from .linalg import dist_up_to_global_phase, expm_hermitian, is_unitary, require_normalized
+from .linalg import (dist_up_to_global_phase, expm_hermitian, is_unitary, require_float,
+                     require_normalized)
 
 __all__ = [
     "ELECTRODES",
@@ -110,11 +111,13 @@ class PulseSegment:
             raise ValueError(
                 f"unknown electrode {self.electrode!r}; expected one of {ELECTRODES}"
             )
-        if not np.isfinite(self.amplitude_ueV):
+        amplitude = require_float("amplitude_ueV", self.amplitude_ueV)
+        duration = require_float("duration_ns", self.duration_ns)
+        if not math.isfinite(amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude_ueV!r}")
-        if not (np.isfinite(self.duration_ns) and self.duration_ns >= 0.0):
+        if not (math.isfinite(duration) and duration >= 0.0):
             raise ValueError(f"duration must be >= 0 ns, got {self.duration_ns!r}")
-        phase = abs(float(self.amplitude_ueV)) * (float(self.duration_ns) / HBAR_UEV_NS)
+        phase = abs(amplitude) * (duration / HBAR_UEV_NS)
         if not math.isfinite(phase):  # evolve's largest rotation angle, in its own order
             raise ValueError(f"amplitude_ueV = {self.amplitude_ueV!r} and duration_ns = "
                              f"{self.duration_ns!r} give a pulse phase outside the float range")
@@ -283,8 +286,9 @@ def schedule_from_json(data: object) -> list[PulseSegment]:
         if isinstance(duration, bool) or not isinstance(duration, (int, float)):
             raise ValueError(f"segment {i}: duration_ns must be a number")
         try:
-            segments.append(PulseSegment(electrode, float(amplitude), float(duration)))
-        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+            segments.append(PulseSegment(electrode, require_float("amplitude_ueV", amplitude),
+                                         require_float("duration_ns", duration)))
+        except ValueError as exc:
             raise ValueError(f"segment {i}: {exc}") from None
     return segments
 

@@ -22,14 +22,15 @@ fidelity the forward readout would resolve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .constants import HBAR_UEV_NS
+from .constants import HBAR_UEV_NS, MAX_BIAS_SAMPLES, MAX_TRACE_SAMPLES
 from .decoherence import bose_einstein
-from .linalg import expm_hermitian, require_count
+from .linalg import expm_hermitian, require_count, require_float
 
 __all__ = [
     "MAX_TRACE_SAMPLES",
@@ -55,12 +56,6 @@ _INITIAL_SPACE_STATES = {
     "minus": np.array([0.0, 1.0], dtype=complex),
 }
 
-#: Largest number of samples ``duration / timestep`` may give a trace.
-MAX_TRACE_SAMPLES = 100_000
-
-#: Largest number of biases :func:`scan_bias` evaluates.
-MAX_BIAS_SAMPLES = 1000
-
 # |+> and |-> as dot-basis columns, shape (2, 1, 2, 1): state, Hamiltonian, row, column.
 _SPACE_STATE_COLUMNS = np.stack(
     [_TO_DOT_BASIS @ _INITIAL_SPACE_STATES[name] for name in ("plus", "minus")]
@@ -83,7 +78,7 @@ class ReadoutConfig:
 
     def __post_init__(self) -> None:
         for name in ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(require_float(name, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tunnel_coupling_ueV < 0.0:
             raise ValueError("tunnel coupling must be >= 0")

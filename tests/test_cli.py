@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -224,6 +228,32 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
     assert out == (GOLDEN / name).read_text()
     if name.endswith(".json"):
         assert json.loads(out)["passed"] == (code == 0)
+
+
+def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
+    # A fresh interpreter: this test process has long imported every module.
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        out, golden = Path(sys.argv[1]), Path(sys.argv[2])
+        lazy = ("dqdsim.decoherence", "dqdsim.readout")
+        from dqdsim import cli
+        assert not [m for m in lazy if m in sys.modules], "import dqdsim.cli"
+        assert cli.main(["compile", "--out", str(out / "compile_r4.json")]) == 0
+        assert not [m for m in lazy if m in sys.modules], "compile"
+        for name, argv in (("compile_r4.json", None), ("decohere_tau.csv", ["decohere"]),
+                           ("readout.csv", ["readout"])):
+            if argv is not None:
+                assert cli.main(argv + ["--out", str(out / name)]) == 0
+            assert (out / name).read_text() == (golden / name).read_text(), name
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(GOLDEN)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_path):

@@ -5,16 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from dqdsim import compiler
 from dqdsim.compiler import (
     CZ_4,
     MAX_OFFSETS,
     SQRT_SWAP_4,
     TRIVIAL_EMBEDDING,
     PhaseEmbedding,
-    _candidates,
     _embedding_at,
     _screen_bounds,
-    _stacked_pi,
+    _screen_products,
     build_cnot,
     build_pi,
     decomposition_report,
@@ -128,24 +128,64 @@ def test_screened_search_matches_sequential_reference(n_offsets, embedding):
     assert search_embedding(n_offsets) == expected
 
 
-def test_screen_bounds_bracket_the_exact_distance():
-    # Roundoff between the stacked products and build_pi reaches ~2e-16,
-    # well inside the search's 1e-12 screening slack.
+def test_exact_pass_stops_at_a_residual_within_the_tie_window(monkeypatch):
+    calls = []
+
+    def counting(u, v):
+        calls.append(1)
+        return dist_up_to_global_phase(u, v)
+
+    monkeypatch.setattr(compiler, "dist_up_to_global_phase", counting)
+    assert search_embedding(4) == (EXPECTED_EMBEDDING, 2.83276944882399e-16)
+    assert len(calls) == 1
+
+
+def sampled_candidates(n_offsets: int, partners: int) -> np.ndarray:
+    """``partners`` random qubit-2 triples for every qubit-1 triple, as candidate indices."""
+    rng = np.random.default_rng(n_offsets)
+    q2 = 25 * n_offsets
+    index = []
+    for k1p, k1m, i1 in itertools.product(range(5), range(5), range(n_offsets)):
+        k2p, k2m, i2 = np.unravel_index(rng.choice(q2, partners, replace=False), (5, 5, n_offsets))
+        index.append(np.ravel_multi_index((k1p, k1m, k2p, k2m, i1, i2), (5,) * 4 + (n_offsets,) * 2))
+    return np.concatenate(index)
+
+
+def screened(n_offsets: int, sample: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Screen product and bounds of each sampled candidate, and every index the screen yields."""
+    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
-    offsets = np.zeros(1)
-    index = np.arange(5**4)
-    lb, ub = _screen_bounds(_stacked_pi(_candidates(index, offsets)), target)
-    for i in index:
+    found, seen = {}, []
+    for index, products in _screen_products(offsets):
+        lb, ub = _screen_bounds(products, target)
+        seen.append(index)
+        for j in np.flatnonzero(np.isin(index, sample)):
+            found[int(index[j])] = (products[j], lb[j], ub[j])
+    assert sorted(found) == sorted(sample.tolist())
+    return found, np.concatenate(seen)
+
+
+# n = 7: offset steps that are not multiples of pi/2, so the phases are not all +-1, +-1j.
+@pytest.mark.parametrize("n_offsets, partners", [(1, 25), (4, 2), (7, 2)], ids=["n1", "n4", "n7"])
+def test_screen_bounds_bracket_the_exact_distance(n_offsets, partners):
+    # Roundoff between the factorized products and build_pi reaches ~2e-16,
+    # well inside the search's 1e-12 screening slack.
+    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
+    target = gate_matrix(GateId.PHASE)
+    found, _ = screened(n_offsets, sampled_candidates(n_offsets, partners))
+    for i, (_, lb, ub) in found.items():
         d = dist_up_to_global_phase(build_pi(_embedding_at(i, offsets)), target)
-        assert lb[i] - 1e-14 <= d <= ub[i] + 1e-14
+        assert lb - 1e-14 <= d <= ub + 1e-14
 
 
-def test_stacked_products_match_build_pi():
-    offsets = np.arange(4) * (np.pi / 2.0)
-    index = np.random.default_rng(5).choice(5**4 * 4**2, size=64, replace=False)
-    stack = _stacked_pi(_candidates(index, offsets))
-    for i, product in zip(index, stack):
+@pytest.mark.parametrize("n_offsets", [4, 7], ids=["n4", "n7"])
+def test_stacked_products_match_build_pi(n_offsets):
+    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
+    found, seen = screened(n_offsets, sampled_candidates(n_offsets, 4))
+    for i, (product, _, _) in found.items():
         assert max_abs_diff(product, build_pi(_embedding_at(i, offsets))) <= 1e-14
+    # The screen covers every candidate exactly once.
+    assert np.array_equal(np.sort(seen), np.arange(625 * n_offsets**2))
 
 
 def test_pi_construction_with_frozen_embedding():

@@ -62,6 +62,18 @@ def test_segment_validation():
         PulseSegment("E1", float("nan"), 0.5)
 
 
+@pytest.mark.parametrize("field", ["amplitude_ueV", "duration_ns"])
+def test_segment_rejects_integers_beyond_the_float_range(field):
+    values = {"amplitude_ueV": 1.0, "duration_ns": 1.0, field: 10**400}
+    with pytest.raises(ValueError, match=f"{field} is an integer beyond the float range"):
+        PulseSegment("E1", **values)
+
+
+def test_segment_rejects_strings():
+    with pytest.raises(ValueError, match="amplitude_ueV must be a number"):
+        PulseSegment("E1", "5", 1.0)
+
+
 def test_electrode_inventory():
     assert ELECTRODES == ("E1", "E2", "E12", "T1", "T2", "T3", "T4")
 

@@ -52,6 +52,15 @@ def test_config_rejects_non_finite_fields(field, bad):
         ReadoutConfig(*values)
 
 
+@pytest.mark.parametrize("field", range(4))
+def test_config_rejects_integers_beyond_the_float_range(field):
+    values = [5.0, 10.0, 0.4, 0.0005]
+    values[field] = 10**400
+    names = ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns")
+    with pytest.raises(ValueError, match=f"{names[field]} is an integer beyond the float range"):
+        ReadoutConfig(*values)
+
+
 def test_trace_sample_count_is_capped():
     # floor(duration / timestep) + 1 samples; checked before any allocation
     assert len(readout_traces(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).plus.times_ns) == 10
