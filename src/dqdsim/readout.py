@@ -66,6 +66,11 @@ _SPACE_STATE_COLUMNS = np.stack(
 # was flat from 2**12 to 2**16 elements.
 _SCAN_ELEMENTS = 1 << 14
 
+# How far scan_bias lets the kernel's contrast exceed its closed-form bound
+# (_contrast_bounds): the readout's conservation tolerance, far above the
+# kernel's roundoff.
+_SCREEN_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class ReadoutConfig:
@@ -128,10 +133,14 @@ def _hamiltonians(tunnel_coupling_ueV: float, biases_ueV: np.ndarray) -> np.ndar
     return h
 
 
+def _level_energy(tunnel_coupling_ueV: float, bias_ueV: float | np.ndarray) -> float | np.ndarray:
+    """Half the level splitting, ``hypot(t_c, bias / 2)`` (ueV), without overflow."""
+    return np.hypot(tunnel_coupling_ueV, np.asarray(bias_ueV) / 2.0)
+
+
 def rabi_frequency(config: ReadoutConfig) -> float:
     """Angular frequency (rad/ns) of the charge oscillation."""
-    energy = np.hypot(config.tunnel_coupling_ueV, config.bias_ueV / 2.0)
-    return float(2.0 * energy / HBAR_UEV_NS)
+    return float(2.0 * _level_energy(config.tunnel_coupling_ueV, config.bias_ueV) / HBAR_UEV_NS)
 
 
 def _sample_times(config: ReadoutConfig) -> np.ndarray:
@@ -220,6 +229,20 @@ def readout_traces(config: ReadoutConfig) -> ReadoutPair:
     )
 
 
+def _contrast_bounds(
+    tunnel_coupling_ueV: float, biases_ueV: np.ndarray, window_ns: float
+) -> np.ndarray:
+    """Largest contrast each bias reaches over ``[0, window_ns]``, in closed form.
+
+    The contrast is ``K sin^2(E t / hbar)`` with ``E`` the level energy and
+    ``K = 2 (t_c / E) (|bias| / 2 / E)``; ``sin^2`` grows until
+    ``E t / hbar = pi / 2``.  Each ratio is at most one, so nothing overflows.
+    """
+    energy = _level_energy(tunnel_coupling_ueV, biases_ueV)
+    k = 2.0 * (tunnel_coupling_ueV / energy) * (np.abs(biases_ueV) / 2.0 / energy)
+    return k * np.sin(np.minimum(energy * window_ns / HBAR_UEV_NS, np.pi / 2.0)) ** 2
+
+
 def scan_bias(
     tunnel_coupling_ueV: float,
     duration_ns: float,
@@ -230,9 +253,20 @@ def scan_bias(
 
     The contrast is perfect when the bias matches twice the tunnel
     coupling, where the space states map onto charge eigenstates after
-    half a Rabi period, so the scan grid includes that point.  All biases
-    are evaluated as stacks of at most ``_SCAN_ELEMENTS`` bias-samples;
-    the first bias beating every earlier one by more than 1e-15 wins.
+    half a Rabi period, so the scan grid includes that point.  The first
+    bias beating every earlier one by more than 1e-15 wins.
+
+    A screen spares the kernel most biases.  Over the sampled window, bias
+    ``j`` reaches at most ``U_j = K_j sin^2(min(E_j T / hbar, pi / 2))``
+    (:func:`_contrast_bounds`); the kernel's contrast may exceed it by
+    ``_SCREEN_SLACK`` = 1e-12 at most.  The kernel evaluates the bias of
+    largest ``U``, whose contrast is ``D*``, then the other biases with
+    ``U_j >= D* - 2e-15 - _SCREEN_SLACK`` in index order, as stacks of at
+    most ``_SCAN_ELEMENTS`` bias-samples.  Every bias it skips is more than
+    2e-15 below ``D*``.  Unless a survivor beats that ceiling and every
+    earlier survivor by more than 1e-15, the skipped biases are evaluated
+    too, so the answer is bitwise that of evaluating every bias.  No bias
+    is evaluated twice.
     """
     if not tunnel_coupling_ueV > 0.0:
         raise ValueError("tunnel coupling must be positive for a bias scan")
@@ -246,14 +280,37 @@ def scan_bias(
     )
     ReadoutConfig(tunnel_coupling_ueV, float(biases[-1]), duration_ns, timestep_ns)
     step = max(1, _SCAN_ELEMENTS // len(times))
-    best_i, best = 0, None
-    for start in range(0, n_bias, step):
-        p_left, _ = _left_populations(tunnel_coupling_ueV, biases[start:start + step], times)
-        for i, result in enumerate(_optima(times, p_left), start):
-            if best is None or result.distinguishability > best.distinguishability + 1e-15:
-                best_i, best = i, result
-    assert best is not None
-    return ReadoutConfig(tunnel_coupling_ueV, float(biases[best_i]), duration_ns, timestep_ns), best
+    found: dict[int, OptimalReadout] = {}
+
+    def evaluate(indices: np.ndarray) -> None:
+        for start in range(0, len(indices), step):
+            chunk = indices[start:start + step]
+            p_left, _ = _left_populations(tunnel_coupling_ueV, biases[chunk], times)
+            found.update(zip(chunk.tolist(), _optima(times, p_left)))
+
+    bounds = _contrast_bounds(tunnel_coupling_ueV, biases, times[-1])
+    top = int(np.argmax(bounds))
+    evaluate(np.array([top]))
+    floor = found[top].distinguishability - 2e-15 - _SCREEN_SLACK
+    survivors = np.flatnonzero(bounds >= floor)
+    evaluate(survivors[survivors != top])
+    # A skipped bias lies below `ceiling`, yet it may hold the lead when a
+    # survivor comes up.  The first survivor beating `ceiling` and every
+    # earlier survivor by more than 1e-15 takes the lead whatever the skipped
+    # biases hold, and no skipped bias can retake it.
+    ceiling = floor + _SCREEN_SLACK
+    for i in survivors.tolist():
+        if found[i].distinguishability > ceiling + 1e-15:
+            break
+        ceiling = max(ceiling, found[i].distinguishability)
+    else:
+        evaluate(np.flatnonzero(bounds < floor))
+    best_i = min(found)
+    for i in sorted(found):
+        if found[i].distinguishability > found[best_i].distinguishability + 1e-15:
+            best_i = i
+    best_bias = float(biases[best_i])
+    return ReadoutConfig(tunnel_coupling_ueV, best_bias, duration_ns, timestep_ns), found[best_i]
 
 
 def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:
@@ -295,7 +352,9 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     """
     if target not in _INITIAL_SPACE_STATES:
         raise ValueError(f"target must be 'plus' or 'minus', got {target!r}")
-    best = readout_traces(config).best
+    times = _sample_times(config)
+    populations, _ = _left_populations(config.tunnel_coupling_ueV, [config.bias_ueV], times)
+    best = _optima(times, populations)[0]
     u = readout_unitary(config, best.time_ns)
     forward = u @ (_TO_DOT_BASIS @ _INITIAL_SPACE_STATES[target])
     p_left = float(np.abs(forward[0]) ** 2)

@@ -216,6 +216,11 @@ GOLDEN_CASES = {
     "readout-json": ("readout.json", 0, ["readout", "--format", "json"]),
     "readout-scan-csv": ("readout_scan.csv", 0, ["readout", "--scan", "--format", "csv"]),
     "init-csv": ("init.csv", 0, ["init", "--format", "csv"]),
+    # Bias scans the screen shortens: 2 t_c off the grid, and a window shorter
+    # than half the balanced Rabi period, where the largest bias wins.
+    "readout-scan-r37": ("readout_scan_r37.json", 0, ["readout", "--scan", "--resolution", "37"]),
+    "readout-scan-short": ("readout_scan_short.json", 1,
+                           ["readout", "--scan", "--duration", "0.05"]),
 }
 
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from dqdsim import readout
 from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.linalg import is_unitary, max_abs_diff
@@ -316,6 +317,96 @@ def test_scan_ties_keep_the_first_bias():
     config, best = scan_bias(5.0, 1e-9, 1e-9, n_bias=50)
     assert best.distinguishability < 1e-12
     assert config.bias_ueV == 4.0 * 5.0 / 50
+
+
+def _half_period(t_c):
+    """Half a Rabi period (ns) at bias = 2 t_c, where the contrast peaks at one."""
+    return np.pi * HBAR_UEV_NS / (2.0 * np.hypot(t_c, t_c))
+
+
+# (t_c, duration, timestep, n_bias): windows from a tenth of the balanced
+# half period to three of them, odd and even grids (2 t_c is on the grid only
+# for even n_bias), and couplings at both ends of the float range.
+_SCANS = st.builds(
+    lambda t_c, window, samples, n_bias: (
+        t_c, window * _half_period(t_c), window * _half_period(t_c) / samples, n_bias),
+    st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])),
+    st.floats(0.1, 3.0),
+    st.integers(1, 300),
+    st.integers(2, 41),
+)
+
+
+@given(_SCANS)
+@example((5.0, 1e-9, 1e-9, 50))  # the all-tie window of test_scan_ties_keep_the_first_bias
+@example((1e300, 0.4, 0.0005, 7))  # phases near 1e300 rad
+@example((1e-300, 0.4, 0.0005, 7))  # phases near 1e-300 rad
+def test_screened_scan_is_bitwise_the_oracle_scan(scan):
+    config, best = scan_bias(*scan)
+    expected_config, expected = _oracle_scan(*scan)
+    assert config == expected_config
+    assert tuple(best) == expected
+
+
+def test_scan_screen_sends_one_bias_to_the_kernel(monkeypatch):
+    biases = []
+
+    def counting(tunnel_coupling_ueV, biases_ueV, times, norm_error=False):
+        biases.extend(biases_ueV)
+        return kernel(tunnel_coupling_ueV, biases_ueV, times, norm_error)
+
+    kernel = readout._left_populations
+    monkeypatch.setattr(readout, "_left_populations", counting)
+    config, _ = scan_bias(5.0, 0.4, 0.0005, 40)
+    assert biases == [config.bias_ueV] == [10.0]
+    # every bias of the all-tie window is within the slack of the best one
+    biases.clear()
+    scan_bias(5.0, 1e-9, 1e-9, n_bias=50)
+    assert sorted(biases) == list(4.0 * 5.0 * np.arange(1, 51) / 50)
+
+
+def test_screen_falls_back_to_every_bias_when_skipped_ones_could_decide(monkeypatch):
+    # Contrasts within the slack of their bounds, with bias 0 skipped.  The
+    # full loop keeps bias 0 over bias 1 (0.8e-15 apart), takes bias 2 and
+    # keeps it over bias 3.  Survivors 1..3 alone would pick bias 3.
+    top = 0.2
+    contrasts = top - np.array([2.3e-15, 1.5e-15, 0.6e-15, 0.0])
+    bounds = np.array([top - 2.1e-15 - readout._SCREEN_SLACK, 0.5, 0.5, 0.6])
+    grid = 4.0 * 5.0 * np.arange(1, 5) / 4
+
+    def kernel(tunnel_coupling_ueV, biases_ueV, times, norm_error=False):
+        p_left = np.zeros((2, len(biases_ueV), len(times)))
+        p_left[0] = contrasts[np.searchsorted(grid, biases_ueV)][:, None]
+        return p_left, None
+
+    monkeypatch.setattr(readout, "_left_populations", kernel)
+    monkeypatch.setattr(readout, "_contrast_bounds", lambda *args: bounds)
+    config, best = scan_bias(5.0, 0.4, 0.0005, n_bias=4)
+    assert config.bias_ueV == grid[2] and best.distinguishability == contrasts[2]
+
+
+@given(_SCANS)
+@example((1e300, 0.4, 0.0005, 7))
+def test_kernel_contrast_never_exceeds_the_screen_bound(scan):
+    t_c, duration, timestep, n_bias = scan
+    biases = 4.0 * t_c * np.arange(1, n_bias + 1) / n_bias
+    times = np.arange(int(np.floor(duration / timestep + 1e-9)) + 1) * timestep
+    p_left, _ = readout._left_populations(t_c, biases, times)
+    contrast = np.max(np.abs(p_left[0] - p_left[1]), axis=-1)
+    assert np.all(contrast <= readout._contrast_bounds(t_c, biases, times[-1]) + 1e-12)
+
+
+@given(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 400))
+def test_traces_match_the_closed_form_rabi_oracle(t_c, bias, end_phase, samples):
+    # Independent of the kernel's eigh: for H = t_c sx + (bias/2) sz,
+    # P_L(+/-) = 1/2 +/- (t_c bias/2) / E^2 sin^2(E t / hbar), E = hypot(t_c, bias/2).
+    e = np.hypot(t_c, bias / 2.0)
+    assume(e >= 1e-3)
+    duration = end_phase * HBAR_UEV_NS / (2.0 * e)  # rabi_frequency * duration = end_phase
+    pair = readout_traces(ReadoutConfig(t_c, bias, duration, duration / samples))
+    swing = (t_c / e) * (bias / 2.0 / e) * np.sin(e * pair.plus.times_ns / HBAR_UEV_NS) ** 2
+    assert np.max(np.abs(pair.plus.p_left - (0.5 + swing))) <= 1e-12
+    assert np.max(np.abs(pair.minus.p_left - (0.5 - swing))) <= 1e-12
 
 
 # Edge pulses of the traceless kernel: both eigenvalues zero, negative bias,
