@@ -196,9 +196,9 @@ def _screen_bounds(products: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     """Per-product bounds ``lb <= dist_up_to_global_phase(p, target) <= ub``.
 
     ``lb`` compares magnitudes only, which no global phase can change;
-    ``ub`` is the residual at the trace-aligned phase, one of the phases
-    the exact distance tries (phase 1 where the trace vanishes, which its
-    coarse scan also covers).
+    ``ub`` is the residual at one phase, the trace-aligned one (phase 1
+    where the trace vanishes), so it is at least the minimum over all
+    phases that the exact distance returns.
     """
     residual = np.abs(products)
     residual -= np.abs(target)
@@ -308,6 +308,7 @@ def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
         "xor_4dim_convention": convention,
         "xor_4dim_residuals": xor,
         "embedding": asdict(emb),
+        "offset_grid_size": n_offsets,
     }
     if best_residual > 1e-10:
         report["message"] = "identity not reproduced"

@@ -25,9 +25,6 @@ __all__ = [
 #: How far from self-adjoint a generator may be before it is rejected.
 HERMITIAN_ATOL = 1e-12
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise ``|a - b|``; the residual norm used throughout."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
@@ -101,62 +98,48 @@ def expm_hermitian(h: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
     return (p * d[..., None, :]) @ np.swapaxes(p.conj(), -1, -2)
 
 
-def _phase_residual(u: np.ndarray, v: np.ndarray, phi: float) -> float:
-    return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
-
-
 def dist_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:
-    """``min over |c| = 1`` of the max-entry norm of ``u - c * v``.
+    """``min over |c| = 1`` of the max-entry norm of ``u - c * v``, in closed form.
 
-    Candidate phases are seeded from the largest-magnitude entry of ``v``,
-    the trace alignment ``tr(v^dag u)`` and a coarse grid, then polished by
-    golden-section search within 0.11 rad of the best seed.  The value is
-    the residual at the best phase tried, never below the minimum.
-    Matrices equal up to a global phase give
-    roundoff, and near that equivalence the value is symmetric in its
-    arguments and blind to a global phase on either to ~1e-12.  Far from
-    it the polish is local: on random complex pairs the value sat up to ~1%
-    above a dense phase scan and moved by as much when the arguments were
-    swapped or one was rephased.
+    Each entry of ``|u - e^{i phi} v|^2`` is a sinusoid in ``phi``, so the
+    minimum of the largest one lies at one sinusoid's minimum or where two
+    of them cross; those phases are the only candidates.  They are found
+    in the frame of the trace alignment ``e^{i phi0} = tr(v^dag u) /
+    |tr(v^dag u)|`` (1 where the trace vanishes): with ``w = e^{i phi0} v``,
+    ``r = u - w`` and ``delta = phi - phi0``, entry k is
+    ``|r_k|^2 + P_k (1 - cos delta) + Q_k sin delta``, and two entries cross
+    at the roots of a quadratic in ``tan(delta / 2)``, taken in the stable
+    (citardauq) form.  An entry is dropped first if even its largest value,
+    ``(|u_k| + |v_k|)^2``, is below another's smallest, ``(|u_j| - |v_j|)^2``.
+    Each candidate, and ``delta = 0``, is evaluated as
+    ``max |r - 2i sin(delta/2) e^{i delta/2} w|``, which keeps the digits of
+    a residual near roundoff.  The least value is the minimum up to
+    roundoff, symmetric in the arguments and blind to a global phase on
+    either.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    flat_u = u.ravel()
-    flat_v = v.ravel()
-    if float(np.max(np.abs(flat_v))) == 0.0:
-        return float(np.max(np.abs(flat_u))) if flat_u.size else 0.0
+    size_u, size_v = np.abs(u), np.abs(v)
+    keep = ~(size_u + size_v < np.max(np.abs(size_u - size_v)))  # nan keeps every entry
+    overlap = np.vdot(v, u)
+    w = (overlap / abs(overlap) if overlap else 1.0) * v[keep]
+    r = u[keep] - w
+    rw = r.conj() * w
+    a = r.real**2 + r.imag**2
+    p = 2.0 * (w.real**2 + w.imag**2 + rw.real)
+    q = 2.0 * rw.imag
 
-    candidates = []
-    k = int(np.argmax(np.abs(flat_v)))
-    candidates.append(float(np.angle(flat_u[k] / flat_v[k])))
-    overlap = complex(np.vdot(flat_v, flat_u))
-    if overlap != 0:
-        candidates.append(float(np.angle(overlap)))
-
-    # Coarse vectorized scan guards against a misleading seed when the
-    # matrices are far from phase-equivalent.
-    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    scan = np.abs(u[None, :, :] - np.exp(1j * grid)[:, None, None] * v[None, :, :])
-    scan = scan.reshape(grid.size, -1).max(axis=1)
-    candidates.append(float(grid[int(np.argmin(scan))]))
-
-    best_phi = min(candidates, key=lambda phi: _phase_residual(u, v, phi))
-    best = _phase_residual(u, v, best_phi)
-
-    # Golden-section polish around the best candidate.
-    lo, hi = best_phi - 0.11, best_phi + 0.11
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = _phase_residual(u, v, c), _phase_residual(u, v, d)
-    while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = _phase_residual(u, v, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = _phase_residual(u, v, d)
-    return min(best, fc, fd)
+    # Entries j and k cross where lead * t^2 + 2 * half * t + da = 0, t = tan(delta / 2).
+    j, k = np.triu_indices(a.size, 1)
+    da = a[j] - a[k]
+    lead = da + 2.0 * (p[j] - p[k])
+    half = q[j] - q[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(half + np.copysign(np.sqrt(half * half - lead * da), half))
+        t = np.concatenate((s / lead, da / s))
+    delta = np.concatenate(([0.0], np.arctan2(-q, p), 2.0 * np.arctan(t)))
+    delta = delta[~np.isnan(delta)]
+    g = 2j * np.sin(delta / 2.0) * np.exp(0.5j * delta)
+    return float(np.abs(r - g[:, None] * w).max(axis=1).min())

@@ -329,7 +329,10 @@ class InitPlan:
     """Recipe for preparing a space state by running readout backwards.
 
     ``forward_probability`` is the forward readout's population of the
-    source dot at ``duration_ns``; by unitarity it equals ``fidelity``.
+    source dot at ``duration_ns``, read from the readout kernel's trace;
+    ``fidelity`` comes from the inverse of the readout unitary.  By
+    unitarity the two agree, so comparing them checks one path against
+    the other.
     """
 
     target: str
@@ -347,20 +350,19 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     Uses the optimal forward readout time: the charge state that the
     forward readout would steer the target into is taken as the source,
     and the inverse readout unitary maps it back.  By unitarity the
-    preparation fidelity equals the forward left-dot population (or
-    right-dot, for the minus state) at that moment.
+    preparation fidelity equals the forward population of the source dot
+    at that moment, which is taken from the kernel's trace.
     """
     if target not in _INITIAL_SPACE_STATES:
         raise ValueError(f"target must be 'plus' or 'minus', got {target!r}")
     times = _sample_times(config)
     populations, _ = _left_populations(config.tunnel_coupling_ueV, [config.bias_ueV], times)
     best = _optima(times, populations)[0]
-    u = readout_unitary(config, best.time_ns)
-    forward = u @ (_TO_DOT_BASIS @ _INITIAL_SPACE_STATES[target])
-    p_left = float(np.abs(forward[0]) ** 2)
+    state = list(_INITIAL_SPACE_STATES).index(target)  # the populations' plus/minus axis
+    p_left = float(populations[state, 0, np.searchsorted(times, best.time_ns)])
     source_dot = "L" if p_left >= 0.5 else "R"
-    source_index = 0 if source_dot == "L" else 1
-    source = np.eye(2, dtype=complex)[source_index]
+    source = np.eye(2, dtype=complex)[0 if source_dot == "L" else 1]
+    u = readout_unitary(config, best.time_ns)
     prepared_dot_basis = u.conj().T @ source
     prepared_space = _TO_DOT_BASIS.conj().T @ prepared_dot_basis
     fidelity = float(np.abs(np.vdot(_INITIAL_SPACE_STATES[target], prepared_space)) ** 2)
@@ -371,5 +373,5 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
         tunnel_coupling_ueV=config.tunnel_coupling_ueV,
         duration_ns=best.time_ns,
         fidelity=fidelity,
-        forward_probability=float(np.abs(forward[source_index]) ** 2),
+        forward_probability=p_left if source_dot == "L" else 1.0 - p_left,
     )

@@ -164,21 +164,37 @@ def test_compile_reports_frozen_embedding(capsys):
 
 
 def test_compile_and_verify_share_one_pass_rule(capsys):
-    # The default grid's cnot_residual is 2.94e-16; both commands hold it,
-    # and the two other decomposition residuals, to --tolerance.
+    # Both commands hold the three decomposition residuals to --tolerance
+    # with <=: one step below the largest, both fail and verify names it.
+    _, out, _ = run(capsys, "compile")
+    report = json.loads(out)
+    name = max(cli._DECOMPOSITION_RESIDUALS, key=report.__getitem__)
+    worst = report[name]
+    below = float(np.nextafter(worst, 0.0))
     for command in ("compile", "verify"):
-        code, out, _ = run(capsys, command, "--tolerance", "2.9e-16")
+        code, out, _ = run(capsys, command, "--tolerance", repr(below))
         assert code == 1
         assert json.loads(out)["passed"] is False
+    assert name in json.loads(out)["failures"]
+    code, out, _ = run(capsys, "compile", "--tolerance", repr(worst))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_compile_reports_the_offset_grid_it_searched(capsys):
+    grids = [json.loads(run(capsys, "compile", "--resolution", n)[1])["offset_grid_size"]
+             for n in ("3", "4")]
+    assert grids == [3, 4]
 
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 # Case -> (golden file, exit code, argv).  The compile/verify --resolution 4
-# reports were frozen from the one-candidate-at-a-time embedding search; the
-# rest are the acceptance suite's determinism invocations in their default
-# formats.  evolve echoes its schedule path, so it runs from GOLDEN.
+# reports hold the embedding the one-candidate-at-a-time search found and
+# the residuals of the closed-form global-phase distance; the rest are the
+# acceptance suite's determinism invocations in their default formats.
+# evolve echoes its schedule path, so it runs from GOLDEN.
 GOLDEN_CASES = {
     "compile-json": ("compile_r4.json", 0, ["compile", "--resolution", "4", "--format", "json"]),
     "compile-csv": ("compile_r4.csv", 0, ["compile", "--resolution", "4", "--format", "csv"]),
@@ -434,6 +450,20 @@ def test_init_fidelity_matches_forward_probability(capsys):
     report = json.loads(out)
     assert report["fidelity_matches_forward"] is True
     assert report["fidelity"] == pytest.approx(report["forward_probability"], abs=1e-12)
+
+
+def test_init_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypatch):
+    # The fidelity comes from the readout unitary, the forward probability
+    # from the kernel's trace, so a unitary for a 1% longer pulse must fail.
+    from dqdsim import readout
+
+    exact = readout.readout_unitary
+    monkeypatch.setattr(readout, "readout_unitary", lambda config, t_ns: exact(config, 1.01 * t_ns))
+    code, out, _ = run(capsys, "init")
+    assert code == 1
+    report = json.loads(out)
+    assert report["fidelity_matches_forward"] is False
+    assert report["passed"] is False
 
 
 # ---------------------------------------------------------------------------

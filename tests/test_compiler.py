@@ -124,7 +124,7 @@ def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
 )
 def test_screened_search_matches_sequential_reference(n_offsets, embedding):
     expected = sequential_search(n_offsets)
-    assert expected == (embedding, 2.83276944882399e-16)
+    assert expected == (embedding, 2.220446049250313e-16)
     assert search_embedding(n_offsets) == expected
 
 
@@ -136,7 +136,7 @@ def test_exact_pass_stops_at_a_residual_within_the_tie_window(monkeypatch):
         return dist_up_to_global_phase(u, v)
 
     monkeypatch.setattr(compiler, "dist_up_to_global_phase", counting)
-    assert search_embedding(4) == (EXPECTED_EMBEDDING, 2.83276944882399e-16)
+    assert search_embedding(4) == (EXPECTED_EMBEDDING, 2.220446049250313e-16)
     assert len(calls) == 1
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dqdsim.compiler import MAX_OFFSETS, search_embedding
@@ -167,30 +167,41 @@ def test_phase_distance_detects_real_difference():
     v = random_unitary(4, rng)
     d = dist_up_to_global_phase(u, v)
     assert d > 0.1
-    # for this pair both argument orders find the same minimum
-    assert abs(d - dist_up_to_global_phase(v, u)) < 1e-8
+    # both argument orders give the same minimum
+    assert abs(d - dist_up_to_global_phase(v, u)) <= 1e-13 * d
 
 
 _PHASES = st.floats(0.0, 2.0 * np.pi)
+_SCAN = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False))
 
 
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1), _PHASES, _PHASES, st.floats(0.0, 1e-3))
-def test_phase_distance_is_symmetric_and_phase_blind_near_equivalence(n, seed, a, b, eps):
-    # the polish is local, so these hold near phase equivalence, not for far pairs
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), _PHASES, _PHASES, st.floats(0.0, 1e-3),
+       st.booleans())
+# eps = 6e-8 puts crossings where an arccos of the phase would lose half its digits
+@example(n=6, seed=31, a=1.0, b=2.0, eps=6e-8, far=False)
+def test_phase_distance_is_symmetric_phase_blind_and_minimal(n, seed, a, b, eps, far):
+    # v is a rephased u plus noise of size eps, or (far) the noise alone
     rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
     c, c2 = np.exp(1j * a), np.exp(1j * b)
     assert dist_up_to_global_phase(u, c * u) <= 1e-15
     e = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
-    v = c * u + eps * e
+    v = e if far else c * u + eps * e
     d = dist_up_to_global_phase(u, v)
-    assert abs(dist_up_to_global_phase(v, u) - d) <= 1e-10
-    assert abs(dist_up_to_global_phase(u, c2 * v) - d) <= 1e-10
-    assert abs(dist_up_to_global_phase(c2 * u, v) - d) <= 1e-10
+    # 1e-13 relative, above the ~1e-16 roundoff of the unit-sized entries
+    tol = 1e-13 * d + 1e-15
+    assert abs(dist_up_to_global_phase(v, u) - d) <= tol
+    assert abs(dist_up_to_global_phase(u, c2 * v) - d) <= tol
+    assert abs(dist_up_to_global_phase(c2 * u, v) - d) <= tol
+    # A dense scan is never below the minimum (up to roundoff, for a scan
+    # that hits the best phase) and misses it by at most max|v| * pi / N:
+    # some scanned phase is within pi / N of the best one.
+    scan = np.abs(u - _SCAN[:, None, None] * v).reshape(_SCAN.size, -1).max(axis=1).min()
+    assert scan - np.abs(v).max() * np.pi / _SCAN.size <= d <= scan + tol
     # and no phase within 0.01 rad of the trace alignment does better
     grid = np.angle(np.vdot(v, u)) + np.linspace(-1e-2, 1e-2, 20001)
-    scan = np.abs(u - np.exp(1j * grid)[:, None, None] * v).reshape(grid.size, -1).max(axis=1)
-    assert d <= scan.min() + 1e-10
+    near = np.abs(u - np.exp(1j * grid)[:, None, None] * v).reshape(grid.size, -1).max(axis=1)
+    assert d <= near.min() + tol
 
 
 def test_phase_distance_diag_sign_flip():
