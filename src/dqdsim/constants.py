@@ -16,11 +16,12 @@ HBAR_UEV_NS = 0.6582119569
 K_B_UEV_PER_K = 86.17333262
 
 #: Largest two-phonon quadrature resolution; the convergence check runs
-#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^3) ``leggauss`` setup
+#: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^2)-time Newton setup
 #: is paid once per node count (see ``decoherence.LEGENDRE_CACHE_SIZE``).
 MAX_RESOLUTION = 1024
 
-#: Largest selection-rule resolution; the quadrature holds an n x n kernel.
+#: Largest selection-rule resolution; the quadrature passes over an n x n
+#: kernel once, in column blocks, so its time grows as n^2 and its memory as n.
 MAX_SELECTION_RESOLUTION = 3200
 
 #: Largest number of samples ``duration / timestep`` may give a readout trace.

@@ -59,9 +59,19 @@ __all__ = [
 
 #: Node counts whose Gauss-Legendre rule stays cached.  Holds with room to
 #: spare the eight counts of rate sweeps at n = 128..512 and selection sweeps
-#: at n = 400..1600, and bounds the cache at 32 * 3200 * 16 B, about 1.6 MB,
+#: at n = 400..1600, each of which takes an O(n^2) Newton build (about 20 ms
+#: at n = 800), and bounds the cache at 32 * 3200 * 16 B, about 1.6 MB,
 #: however many resolutions a process sweeps.
 LEGENDRE_CACHE_SIZE = 32
+
+#: Newton steps ``_legendre_nodes`` may take; from Tricomi's guesses it
+#: stops within four at every n up to 3200.
+_NEWTON_STEPS = 10
+
+#: Kernel elements per column block of ``coulomb_selection_rule``; bounds each
+#: block at 1 MB whatever the resolution.  Selection time was flat from 2**16
+#: to 2**21 elements.
+_KERNEL_ELEMENTS = 1 << 17
 
 #: Lowest temperature; keeps ``(n / kT)**2`` of the reduced quadrature finite.
 MIN_TEMPERATURE_K = 1e-6
@@ -201,8 +211,41 @@ def angular_flip_weight(q_per_nm: np.ndarray | float, geom: DotGeometry) -> np.n
 
 @functools.lru_cache(maxsize=LEGENDRE_CACHE_SIZE)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only and shared.
+
+    Newton iteration on ``P_n``, evaluated by its three-term recurrence and
+    vectorised over the ``ceil(n/2)`` nonnegative nodes, started from
+    Tricomi's asymptotic guesses (Hale & Townsend, SIAM J. Sci. Comput.
+    35(2), 2013).  Once a step moves no node by more than 2 eps, one more
+    recurrence pass gives ``P_n'`` at the converged nodes and the weights
+    ``2 / ((1 - x^2) P_n'(x)^2)``.  The negative half is the exact mirror;
+    for odd ``n`` the middle node is 0.0.  O(n^2) time, O(n) memory.  Raises
+    ``RuntimeError`` naming ``n`` if ``_NEWTON_STEPS`` steps do not converge.
+    """
+    m = (n + 1) // 2
+    theta = np.pi * (4 * np.arange(m, 0, -1) - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) \
+        * np.cos(theta)
+    if n % 2:
+        x[0] = 0.0  # a root of every odd P_n, which the iteration keeps
+    step = np.inf
+    # Each pass evaluates P_n at x; the pass after a step of at most 2 eps
+    # only feeds the weights.
+    for _ in range(_NEWTON_STEPS + 1):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        one_minus_sq = (1.0 - x) * (1.0 + x)
+        slope = n * (p_prev - x * p)  # (1 - x^2) P_n'(x)
+        if np.max(np.abs(step)) <= 2.0 * np.finfo(float).eps:
+            break
+        step = p * one_minus_sq / slope
+        x = x - step
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes not converged for n = {n}")
+    w = 2.0 * one_minus_sq / (slope * slope)
+    x = np.concatenate([-x[n % 2:][::-1], x])
+    w = np.concatenate([w[n % 2:][::-1], w])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -340,6 +383,10 @@ def coulomb_selection_rule(
     function and vanish within quadrature error; the double flip
     (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
     resolution; the reported error bound covers both elements.
+
+    The kernel is never held whole: one pass over it in column blocks of at
+    most ``_KERNEL_ELEMENTS`` elements accumulates the potential of the flip
+    density at every node, so memory grows as n and time as n^2.
     """
     resolution = require_count("resolution", resolution, 16, MAX_SELECTION_RESOLUTION)
     w = geom.a_nm / 10.0
@@ -354,13 +401,17 @@ def coulomb_selection_rule(
         s = geom.overlap
         plus = (left + right) / np.sqrt(2.0 * (1.0 + s))
         minus = (left - right) / np.sqrt(2.0 * (1.0 - s))
-        kernel = 1.0 / np.sqrt((x[:, None] - x[None, :]) ** 2 + w * w)
         flip = wq * plus * minus       # odd density driving a single-DQD flip
         stay_p = wq * plus * plus      # even densities of the unflipped bra
         stay_m = wq * minus * minus
-        allowed = float(flip @ kernel @ flip)
-        forbidden_pp = float(stay_p @ kernel @ flip)
-        forbidden_mm = float(stay_m @ kernel @ flip)
+        potential = np.zeros(n)        # of the flip density, at each node
+        cols = max(1, _KERNEL_ELEMENTS // n)
+        for lo in range(0, n, cols):
+            kernel = 1.0 / np.sqrt((x[:, None] - x[None, lo:lo + cols]) ** 2 + w * w)
+            potential += kernel @ flip[lo:lo + cols]
+        allowed = float(flip @ potential)
+        forbidden_pp = float(stay_p @ potential)
+        forbidden_mm = float(stay_m @ potential)
         return allowed, forbidden_pp, forbidden_mm
 
     allowed, forbidden_pp, forbidden_mm = elements(resolution)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import collections
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import roots_legendre
 
+from dqdsim import decoherence
 from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
 from dqdsim.decoherence import (
@@ -16,6 +19,7 @@ from dqdsim.decoherence import (
     LENGTH_RANGE_NM,
     MAX_SELECTION_RESOLUTION,
     MIN_TEMPERATURE_K,
+    Q_CUTOFF_PER_NM,
     DotGeometry,
     Environment,
     PhononBranch,
@@ -310,6 +314,33 @@ def test_two_phonon_rate_matches_low_temperature_closed_form(kind, m, gamma, zet
     assert rate / closed_form == pytest.approx(1.0, abs=1e-6)
 
 
+# At moderate kT the asymptote above no longer holds, so an adaptive quadrature
+# of the reduced integrand, rebuilt from the public pieces over the rate's own
+# spectral window, checks the Gauss-Legendre rate independently of its nodes.
+@pytest.mark.parametrize("kind", ["deformation", "piezoelectric"])
+@pytest.mark.parametrize("kT_over_deps", [20.0, 200.0])
+def test_two_phonon_rate_matches_adaptive_quadrature(kind, kT_over_deps):
+    deps = 1.0
+    kT = kT_over_deps * deps
+    temperature = kT / K_B_UEV_PER_K
+    geom = DotGeometry()
+    branch = PhononBranch(kind)
+
+    def integrand(eps: float) -> float:
+        q = eps / HBAR_C_UEV_NM
+        n = bose_einstein(eps, temperature)
+        return float(q**4 / HBAR_C_UEV_NM**2 * branch.coupling_sq(q) ** 2
+                     * angular_flip_weight(q, geom) ** 2 * n * (n + 1.0) * (2.0 / kT) ** 2)
+
+    eps_hi = min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
+    integral, _ = quad(integrand, 1e-9 * kT, eps_hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    expected = 2.0 * np.pi / HBAR_UEV_NS * integral * 1e9
+    env = Environment(temperature_K=temperature)
+    rate = two_phonon_rate_per_s(deps, branch, env, geom).rate_per_s
+    # quad's own error estimate is below 4e-14 relative; the rates agree to ~1e-15
+    assert rate == pytest.approx(expected, rel=1e-12)
+
+
 def test_two_phonon_deep_dipole_exponents_reduced_mode():
     # measured on the decade starting at kT = 10 * level splitting; the
     # frozen values sit close to the analytic small-q counting of 9 and 5
@@ -373,12 +404,36 @@ def test_splitting_must_be_finite_and_positive(deps):
 # Gauss-Legendre nodes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [8, 9, 200, 1024, 1600, 2048])
-def test_cached_nodes_are_the_leggauss_nodes_bit_for_bit(n):
+def _legendre_moments(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum(w * P_k(x))`` for k = 0..2n-1, each ``P_k`` by its recurrence."""
+    n = x.size
+    moments = np.empty(2 * n)
+    p_prev, p = np.ones_like(x), x
+    moments[0], moments[1] = w.sum(), w @ x
+    for k in range(1, 2 * n - 1):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        moments[k + 1] = w @ p
+    return moments
+
+
+@pytest.mark.parametrize("n", [8, 9, 200, 1600, 3200])
+def test_rule_integrates_legendre_polynomials_up_to_degree_2n_minus_1(n):
     x, w = _legendre_nodes(n)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert x.tobytes() == x_ref.tobytes()
-    assert w.tobytes() == w_ref.tobytes()
+    exact = np.zeros(2 * n)
+    exact[0] = 2.0
+    # a few ulp of the total weight 2
+    np.testing.assert_allclose(_legendre_moments(x, w), exact, rtol=0.0, atol=2e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 200, 201, 3200])
+def test_nodes_ascend_and_mirror_exactly(n):
+    x, w = _legendre_nodes(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        middle = x[n // 2]
+        assert middle == 0.0 and not np.signbit(middle)
 
 
 def test_cached_nodes_are_read_only():
@@ -391,24 +446,35 @@ def test_cached_nodes_are_read_only():
 
 
 def test_each_node_count_is_built_once_per_process(monkeypatch, capsys):
-    leggauss = np.polynomial.legendre.leggauss
-    calls = collections.Counter()
+    cached = decoherence._legendre_nodes
+    builds = collections.Counter()
 
     def counting(n):
-        calls[n] += 1
-        return leggauss(n)
+        misses = cached.cache_info().misses
+        rule = cached(n)
+        builds[n] += cached.cache_info().misses - misses
+        return rule
 
-    _legendre_nodes.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    cached.cache_clear()
+    monkeypatch.setattr(decoherence, "_legendre_nodes", counting)
     for _ in range(2):
         main(["decohere", "--sweep", "rate"])
         main(["decohere", "--sweep", "selection"])
     capsys.readouterr()
     # rate: n = 256 and its 2n check; selection: n = 800 and its n/2 check
-    assert calls == {256: 1, 512: 1, 800: 1, 400: 1}
+    assert builds == {256: 1, 512: 1, 800: 1, 400: 1}
 
 
-@pytest.mark.parametrize("n", [64, 512, 1600])
+def test_unconverged_nodes_are_a_usage_error(monkeypatch, capsys):
+    _legendre_nodes.cache_clear()
+    monkeypatch.setattr(decoherence, "_NEWTON_STEPS", 0)
+    assert main(["decohere", "--sweep", "selection"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Gauss-Legendre nodes not converged for n = 800\n"
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 200, 512, 1024, 1600, 2048, 3200])
 def test_nodes_match_scipy_roots_legendre(n):
     x, _ = _legendre_nodes(n)
     x_ref, _ = roots_legendre(n)
@@ -429,6 +495,24 @@ def test_node_cache_is_bounded():
         _legendre_nodes(n)
         assert _legendre_nodes.cache_info().currsize <= LEGENDRE_CACHE_SIZE
     assert _legendre_nodes.cache_info().currsize == LEGENDRE_CACHE_SIZE
+
+
+def test_quadratures_hold_no_n_by_n_array():
+    # one n x n float array at n = 3200 takes 82 MB; the selection rule
+    # builds the n = 1600 rule of its convergence check in the traced window
+    mb = 1 << 20
+    _legendre_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        _legendre_nodes(3200)
+        nodes_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        coulomb_selection_rule(DotGeometry(d_nm=22.0, a_nm=5.0), resolution=3200)
+        selection_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes_peak < 1 * mb
+    assert selection_peak < 16 * mb
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +543,34 @@ def test_selection_rule_forbidden_elements_vanish():
     # the forbidden elements sit far below the quadrature error bound
     assert table["forbidden_pp_abs"] < table["error_bound"]
     assert coulomb_selection_rule(DotGeometry(), np.int64(800)) == table
+
+
+def test_blocked_kernel_matches_the_dense_kernel(monkeypatch):
+    # seven columns a block at n = 400, fourteen at its n = 200 check; both
+    # leave a ragged last block
+    monkeypatch.setattr(decoherence, "_KERNEL_ELEMENTS", 7 * 400 + 5)
+    geom = DotGeometry(d_nm=18.5, a_nm=4.7)
+    half = geom.d_nm / 2.0 + 8.0 * geom.a_nm
+    elements = []
+    for n in (400, 200):
+        x, wq = decoherence._gauss_legendre(-half, half, n)
+        a = geom.a_nm
+        left = np.exp(-((x + geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+        right = np.exp(-((x - geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+        norm = (np.pi * a * a) ** -0.25
+        plus = norm * (left + right) / np.sqrt(2.0 * (1.0 + geom.overlap))
+        minus = norm * (left - right) / np.sqrt(2.0 * (1.0 - geom.overlap))
+        kernel = 1.0 / np.sqrt((x[:, None] - x[None, :]) ** 2 + (a / 10.0) ** 2)
+        flip = wq * plus * minus
+        elements.append([flip @ kernel @ flip, (wq * plus * plus) @ kernel @ flip,
+                         (wq * minus * minus) @ kernel @ flip])
+    (allowed, pp, mm), (allowed_lo, _, _) = elements
+    table = coulomb_selection_rule(geom, resolution=400)
+    # summation order differs: a few ulp of the allowed element
+    assert table["allowed_abs"] == pytest.approx(abs(allowed), rel=4 * np.finfo(float).eps)
+    assert table["error_bound"] == pytest.approx(abs(allowed - allowed_lo), rel=1e-9)
+    for forbidden in (table["forbidden_pp_abs"], table["forbidden_mm_abs"], abs(pp), abs(mm)):
+        assert forbidden < 1e-15
 
 
 def test_quadrature_resolutions_are_capped():
