@@ -310,7 +310,9 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "passed": True,
     }
     plus, minus = trace_plus.p_left, trace_minus.p_left
-    rows = zip(trace_plus.times_ns, plus, minus, np.abs(plus - minus))
+    # Python-float columns: zipping the arrays would box every cell as a numpy scalar.
+    columns = (trace_plus.times_ns, plus, minus, np.abs(plus - minus))
+    rows = zip(*(column.tolist() for column in columns))
     return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), rows))
 
 

@@ -68,6 +68,12 @@ LEGENDRE_CACHE_SIZE = 32
 #: stops within four at every n up to 3200.
 _NEWTON_STEPS = 10
 
+#: Relative size below which a quadrature's change with resolution is
+#: rounding noise: once a rule has converged, node changes of an ulp moved
+#: the two-phonon difference by up to 45x.  Both error estimates are
+#: floored at this fraction of the value they bound.
+_ROUNDING_FLOOR = 1e-13
+
 #: Kernel elements per column block of ``coulomb_selection_rule``; bounds each
 #: block at 1 MB whatever the resolution.  Selection time was flat from 2**16
 #: to 2**21 elements.
@@ -296,7 +302,8 @@ class TwoPhononRate(NamedTuple):
     """Two-phonon rate at ``2 * resolution`` nodes and its quadrature error.
 
     ``est_error_per_s`` is the difference between the rates at ``2 * resolution``
-    and at ``resolution`` nodes.
+    and at ``resolution`` nodes, floored at ``1e-13`` of the rate: a smaller
+    difference is rounding noise, not a quadrature error the rule resolves.
     """
 
     rate_per_s: float
@@ -327,10 +334,10 @@ def two_phonon_rate_per_s(
     one percent of kT regularizing the on-shell crossing.
 
     The result is checked for quadrature convergence by doubling the node
-    count; disagreement beyond 1% raises, and the difference is returned as
-    the error estimate.  A warning flags temperatures below
-    :func:`validity_edge_K`, where the high-temperature reduction is
-    dubious; the edge itself is inside.
+    count; disagreement beyond 1% raises, and the difference, floored at
+    1e-13 of the rate, is returned as the error estimate.  A warning flags
+    temperatures below :func:`validity_edge_K`, where the high-temperature
+    reduction is dubious; the edge itself is inside.
     """
     if mode not in ("reduced", "exact"):
         raise ValueError(f"mode must be 'reduced' or 'exact', got {mode!r}")
@@ -352,7 +359,7 @@ def two_phonon_rate_per_s(
     # 2*pi/hbar in 1/(ueV ns) times 1e9 ns/s.
     rate = float(2.0 * np.pi / HBAR_UEV_NS * fine * 1e9)
     rate_coarse = float(2.0 * np.pi / HBAR_UEV_NS * coarse * 1e9)
-    return TwoPhononRate(rate, abs(rate - rate_coarse))
+    return TwoPhononRate(rate, max(abs(rate - rate_coarse), _ROUNDING_FLOOR * abs(rate)))
 
 
 def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:
@@ -421,7 +428,7 @@ def coulomb_selection_rule(
         raise RuntimeError(
             f"selection-rule quadrature not converged at resolution {resolution}"
         )
-    error_bound = max(drift, 1e-13 * abs(allowed))
+    error_bound = max(drift, _ROUNDING_FLOOR * abs(allowed))
     return {
         "allowed_abs": abs(allowed),
         "forbidden_pp_abs": abs(forbidden_pp),

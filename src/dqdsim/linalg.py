@@ -67,35 +67,27 @@ def require_float(name: str, value: object) -> float:
         raise ValueError(f"{name} is an integer beyond the float range") from None
 
 
-def expm_hermitian(h: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
     """``exp(-1j * angle * h)`` for Hermitian ``h`` via eigendecomposition.
 
-    Exact up to roundoff for any angle, so long piecewise-constant
-    evolutions stay unitary without step-size control.  A stack of
-    matrices takes one Hermitian check and one ``eigh`` for the whole
-    stack; each unitary in it is bitwise the one a single-matrix call
-    gives, because LAPACK and BLAS see the same per-matrix operands.
+    Exact up to roundoff for any angle, so long evolutions stay unitary
+    without step-size control.
 
     Args:
-        h: Hermitian matrix ``(n, n)`` or stack ``(..., n, n)`` (checked
-            against :data:`HERMITIAN_ATOL`).
-        angle: dimensionless rotation angle multiplying the spectrum; for a
-            stack, one angle per matrix (shape ``h.shape[:-2]``).
+        h: Hermitian matrix ``(n, n)``, checked against :data:`HERMITIAN_ATOL`.
+        angle: dimensionless rotation angle multiplying the spectrum.
 
     Returns:
-        The unitary ``exp(-1j * angle * h)``, or the stack of them.
+        The unitary ``exp(-1j * angle * h)``.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    angle = np.asarray(angle, dtype=float)
-    if angle.shape != h.shape[:-2]:
-        raise ValueError(f"expected angles of shape {h.shape[:-2]}, got {angle.shape}")
-    if max_abs_diff(h, np.swapaxes(h.conj(), -1, -2)) > HERMITIAN_ATOL:
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if max_abs_diff(h, h.conj().T) > HERMITIAN_ATOL:
         raise ValueError("generator is not Hermitian within 1e-12")
     eigvals, p = np.linalg.eigh(h)
-    d = np.exp((-1j * angle)[..., None] * eigvals)
-    return (p * d[..., None, :]) @ np.swapaxes(p.conj(), -1, -2)
+    d = np.exp(-1j * float(angle) * eigvals)
+    return (p * d) @ p.conj().T
 
 
 def dist_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:

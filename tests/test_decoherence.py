@@ -368,9 +368,19 @@ def test_two_phonon_quadrature_converged_in_resolution():
     r512 = two_phonon_rate_per_s(0.1, branch, Environment(temperature_K=0.3, resolution=512), geom)
     assert r256.rate_per_s == pytest.approx(r512.rate_per_s, rel=1e-6)
     # resolution n returns the 2n-node rate; its error estimate is the
-    # difference to the n-node rate, which resolution n/2 returns
-    assert r512.est_error_per_s == abs(r512.rate_per_s - r256.rate_per_s)
+    # difference to the n-node rate, which resolution n/2 returns, or 1e-13
+    # of the rate where that difference is rounding noise (here it is 0)
+    difference = abs(r512.rate_per_s - r256.rate_per_s)
+    assert r512.est_error_per_s == max(difference, 1e-13 * r512.rate_per_s)
     assert 0.0 < r256.est_error_per_s < 1e-6 * r256.rate_per_s
+
+
+def test_two_phonon_error_estimate_is_floored_at_rounding():
+    # At 128 nodes the deformation rate at T = 0.0348 K is converged to an ulp:
+    # its node-doubling difference (1.9e-32 of 2.7e-18) is rounding noise.
+    env = Environment(temperature_K=0.034813554365236761, resolution=128)
+    rate = two_phonon_rate_per_s(0.3, PhononBranch("deformation"), env, DotGeometry())
+    assert rate.est_error_per_s == 1e-13 * rate.rate_per_s
 
 
 def test_two_phonon_rejects_unconverged_quadrature():

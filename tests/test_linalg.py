@@ -94,56 +94,24 @@ def test_expm_hermitian_matches_series():
     assert is_unitary(u)
 
 
-@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
-def test_expm_hermitian_matches_scipy_expm(n, stack, seed, angle_scale):
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
+def test_expm_hermitian_matches_scipy_expm(n, seed, angle_scale):
     # scipy's Pade scaling-and-squaring is an independent route to exp(-i a H)
     rng = np.random.default_rng(seed)
-    h = np.stack([random_hermitian(n, rng) for _ in range(stack)])
-    angles = angle_scale * rng.uniform(-1.0, 1.0, size=stack)
-    stacked = expm_hermitian(h, angles)
-    for k in range(stack):
-        expected = scipy.linalg.expm(-1j * angles[k] * h[k])
-        scale = 1.0 + abs(angles[k]) * np.linalg.norm(h[k], 2)
-        assert max_abs_diff(stacked[k], expected) <= 2e-15 * n * scale
-        assert max_abs_diff(expm_hermitian(h[k], float(angles[k])), expected) <= 2e-15 * n * scale
+    h = random_hermitian(n, rng)
+    angle = angle_scale * rng.uniform(-1.0, 1.0)
+    expected = scipy.linalg.expm(-1j * angle * h)
+    scale = 1.0 + abs(angle) * np.linalg.norm(h, 2)
+    assert max_abs_diff(expm_hermitian(h, angle), expected) <= 2e-15 * n * scale
 
 
 def test_expm_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-
-def test_stacked_expm_is_bitwise_the_per_matrix_calls():
-    rng = np.random.default_rng(5)
-    for n, batch in ((2, 1), (2, 37), (6, 128)):
-        h = np.stack([random_hermitian(n, rng) for _ in range(batch)])
-        angles = rng.normal(size=batch) * 10.0 ** rng.uniform(-3, 3, size=batch)
-        stacked = expm_hermitian(h, angles)
-        assert stacked.shape == h.shape
-        for k in range(batch):
-            assert np.array_equal(stacked[k], expm_hermitian(h[k], float(angles[k])))
-    grid = np.stack([[random_hermitian(4, rng) for _ in range(3)] for _ in range(2)])
-    angles = rng.normal(size=(2, 3))
-    stacked = expm_hermitian(grid, angles)
-    assert np.array_equal(stacked[1, 2], expm_hermitian(grid[1, 2], angles[1, 2]))
-
-
-def test_stacked_expm_rejects_one_non_hermitian_member():
-    rng = np.random.default_rng(6)
-    h = np.stack([random_hermitian(3, rng) for _ in range(5)])
-    h[3, 0, 1] += 1e-9
     with pytest.raises(ValueError, match="not Hermitian"):
-        expm_hermitian(h, np.ones(5))
-
-
-def test_stacked_expm_needs_one_angle_per_matrix():
-    h = np.stack([np.eye(2)] * 3)
-    with pytest.raises(ValueError, match="angles"):
-        expm_hermitian(h, 1.0)
-    with pytest.raises(ValueError, match="angles"):
-        expm_hermitian(np.eye(2), np.ones(2))
+        expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ValueError, match="square"):
         expm_hermitian(np.ones((2, 3)), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        expm_hermitian(np.stack([np.eye(2)] * 3), 1.0)
 
 
 def test_expm_pauli_x_rotation():

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from dqdsim import pulses
 from dqdsim.basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, computational_basis_state
 from dqdsim.constants import HBAR_UEV_NS
 from dqdsim.gates import GateId, gate_matrix
@@ -18,6 +20,7 @@ from dqdsim.pulses import (
     calibrate_phase_flip,
     evolve,
     load_schedule,
+    reproduction_residuals,
     schedule_from_json,
     schedule_to_json,
     segment_generator,
@@ -90,14 +93,68 @@ def test_tunnel_generators_vanish_on_leakage_rows():
 AMPLITUDES = (-25.0, -3.7, -1e-3, -0.0, 0.0, 1e-3, 0.5, 3.7, 12.25, 1e3)
 
 
+EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize("electrode", ELECTRODES)
 def test_evolve_matches_kron_generator_bytes(electrode):
+    # The generator is bitwise the kron construction; one segment's unitary is
+    # scipy's Pade exponential of exactly those bytes, to roundoff in the phase.
     for amplitude in AMPLITUDES:
-        segment = PulseSegment(electrode, amplitude, 0.37)
-        assert max_abs_diff(segment_generator(segment), _kron_generator(segment)) == 0.0
-        u = expm_hermitian(_kron_generator(segment), segment.duration_ns / HBAR_UEV_NS)
-        expected = u @ np.eye(6, dtype=complex)
-        assert evolve([segment]).tobytes() == expected.tobytes(), amplitude
+        for duration in (0.0, 0.37, 41.0, 1e4):
+            segment = PulseSegment(electrode, amplitude, duration)
+            h = _kron_generator(segment)
+            assert max_abs_diff(segment_generator(segment), h) == 0.0
+            angle = duration / HBAR_UEV_NS
+            expected = scipy.linalg.expm(-1j * angle * h)
+            bound = 4 * EPS * (1 + angle * abs(amplitude))
+            assert max_abs_diff(evolve([segment]), expected) <= bound, (amplitude, duration)
+
+
+def test_units_have_exact_spectral_projectors():
+    eye = np.eye(6)
+    for e, electrode in enumerate(ELECTRODES):
+        u = pulses._UNITS[e]
+        assert np.array_equal(u, pulses._GENERATORS[electrode][1]), electrode
+        assert np.array_equal(u, u.conj().T), electrode
+        assert np.array_equal(u @ u @ u, u), electrode
+        projectors = (pulses._PLUS[e], pulses._MINUS[e], pulses._ZERO[e])
+        assert np.array_equal(sum(projectors), eye), electrode
+        for p in projectors:
+            assert np.array_equal(p @ p, p), electrode
+        assert np.array_equal(pulses._PLUS[e] - pulses._MINUS[e], u), electrode
+
+
+def test_evolve_never_calls_eigh(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("evolve called numpy.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rng = np.random.default_rng(7)
+    schedule = _random_schedule(rng, 300)
+    u = evolve(schedule)
+    evolve(schedule, u)
+    evolve(schedule, computational_basis_state("10"))
+
+
+# Residuals of the eigh-based evolve these schedules replaced; none may grow.
+EIGH_RESIDUALS = {
+    "pulse[not1]": 2.2204460492503131e-16,
+    "pulse[not2]": 2.2204460492503131e-16,
+    "pulse[sqrt_not1]": 1.1102230246251568e-16,
+    "pulse[sqrt_not2]": 1.1102230246251568e-16,
+    "pulse[exchange]": 2.2204460492503131e-16,
+    "pulse[swap_sequence]": 8.8817841970012523e-16,
+    "pulse[sqrt_swap_sequence]": 4.4754520913118096e-16,
+    "pulse[phase_flip_dqd1]": 6.123233995736766e-17,
+}
+
+
+def test_reproduction_residuals_stay_at_or_below_the_eigh_values():
+    residuals = reproduction_residuals()
+    assert residuals.keys() == EIGH_RESIDUALS.keys()
+    for name, value in residuals.items():
+        assert value <= EIGH_RESIDUALS[name], name
 
 
 def test_all_generators_hermitian():
@@ -135,7 +192,8 @@ def test_evolve_returns_a_fresh_array():
 
 
 def _evolve_one_segment_at_a_time(schedule, initial=None):
-    """Oracle: one generator and one 2-D ``expm_hermitian`` per segment."""
+    """Oracle: one generator, one ``eigh``-based ``expm_hermitian`` and one
+    product per segment, in schedule order."""
     state = np.eye(6, dtype=complex) if initial is None else np.array(initial, dtype=complex)
     for segment in schedule:
         u = expm_hermitian(segment_generator(segment), segment.duration_ns / HBAR_UEV_NS)
@@ -156,8 +214,10 @@ def _random_schedule(rng, n):
     ]
 
 
-@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
-def test_chunked_evolve_is_bitwise_the_per_segment_loop(n):
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 255, 256, 257, 300])
+def test_chunked_evolve_matches_the_per_segment_loop(n):
+    # Projectors and a product tree against eigh and a loop: two algorithms,
+    # so they agree to roundoff (at most 1.6e-14 seen), not bitwise.
     rng = np.random.default_rng(n)
     schedule = _random_schedule(rng, n)
     assert n < 8 or {s.electrode for s in schedule} == set(ELECTRODES)
@@ -166,7 +226,7 @@ def test_chunked_evolve_is_bitwise_the_per_segment_loop(n):
     w = _evolve_one_segment_at_a_time(_random_schedule(rng, 5))
     for initial in (None, v, w):
         expected = _evolve_one_segment_at_a_time(schedule, initial)
-        assert np.array_equal(evolve(schedule, initial), expected)
+        assert max_abs_diff(evolve(schedule, initial), expected) <= 1e-13
 
 
 _segments = st.lists(
