@@ -297,8 +297,10 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
             "passed": best.distinguishability >= 0.99,
         })
 
-    trace_plus, trace_minus, best = readout.readout_traces(cfg)
+    pair = readout.readout_traces(cfg)
+    trace_plus, trace_minus, best = pair
     degenerate = best.distinguishability < 1e-12
+    propagator_error = readout.propagator_error(cfg, pair)
     report = {
         "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
         "bias_ueV": cfg.bias_ueV,
@@ -306,8 +308,8 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "measurement_time_ns": best.time_ns,
         "distinguishability": best.distinguishability,
         "degenerate": degenerate,
-        "probability_conservation_max_error": max(trace_plus.norm_error, trace_minus.norm_error),
-        "passed": True,
+        "propagator_max_error": propagator_error,
+        "passed": propagator_error <= 1e-12,
     }
     plus, minus = trace_plus.p_left, trace_minus.p_left
     # Python-float columns: zipping the arrays would box every cell as a numpy scalar.

@@ -1,10 +1,11 @@
 """Dense complex linear algebra shared by the simulator modules.
 
-Everything operates on plain ``numpy`` arrays in ``complex128``.  The two
-workhorses are an eigendecomposition-based matrix exponential for Hermitian
-generators (exactly unitary up to roundoff, no integrator step-size to tune)
-and a max-entry distance between matrices that quotients out a global phase,
-which is the natural equivalence for pulse-generated gates.
+Everything operates on plain ``numpy`` arrays in ``complex128``.  The
+workhorse is a max-entry distance between matrices that quotients out a
+global phase, the natural equivalence for pulse-generated gates; beside it
+sit the residual norm and the input checks the modules share.  No matrix
+exponential lives here: the pulse and readout generators each have a
+closed-form one (:mod:`dqdsim.pulses`, :mod:`dqdsim.readout`).
 """
 
 from __future__ import annotations
@@ -12,18 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HERMITIAN_ATOL",
     "max_abs_diff",
     "is_unitary",
     "require_normalized",
     "require_count",
     "require_float",
-    "expm_hermitian",
     "dist_up_to_global_phase",
 ]
 
-#: How far from self-adjoint a generator may be before it is rejected.
-HERMITIAN_ATOL = 1e-12
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise ``|a - b|``; the residual norm used throughout."""
@@ -65,29 +62,6 @@ def require_float(name: str, value: object) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is an integer beyond the float range") from None
-
-
-def expm_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
-    """``exp(-1j * angle * h)`` for Hermitian ``h`` via eigendecomposition.
-
-    Exact up to roundoff for any angle, so long evolutions stay unitary
-    without step-size control.
-
-    Args:
-        h: Hermitian matrix ``(n, n)``, checked against :data:`HERMITIAN_ATOL`.
-        angle: dimensionless rotation angle multiplying the spectrum.
-
-    Returns:
-        The unitary ``exp(-1j * angle * h)``.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if max_abs_diff(h, h.conj().T) > HERMITIAN_ATOL:
-        raise ValueError("generator is not Hermitian within 1e-12")
-    eigvals, p = np.linalg.eigh(h)
-    d = np.exp(-1j * float(angle) * eigvals)
-    return (p * d) @ p.conj().T
 
 
 def dist_up_to_global_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -49,7 +49,6 @@ from .linalg import dist_up_to_global_phase, is_unitary, require_float, require_
 __all__ = [
     "ELECTRODES",
     "PulseSegment",
-    "segment_generator",
     "evolve",
     "calibrate",
     "calibrate_phase_flip",
@@ -140,12 +139,6 @@ class PulseSegment:
         if not math.isfinite(phase):  # evolve's rotation angle, in its own order
             raise ValueError(f"amplitude_ueV = {self.amplitude_ueV!r} and duration_ns = "
                              f"{self.duration_ns!r} give a pulse phase outside the float range")
-
-
-def segment_generator(segment: PulseSegment) -> np.ndarray:
-    """Hermitian 6x6 generator (ueV) for one pulse segment."""
-    sign, unit = _GENERATORS[segment.electrode]
-    return (sign * float(segment.amplitude_ueV)) * unit
 
 
 def _segment_unitaries(chunk: Sequence[PulseSegment]) -> np.ndarray:

@@ -34,7 +34,7 @@ EMBEDDING_TOL = 1e-10
 TAU_EXPONENT_TOL = 1e-10
 RATE_EXPONENT_TOL = 0.1
 SELECTION_RATIO = 1e-3
-CONSERVATION_TOL = 1e-12
+PROPAGATOR_TOL = 1e-12
 THERMAL_CEILING = 1e-4
 INIT_MATCH_TOL = 1e-12
 
@@ -191,7 +191,7 @@ def test_criterion_6_readout_and_initialization(capsys):
         tunnel_coupling_ueV=5.0, bias_ueV=10.0, duration_ns=0.4, timestep_ns=0.0005
     )
     traces = readout.readout_traces(cfg)
-    conservation = max(traces.plus.norm_error, traces.minus.norm_error)
+    propagator = readout.propagator_error(cfg, traces)
     best_cfg, best = readout.scan_bias(5.0, duration_ns=0.4, timestep_ns=0.0005)
     thermal = readout.thermal_occupancy(9.3 * K_B_UEV_PER_K, 1.0)
     init_gap = 0.0
@@ -203,17 +203,17 @@ def test_criterion_6_readout_and_initialization(capsys):
         init_gap = max(init_gap, abs(plan.fidelity - float(forward)))
 
     ok = (
-        conservation <= CONSERVATION_TOL
+        propagator <= PROPAGATOR_TOL
         and best.distinguishability >= 0.99
         and thermal <= THERMAL_CEILING
         and init_gap <= INIT_MATCH_TOL
     )
     announce(
         capsys, 6, "readout and initialization", ok,
-        f"conservation {conservation:.1e}, distinguishability {best.distinguishability:.6f} "
+        f"propagator {propagator:.1e}, distinguishability {best.distinguishability:.6f} "
         f"at bias {best_cfg.bias_ueV:g}, thermal {thermal:.2e}, init gap {init_gap:.1e}",
     )
-    assert conservation <= CONSERVATION_TOL
+    assert propagator <= PROPAGATOR_TOL
     assert best.distinguishability >= 0.99
     assert thermal <= THERMAL_CEILING
     assert init_gap <= INIT_MATCH_TOL

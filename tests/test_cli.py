@@ -251,6 +251,18 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
         assert json.loads(out)["passed"] == (code == 0)
 
 
+def test_readout_init_and_evolve_never_call_eigh(capsys, monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("called numpy.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.chdir(GOLDEN)
+    cases = [case for case in GOLDEN_CASES.values() if case[2][0] in ("readout", "init", "evolve")]
+    assert len(cases) == 10
+    for name, expected_code, argv in cases:
+        assert run(capsys, *argv)[:2] == (expected_code, (GOLDEN / name).read_text()), argv
+
+
 def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
     # A fresh interpreter: this test process has long imported every module.
     script = textwrap.dedent("""
@@ -432,7 +444,8 @@ def test_readout_json_report(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["degenerate"] is False
-    assert report["probability_conservation_max_error"] < 1e-12
+    assert report["propagator_max_error"] < 1e-12
+    assert report["passed"] is True
     assert report["distinguishability"] > 0.9999
 
 
@@ -463,6 +476,20 @@ def test_init_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypatch)
     assert code == 1
     report = json.loads(out)
     assert report["fidelity_matches_forward"] is False
+    assert report["passed"] is False
+
+
+def test_readout_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypatch):
+    # The populations come from the kernel, the propagator check's from the
+    # readout unitary, so a unitary for a 1% longer pulse must fail.
+    from dqdsim import readout
+
+    exact = readout.readout_unitary
+    monkeypatch.setattr(readout, "readout_unitary", lambda config, t_ns: exact(config, 1.01 * t_ns))
+    code, out, _ = run(capsys, "readout", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["propagator_max_error"] > 1e-12
     assert report["passed"] is False
 
 

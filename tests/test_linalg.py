@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from dqdsim.decoherence import (
 )
 from dqdsim.linalg import (
     dist_up_to_global_phase,
-    expm_hermitian,
     is_unitary,
     max_abs_diff,
     require_normalized,
@@ -28,11 +26,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (z + z.conj().T) / 2
 
 
 def test_is_unitary_random():
@@ -76,50 +69,6 @@ def test_every_count_site_applies_one_rule(site):
             call(value)
         assert str(info.value) == f"{name} must be in {lo}..{hi}, got {value!r}"
     call(np.int64(accepted))
-
-
-def test_expm_hermitian_matches_series():
-    rng = np.random.default_rng(3)
-    h = random_hermitian(4, rng)
-    angle = 0.37
-    # brute-force Taylor series as an independent reference
-    m = -1j * angle * h
-    term = np.eye(4, dtype=complex)
-    total = np.eye(4, dtype=complex)
-    for k in range(1, 60):
-        term = term @ m / k
-        total = total + term
-    u = expm_hermitian(h, angle)
-    assert max_abs_diff(u, total) < 1e-12
-    assert is_unitary(u)
-
-
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
-def test_expm_hermitian_matches_scipy_expm(n, seed, angle_scale):
-    # scipy's Pade scaling-and-squaring is an independent route to exp(-i a H)
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(n, rng)
-    angle = angle_scale * rng.uniform(-1.0, 1.0)
-    expected = scipy.linalg.expm(-1j * angle * h)
-    scale = 1.0 + abs(angle) * np.linalg.norm(h, 2)
-    assert max_abs_diff(expm_hermitian(h, angle), expected) <= 2e-15 * n * scale
-
-
-def test_expm_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-    with pytest.raises(ValueError, match="square"):
-        expm_hermitian(np.ones((2, 3)), 1.0)
-    with pytest.raises(ValueError, match="square"):
-        expm_hermitian(np.stack([np.eye(2)] * 3), 1.0)
-
-
-def test_expm_pauli_x_rotation():
-    # exp(-i theta sx) = cos(theta) I - i sin(theta) sx, a textbook identity
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    theta = 1.234
-    expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * sx
-    assert max_abs_diff(expm_hermitian(sx, theta), expected) < 1e-14
 
 
 def test_phase_distance_zero_for_pure_phase():

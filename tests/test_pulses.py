@@ -12,7 +12,7 @@ from dqdsim import pulses
 from dqdsim.basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, computational_basis_state
 from dqdsim.constants import HBAR_UEV_NS
 from dqdsim.gates import GateId, gate_matrix
-from dqdsim.linalg import dist_up_to_global_phase, expm_hermitian, max_abs_diff
+from dqdsim.linalg import dist_up_to_global_phase, max_abs_diff
 from dqdsim.pulses import (
     ELECTRODES,
     PulseSegment,
@@ -23,13 +23,24 @@ from dqdsim.pulses import (
     reproduction_residuals,
     schedule_from_json,
     schedule_to_json,
-    segment_generator,
     sqrt_swap_sequence,
     swap_sequence,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _generator(segment: PulseSegment) -> np.ndarray:
+    """The Hermitian 6x6 generator (ueV) of one segment, from ``pulses._GENERATORS``."""
+    sign, unit = pulses._GENERATORS[segment.electrode]
+    return (sign * float(segment.amplitude_ueV)) * unit
+
+
+def _expm_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
+    """``exp(-1j * angle * h)`` for Hermitian ``h`` from one ``eigh``."""
+    eigvals, p = np.linalg.eigh(h)
+    return (p * np.exp(-1j * angle * eigvals)) @ p.conj().T
 
 
 def _kron_generator(segment: PulseSegment) -> np.ndarray:
@@ -83,7 +94,7 @@ def test_electrode_inventory():
 
 def test_tunnel_generators_vanish_on_leakage_rows():
     for electrode in ("T1", "T2", "T3", "T4"):
-        h6 = segment_generator(PulseSegment(electrode, 3.7, 1.0))
+        h6 = _generator(PulseSegment(electrode, 3.7, 1.0))
         for leak in (1, 4):
             assert np.all(h6[leak, :] == 0.0)
             assert np.all(h6[:, leak] == 0.0)
@@ -104,7 +115,7 @@ def test_evolve_matches_kron_generator_bytes(electrode):
         for duration in (0.0, 0.37, 41.0, 1e4):
             segment = PulseSegment(electrode, amplitude, duration)
             h = _kron_generator(segment)
-            assert max_abs_diff(segment_generator(segment), h) == 0.0
+            assert max_abs_diff(_generator(segment), h) == 0.0
             angle = duration / HBAR_UEV_NS
             expected = scipy.linalg.expm(-1j * angle * h)
             bound = 4 * EPS * (1 + angle * abs(amplitude))
@@ -159,21 +170,21 @@ def test_reproduction_residuals_stay_at_or_below_the_eigh_values():
 
 def test_all_generators_hermitian():
     for electrode in ELECTRODES:
-        g = segment_generator(PulseSegment(electrode, 3.7, 1.0))
+        g = _generator(PulseSegment(electrode, 3.7, 1.0))
         assert max_abs_diff(g, g.conj().T) < 1e-14, electrode
 
 
 def test_tunnel_electrodes_come_in_sign_pairs():
     for plus, minus in (("T1", "T2"), ("T3", "T4")):
-        gp = segment_generator(PulseSegment(plus, 2.5, 1.0))
-        gm = segment_generator(PulseSegment(minus, 2.5, 1.0))
+        gp = _generator(PulseSegment(plus, 2.5, 1.0))
+        gm = _generator(PulseSegment(minus, 2.5, 1.0))
         assert max_abs_diff(gp, -gm) == 0.0
 
 
 def test_detuning_electrodes_shift_leakage_rows_too():
     # the level-splitting electrodes act on the whole DQD, including the
     # doubly-occupied configurations, so their generator cannot vanish there
-    g = segment_generator(PulseSegment("E1", 1.0, 1.0))
+    g = _generator(PulseSegment("E1", 1.0, 1.0))
     assert g[1, 1] != 0.0
     assert g[4, 4] != 0.0
 
@@ -192,11 +203,11 @@ def test_evolve_returns_a_fresh_array():
 
 
 def _evolve_one_segment_at_a_time(schedule, initial=None):
-    """Oracle: one generator, one ``eigh``-based ``expm_hermitian`` and one
+    """Oracle: one generator, one ``eigh``-based exponential and one
     product per segment, in schedule order."""
     state = np.eye(6, dtype=complex) if initial is None else np.array(initial, dtype=complex)
     for segment in schedule:
-        u = expm_hermitian(segment_generator(segment), segment.duration_ns / HBAR_UEV_NS)
+        u = _expm_hermitian(_generator(segment), segment.duration_ns / HBAR_UEV_NS)
         state = u @ state
     return state
 
