@@ -52,13 +52,14 @@ class Result(NamedTuple):
     """What a command hands :func:`main` to render.
 
     ``report`` always carries ``"passed"``, which sets the exit code.  The
-    CSV form is ``table``, a ``(header, rows)`` pair, or else the report
-    flattened to ``name,value`` rows; it is rendered only when CSV is asked for.
+    CSV form is ``table``, a ``(header, rows)`` pair whose rows may be one
+    float array, or else the report flattened to ``name,value`` rows; it is
+    rendered only when CSV is asked for.
     """
 
     report: dict
     default_format: str = "json"
-    table: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
+    table: tuple[Sequence[str], Iterable[Sequence[object]] | np.ndarray] | None = None
 
 
 def _flatten(report: dict) -> tuple[Sequence[str], list[tuple[str, object]]]:
@@ -299,7 +300,6 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
 
     pair = readout.readout_traces(cfg)
     trace_plus, trace_minus, best = pair
-    degenerate = best.distinguishability < 1e-12
     propagator_error = readout.propagator_error(cfg, pair)
     report = {
         "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
@@ -307,22 +307,21 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "rabi_frequency_rad_per_ns": readout.rabi_frequency(cfg),
         "measurement_time_ns": best.time_ns,
         "distinguishability": best.distinguishability,
-        "degenerate": degenerate,
+        "degenerate": best.degenerate,
         "propagator_max_error": propagator_error,
         "passed": propagator_error <= 1e-12,
     }
     plus, minus = trace_plus.p_left, trace_minus.p_left
-    # Python-float columns: zipping the arrays would box every cell as a numpy scalar.
-    columns = (trace_plus.times_ns, plus, minus, np.abs(plus - minus))
-    rows = zip(*(column.tolist() for column in columns))
-    return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), rows))
+    table = np.column_stack((trace_plus.times_ns, plus, minus, np.abs(plus - minus)))
+    return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), table))
 
 
 def _cmd_init(args: argparse.Namespace) -> Result:
     from . import readout
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
     matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
-    return Result({**asdict(plan), "fidelity_matches_forward": matches, "passed": matches})
+    return Result({**asdict(plan), "fidelity_matches_forward": matches,
+                   "passed": matches and not plan.degenerate})
 
 
 def _tolerance(text: str) -> float:

@@ -413,9 +413,16 @@ def coulomb_selection_rule(
         stay_m = wq * minus * minus
         potential = np.zeros(n)        # of the flip density, at each node
         cols = max(1, _KERNEL_ELEMENTS // n)
+        buffer = np.empty(n * min(cols, n))  # one block's kernel, filled in place
         for lo in range(0, n, cols):
-            kernel = 1.0 / np.sqrt((x[:, None] - x[None, lo:lo + cols]) ** 2 + w * w)
-            potential += kernel @ flip[lo:lo + cols]
+            hi = min(lo + cols, n)
+            kernel = buffer[:n * (hi - lo)].reshape(n, hi - lo)  # contiguous, as a fresh array
+            np.subtract(x[:, None], x[None, lo:hi], out=kernel)
+            np.multiply(kernel, kernel, out=kernel)
+            kernel += w * w
+            np.sqrt(kernel, out=kernel)
+            np.divide(1.0, kernel, out=kernel)  # 1 / sqrt((x_i - x_j)^2 + w^2)
+            potential += kernel @ flip[lo:hi]
         allowed = float(flip @ potential)
         forbidden_pp = float(stay_p @ potential)
         forbidden_mm = float(stay_m @ potential)

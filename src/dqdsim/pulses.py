@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .linalg import dist_up_to_global_phase, is_unitary, require_float, require_
 __all__ = [
     "ELECTRODES",
     "PulseSegment",
+    "Schedule",
     "evolve",
     "calibrate",
     "calibrate_phase_flip",
@@ -141,17 +143,39 @@ class PulseSegment:
                              f"{self.duration_ns!r} give a pulse phase outside the float range")
 
 
-def _segment_unitaries(chunk: Sequence[PulseSegment]) -> np.ndarray:
+class Schedule(Sequence[PulseSegment]):
+    """Checked segments as three read-only columns: electrode index into
+    :data:`ELECTRODES`, amplitude and duration.  Items are equal
+    :class:`PulseSegment` objects; :func:`evolve` reads the columns."""
+
+    def __init__(self, electrode: np.ndarray, amplitude_ueV: np.ndarray, duration_ns: np.ndarray):
+        for column in (electrode, amplitude_ueV, duration_ns):
+            column.flags.writeable = False
+        self.electrode, self.amplitude_ueV, self.duration_ns = electrode, amplitude_ueV, duration_ns
+
+    def __len__(self) -> int:
+        return len(self.electrode)
+
+    def __getitem__(self, i: int) -> PulseSegment:
+        return PulseSegment(ELECTRODES[self.electrode[i]], float(self.amplitude_ueV[i]),
+                            float(self.duration_ns[i]))
+
+
+def _columns(segments: Sequence[PulseSegment]) -> Schedule:
+    return Schedule(np.array([_ELECTRODE_INDEX[s.electrode] for s in segments], dtype=np.intp),
+                    np.array([s.amplitude_ueV for s in segments], dtype=float),
+                    np.array([s.duration_ns for s in segments], dtype=float))
+
+
+def _segment_unitaries(index: np.ndarray, amplitudes: np.ndarray,
+                       durations: np.ndarray) -> np.ndarray:
     """``exp(-1j * H * t / hbar)`` of each segment, stacked ``(k, 6, 6)``.
 
     With ``phi = (t / hbar) * (sign * a)`` and ``z = exp(-1j * phi)`` each
     unitary is ``P0 + z P+ + conj(z) P-`` of its electrode, entry by entry
     exact given ``z``.
     """
-    k = len(chunk)
-    index = np.array([_ELECTRODE_INDEX[s.electrode] for s in chunk])
-    amplitudes = np.array([s.amplitude_ueV for s in chunk], dtype=float)
-    durations = np.array([s.duration_ns for s in chunk], dtype=float)
+    k = len(index)
     z = np.exp(-1j * ((durations / HBAR_UEV_NS) * (_SIGNS[index] * amplitudes)))
     coefficients = np.zeros((k, len(ELECTRODES), 3))
     rows = np.arange(k)
@@ -189,7 +213,8 @@ def evolve(
     2.4.6, one BLAS thread).
 
     Args:
-        schedule: segments in execution order (first acts first).
+        schedule: segments in execution order (first acts first); a list
+            of :class:`PulseSegment` is turned into columns once, on entry.
         initial: a normalized 6-vector, a unitary 6x6 matrix, or ``None``
             for the identity propagator.
 
@@ -211,9 +236,12 @@ def evolve(
         else:
             raise ValueError(f"initial must be a 6-vector or 6x6 matrix, got {initial.shape}")
 
+    if not isinstance(schedule, Schedule):
+        schedule = _columns(schedule)
+    columns = (schedule.electrode, schedule.amplitude_ueV, schedule.duration_ns)
     for start in range(0, len(schedule), _CHUNK_SEGMENTS):
-        chunk = schedule[start:start + _CHUNK_SEGMENTS]
-        u = _ordered_product(_segment_unitaries(chunk))
+        chunk = slice(start, start + _CHUNK_SEGMENTS)
+        u = _ordered_product(_segment_unitaries(*(column[chunk] for column in columns)))
         state = u if state is None else u @ state
     return np.eye(6, dtype=complex) if state is None else state
 
@@ -309,13 +337,42 @@ def schedule_to_json(schedule: Iterable[PulseSegment]) -> list[dict[str, float |
     ]
 
 
-_SEGMENT_KEYS = frozenset(("electrode", "amplitude_ueV", "duration_ns"))
+_SEGMENT_KEYS = ("electrode", "amplitude_ueV", "duration_ns")
 
 
-def schedule_from_json(data: object) -> list[PulseSegment]:
-    """Parse a schedule from decoded JSON, naming the offending segment on error."""
+def _plain_columns(data: list) -> Schedule | None:
+    """``data`` checked a column at a time, or ``None`` where a segment may fail
+    the per-segment checks of :func:`schedule_from_json`, which these match or exceed."""
+    if not ({*map(type, data)} <= {dict} and {*map(len, data)} <= {3}):
+        return None
+    try:
+        names, amplitudes, durations = ([*map(itemgetter(key), data)] for key in _SEGMENT_KEYS)
+        if not ({*map(type, names)} <= {str}
+                and {*map(type, amplitudes), *map(type, durations)} <= {int, float}):
+            return None
+        index = np.array([*map(_ELECTRODE_INDEX.__getitem__, names)], dtype=np.intp)
+        amplitude = np.array(amplitudes, dtype=float)
+        duration = np.array(durations, dtype=float)
+    except (KeyError, OverflowError):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = (duration / HBAR_UEV_NS) * np.abs(amplitude)
+    # phase < inf also fails a nan or inf amplitude or duration, times 0 or not.
+    if not np.all((duration >= 0.0) & (phase < np.inf)):
+        return None
+    return Schedule(index, amplitude, duration)
+
+
+def schedule_from_json(data: object) -> Schedule:
+    """Parse a schedule from decoded JSON, naming the offending segment on error.
+
+    The segments are checked one at a time only when their columns fail.
+    """
     if not isinstance(data, list):
         raise ValueError(f"schedule must be a JSON array of segments, got {type(data).__name__}")
+    schedule = _plain_columns(data)
+    if schedule is not None:
+        return schedule
     segments: list[PulseSegment] = []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
@@ -339,10 +396,10 @@ def schedule_from_json(data: object) -> list[PulseSegment]:
             segments.append(PulseSegment(electrode, amplitude, duration))
         except ValueError as exc:
             raise ValueError(f"segment {i}: {exc}") from None
-    return segments
+    return _columns(segments)
 
 
-def load_schedule(path: str | Path) -> list[PulseSegment]:
+def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule from a JSON file."""
     text = Path(path).read_text()
     try:

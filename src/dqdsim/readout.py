@@ -180,6 +180,11 @@ class OptimalReadout(NamedTuple):
     time_ns: float
     distinguishability: float
 
+    @property
+    def degenerate(self) -> bool:
+        """Whether the readout cannot tell the states apart: contrast below 1e-12."""
+        return self.distinguishability < 1e-12
+
 
 class ReadoutPair(NamedTuple):
     """Both space states' traces and the best measurement time between them."""
@@ -330,7 +335,8 @@ class InitPlan:
     source dot at ``duration_ns``, read from the readout kernel's trace;
     ``fidelity`` comes from the inverse of the readout unitary.  By
     unitarity the two agree, so comparing them checks one path against
-    the other.
+    the other.  ``degenerate`` is the forward readout's: then no time
+    steers the states apart, and the plan prepares nothing.
     """
 
     target: str
@@ -340,6 +346,7 @@ class InitPlan:
     duration_ns: float
     fidelity: float
     forward_probability: float
+    degenerate: bool
 
 
 def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> InitPlan:
@@ -372,4 +379,5 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
         duration_ns=best.time_ns,
         fidelity=fidelity,
         forward_probability=p_left if source_dot == "L" else 1.0 - p_left,
+        degenerate=best.degenerate,
     )

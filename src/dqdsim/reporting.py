@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,7 +38,7 @@ def _render(value: object, indent: int) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f'{inner}"{_escape(key)}": {_render(item, indent + 1)}')
+            items.append(f'{inner}"{key.translate(_ESCAPES)}": {_render(item, indent + 1)}')
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not len(value):
@@ -55,20 +54,12 @@ def _render(value: object, indent: int) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
-        return f'"{_escape(value)}"'
+        return f'"{value.translate(_ESCAPES)}"'
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+# JSON string escapes: the quote, the backslash and the control characters.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
 def render_json(payload: object) -> str:
@@ -86,39 +77,41 @@ def _render_cell(cell: object) -> str:
     return str(cell)
 
 
-# Rows per formatting pass: bounds the row tuples and strings held at once.
+# Rows per formatting pass: bounds the floats and text held at once.
 _CHUNK_ROWS = 4096
 
 
-def _finite_floats(column: tuple) -> bool:
-    return all(isinstance(c, float) for c in column) and all(map(math.isfinite, column))
-
-
-def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndarray) -> str:
     """Render a sweep table as CSV with exact float round-trip.
 
     Floats are pre-formatted to 17 significant digits before the stdlib
     writer quotes whatever needs quoting; the line terminator is a bare
-    newline on every platform so repeated runs stay byte-identical.  Rows
-    of finite floats only are formatted a whole row at a time: a ``.17g``
-    float holds no delimiter, quote or newline, so none of their cells
-    needs the writer.
+    newline on every platform so repeated runs stay byte-identical.  A
+    table of floats, such as a readout trace, may come as one ``(n, width)``
+    float array: one ``isfinite`` checks it, and its rows are formatted
+    with a ``%.17g`` template, ``_CHUNK_ROWS`` at a time, which gives the
+    writer's bytes because such a cell holds no delimiter, quote or newline.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    template = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = iter(rows)
-    while chunk := [tuple(row) for row in islice(rows, _CHUNK_ROWS)]:
-        if all(len(row) == len(header) for row in chunk) and all(
-                map(_finite_floats, zip(*chunk))):
-            buffer.write("".join(map(template.__mod__, chunk)))
-            continue
-        for row in chunk:
-            cells = [_render_cell(c) for c in row]
-            if len(cells) != len(header):
-                raise ValueError(f"row width {len(cells)} != header width {len(header)}")
-            writer.writerow(cells)
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.shape[1:] != (len(header),):
+            raise ValueError(f"expected an (n, {len(header)}) float array, got {rows.dtype} "
+                             f"{rows.shape}")
+        finite = np.isfinite(rows)
+        if not finite.all():
+            format_float(rows[~finite][0])  # raises, naming the first non-finite value
+        template = ",".join(["%.17g"] * len(header)) + "\n"
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            buffer.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+        return buffer.getvalue()
+    for row in rows:
+        cells = [_render_cell(c) for c in row]
+        if len(cells) != len(header):
+            raise ValueError(f"row width {len(cells)} != header width {len(header)}")
+        writer.writerow(cells)
     return buffer.getvalue()
 
 

@@ -465,6 +465,17 @@ def test_init_fidelity_matches_forward_probability(capsys):
     assert report["fidelity"] == pytest.approx(report["forward_probability"], abs=1e-12)
 
 
+def test_init_fails_when_the_readout_is_degenerate(capsys):
+    # No coupling and no bias: both states stay at P_L = 1/2, so there is
+    # nothing to prepare, though the two paths still agree.
+    code, out, _ = run(capsys, "init", "--tunnel-coupling", "0", "--bias", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert report["degenerate"] is True
+    assert report["fidelity_matches_forward"] is True
+    assert report["passed"] is False
+
+
 def test_init_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypatch):
     # The fidelity comes from the readout unitary, the forward probability
     # from the kernel's trace, so a unitary for a 1% longer pulse must fail.

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import pulses
@@ -16,6 +17,7 @@ from dqdsim.linalg import dist_up_to_global_phase, max_abs_diff
 from dqdsim.pulses import (
     ELECTRODES,
     PulseSegment,
+    Schedule,
     calibrate,
     calibrate_phase_flip,
     evolve,
@@ -349,10 +351,10 @@ def test_schedule_json_roundtrip(tmp_path):
                 + calibrate(GateId.NOT2, 7.5) + calibrate(GateId.EXCHANGE, 3.25))
     data = schedule_to_json(schedule)
     again = schedule_from_json(data)
-    assert again == schedule
+    assert list(again) == schedule
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(data))
-    assert load_schedule(path) == schedule
+    assert list(load_schedule(path)) == schedule
 
 
 def test_schedule_from_json_names_offending_segment():
@@ -364,3 +366,127 @@ def test_schedule_from_json_names_offending_segment():
         schedule_from_json([good, {**good, "amplitude_ueV": 10**400}])
     with pytest.raises(ValueError):
         schedule_from_json({"not": "a list"})
+
+
+def test_parsing_and_evolving_a_valid_schedule_build_no_segment(monkeypatch, tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule_to_json(_random_schedule(np.random.default_rng(3), 300))))
+
+    def refuse(self):
+        raise AssertionError("built a PulseSegment")
+
+    monkeypatch.setattr(PulseSegment, "__post_init__", refuse)
+    schedule = load_schedule(path)
+    assert isinstance(schedule, Schedule) and len(schedule) == 300
+    evolve(schedule, evolve(schedule))
+    evolve(schedule, computational_basis_state("10"))
+
+
+def test_parsed_schedule_is_three_read_only_columns():
+    schedule = schedule_from_json(schedule_to_json(swap_sequence(10.0)))
+    for column in (schedule.electrode, schedule.amplitude_ueV, schedule.duration_ns):
+        assert not column.flags.writeable and column.shape == (4,)
+    assert schedule[-1] == swap_sequence(10.0)[-1]
+    with pytest.raises(IndexError):
+        schedule[4]
+
+
+def _per_segment_schedule_from_json(data):
+    """The parser the column pass replaced, one ``PulseSegment`` per segment,
+    kept as the oracle for its results and its messages."""
+    if not isinstance(data, list):
+        raise ValueError(f"schedule must be a JSON array of segments, got {type(data).__name__}")
+    segments = []
+    for i, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValueError(f"segment {i}: expected an object, got {type(item).__name__}")
+        extra = item.keys() - {"electrode", "amplitude_ueV", "duration_ns"}
+        if extra:
+            raise ValueError(f"segment {i}: unknown keys {sorted(extra)}")
+        try:
+            electrode = item["electrode"]
+            amplitude = item["amplitude_ueV"]
+            duration = item["duration_ns"]
+        except KeyError as missing:
+            raise ValueError(f"segment {i}: missing key {missing.args[0]!r}") from None
+        if not isinstance(electrode, str):
+            raise ValueError(f"segment {i}: electrode must be a string")
+        if isinstance(amplitude, bool) or not isinstance(amplitude, (int, float)):
+            raise ValueError(f"segment {i}: amplitude_ueV must be a number")
+        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+            raise ValueError(f"segment {i}: duration_ns must be a number")
+        try:
+            segments.append(PulseSegment(electrode, amplitude, duration))
+        except ValueError as exc:
+            raise ValueError(f"segment {i}: {exc}") from None
+    return segments
+
+
+_NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000),
+                     st.sampled_from([0.0, -0.0, 5e-324, 1e300, 10**300]))
+_GOOD_SEGMENTS = st.fixed_dictionaries({
+    "electrode": st.sampled_from(ELECTRODES),
+    "amplitude_ueV": _NUMBERS,
+    "duration_ns": _NUMBERS.map(abs),
+})
+_NUMBER_KEYS = st.sampled_from(["amplitude_ueV", "duration_ns"])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+_FAULTS = ("not a dict", "missing key", "extra key", "electrode type", "unknown electrode", "bool",
+           "str", "other type", "beyond float", "non-finite", "negative duration", "phase overflow")
+_WRONG_TYPES = {"bool": [True, False], "str": ["5", "1.0", "nan", ""], "other type": [None, [1.0], {}]}
+
+
+@st.composite
+def _faulty(draw, kind):
+    """A segment with one fault of the given kind."""
+    segment = dict(draw(_GOOD_SEGMENTS))
+    if kind == "not a dict":
+        return draw(st.sampled_from([[segment["electrode"]], "E1", None, 3, 1.5]))
+    if kind == "missing key":
+        del segment[draw(st.sampled_from(sorted(segment)))]
+    elif kind == "extra key":
+        segment[draw(st.sampled_from(["phase", "Electrode", "amplitude"]))] = 1.0
+    elif kind == "electrode type":
+        segment["electrode"] = draw(st.sampled_from([1, None, True, ["E1"], 1.5]))
+    elif kind == "unknown electrode":
+        segment["electrode"] = draw(st.sampled_from(["E3", "e1", "", "T5", "E1 "]))
+    elif kind in _WRONG_TYPES:
+        segment[draw(_NUMBER_KEYS)] = draw(st.sampled_from(_WRONG_TYPES[kind]))
+    elif kind == "beyond float":
+        segment[draw(_NUMBER_KEYS)] = draw(st.sampled_from([10**400, -10**400, 2**1024]))
+    elif kind == "non-finite":
+        segment[draw(_NUMBER_KEYS)] = draw(_NON_FINITE)
+    elif kind == "negative duration":
+        segment["duration_ns"] = draw(st.sampled_from([-0.5, -1, -5e-324, -1e300]))
+    else:  # finite numbers whose phase |a| * t / hbar is not
+        segment.update(draw(st.sampled_from([
+            {"amplitude_ueV": 1e300, "duration_ns": 1e10},
+            {"amplitude_ueV": -1e200, "duration_ns": 10**200},
+            {"amplitude_ueV": 0.0, "duration_ns": 1.7e308},
+            {"amplitude_ueV": 1, "duration_ns": 1.7976931348623157e308},
+        ])))
+    return segment
+
+
+@pytest.mark.parametrize("kind", (None,) + _FAULTS)
+@settings(max_examples=15)
+@given(segments=st.lists(_GOOD_SEGMENTS, max_size=12), data=st.data())
+def test_schedule_from_json_raises_the_per_segment_message(kind, segments, data):
+    # A fault of this kind and maybe one more, at random positions: the first is named.
+    faults = [] if kind is None else [kind]
+    faults += data.draw(st.lists(st.sampled_from(_FAULTS), max_size=len(faults)))
+    for fault in faults:
+        segments.insert(data.draw(st.integers(0, len(segments))), data.draw(_faulty(fault)))
+    try:
+        expected = _per_segment_schedule_from_json(segments)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            schedule_from_json(segments)
+        assert str(got.value) == str(exc)
+    else:  # the columns hold floats; an integer compares equal to its float
+        assert not faults
+        expected = [PulseSegment(s.electrode, float(s.amplitude_ueV), float(s.duration_ns))
+                    for s in expected]
+        assert list(schedule_from_json(segments)) == expected

@@ -225,7 +225,7 @@ def test_thermal_occupancy_is_the_logistic_of_deps_over_kt(temperature_K, log10_
 def test_init_plan_reverses_readout():
     plan = init_by_reversed_readout(CFG, "plus")
     assert isinstance(plan, InitPlan)
-    assert plan.source_dot == "L"
+    assert plan.source_dot == "L" and plan.degenerate is False
     assert plan.fidelity > 0.999
     # preparing by running the measurement backwards succeeds exactly as
     # often as the forward readout would have flagged the right dot

@@ -125,12 +125,42 @@ def test_render_csv_rejects_non_finite_floats(table, bad, data):
         render_csv(header, rows)
 
 
+@given(_tables(_FLOATS), st.data())
+def test_render_csv_of_a_float_array_is_the_stdlib_writer_over_formatted_cells(table, data):
+    header, rows = table
+    array = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    assert render_csv(header, array) == _reference_csv(header, rows)
+    if rows:
+        bad = array.copy()
+        i = data.draw(st.integers(0, bad.size - 1))
+        bad.flat[i] = value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match=f"cannot emit non-finite value {value!r}"):
+            render_csv(header, bad)
+
+
 def test_render_csv_passes_meet_at_chunk_edges():
-    # 4,096 rows per pass: an all-float pass next to one holding a string
+    # 4,096 rows per pass: 9,000 rows make two full passes and a short one
+    rows = [(i * 0.1, -i / 3.0, _EDGE_FLOATS[i % len(_EDGE_FLOATS)]) for i in range(9000)]
+    header = ("a", "b", "c")
+    for n in (0, 1, 4095, 4096, 4097, 8192, 9000):
+        table = np.array(rows[:n]).reshape(n, 3)
+        assert render_csv(header, table) == _reference_csv(header, rows[:n])
+    # the first non-finite value is named, whichever pass it falls in
+    for at, values, message in ((2, (np.nan, np.inf), "nan"), (4096, (1.0, -np.inf), "-inf"),
+                                (8999, (np.inf, np.nan), "inf")):
+        bad = np.array(rows)
+        bad[at, 1:] = values
+        with pytest.raises(ValueError, match=f"non-finite value {message}$"):
+            render_csv(header, bad)
+    for wrong in (np.zeros((3, 2)), np.zeros(3), np.zeros((3, 3), dtype=int)):
+        with pytest.raises(ValueError, match=r"expected an \(n, 3\) float array"):
+            render_csv(header, wrong)
+
+
+def test_render_csv_mixed_rows_keep_their_error_order():
     rows = [(i * 0.1, -i / 3.0) for i in range(9000)]
     rows[4100] = ("x,y", 1.0)
     assert render_csv(("a", "b"), iter(rows)) == _reference_csv(("a", "b"), rows)
-    # errors keep their row order across the checks and passes
     for bad_rows, message in (
         (rows[:2] + [(np.nan, 1.0)] + [(1.0,)] * 3, "non-finite value nan"),
         (rows[:2] + [(1.0,)] + [(np.inf, 1.0)], "row width 1"),
@@ -176,3 +206,22 @@ def _bits(value):
 def test_render_json_round_trips_doubles_and_strings(value):
     parsed = json.loads(render_json(value), parse_int=float)
     assert _bits(parsed) == _bits(value)
+
+
+def _reference_escape(text):
+    """The character loop the escape table replaced, as the oracle for its bytes."""
+    out = []
+    for ch in text:
+        if ch in ('"', "\\"):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@given(_JSON_TEXT, _JSON_TEXT)
+def test_render_json_escapes_strings_as_the_character_loop_did(key, value):
+    expected = f'{{\n  "{_reference_escape(key)}": "{_reference_escape(value)}"\n}}\n'
+    assert render_json({key: value}) == expected
