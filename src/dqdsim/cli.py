@@ -298,9 +298,9 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
             "passed": best.distinguishability >= 0.99,
         })
 
-    pair = readout.readout_traces(cfg)
-    trace_plus, trace_minus, best = pair
-    propagator_error = readout.propagator_error(cfg, pair)
+    traces = readout.readout_traces(cfg)
+    best = traces.best
+    propagator_error = readout.propagator_error(cfg, traces)
     report = {
         "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
         "bias_ueV": cfg.bias_ueV,
@@ -311,8 +311,8 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "propagator_max_error": propagator_error,
         "passed": propagator_error <= 1e-12,
     }
-    plus, minus = trace_plus.p_left, trace_minus.p_left
-    table = np.column_stack((trace_plus.times_ns, plus, minus, np.abs(plus - minus)))
+    plus, minus = traces.p_left
+    table = np.column_stack((traces.times_ns, plus, minus, np.abs(plus - minus)))
     return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), table))
 
 

@@ -146,7 +146,8 @@ class PulseSegment:
 class Schedule(Sequence[PulseSegment]):
     """Checked segments as three read-only columns: electrode index into
     :data:`ELECTRODES`, amplitude and duration.  Items are equal
-    :class:`PulseSegment` objects; :func:`evolve` reads the columns."""
+    :class:`PulseSegment` objects, slices are schedules over the sliced
+    columns; :func:`evolve` reads the columns."""
 
     def __init__(self, electrode: np.ndarray, amplitude_ueV: np.ndarray, duration_ns: np.ndarray):
         for column in (electrode, amplitude_ueV, duration_ns):
@@ -156,7 +157,9 @@ class Schedule(Sequence[PulseSegment]):
     def __len__(self) -> int:
         return len(self.electrode)
 
-    def __getitem__(self, i: int) -> PulseSegment:
+    def __getitem__(self, i: int | slice) -> PulseSegment | Schedule:
+        if isinstance(i, slice):
+            return Schedule(self.electrode[i], self.amplitude_ueV[i], self.duration_ns[i])
         return PulseSegment(ELECTRODES[self.electrode[i]], float(self.amplitude_ueV[i]),
                             float(self.duration_ns[i]))
 
@@ -207,10 +210,7 @@ def evolve(
     No segment is eigendecomposed: each unitary comes from its electrode's
     exact spectral projectors (:func:`_segment_unitaries`), and every 128
     segments are multiplied as a balanced tree of batched products
-    (:func:`_ordered_product`), chunk after chunk.  On random schedules of
-    46 segments on average a call took 57-67 us, against 238-332 us for one
-    stacked ``eigh`` and one product per segment (Python 3.11.7, numpy
-    2.4.6, one BLAS thread).
+    (:func:`_ordered_product`), chunk after chunk.
 
     Args:
         schedule: segments in execution order (first acts first); a list
@@ -301,7 +301,11 @@ def sqrt_swap_sequence(amplitude_ueV: float) -> list[PulseSegment]:
     return _exchange_sandwich(amplitude_ueV, GateId.SQRT_NOT1, GateId.SQRT_NOT2)
 
 
-def reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
+# Pulse amplitude (ueV) of every schedule that reproduction_residuals checks.
+_REPRODUCTION_AMPLITUDE_UEV = 10.0
+
+
+def reproduction_residuals() -> dict[str, float]:
     """Distance up to global phase of every calibrated schedule from its gate.
 
     Covers the five single-pulse gates, the four-pulse swap and square-root
@@ -309,15 +313,15 @@ def reproduction_residuals(amplitude_ueV: float = 10.0) -> dict[str, float]:
     """
     checks: dict[str, float] = {}
     for gid in _NATIVE:
-        u = evolve(calibrate(gid, amplitude_ueV))
+        u = evolve(calibrate(gid, _REPRODUCTION_AMPLITUDE_UEV))
         checks[f"pulse[{gid.value}]"] = dist_up_to_global_phase(u, gate_matrix(gid))
     checks["pulse[swap_sequence]"] = dist_up_to_global_phase(
-        evolve(swap_sequence(amplitude_ueV)), gate_matrix(GateId.SWAP)
+        evolve(swap_sequence(_REPRODUCTION_AMPLITUDE_UEV)), gate_matrix(GateId.SWAP)
     )
     checks["pulse[sqrt_swap_sequence]"] = dist_up_to_global_phase(
-        evolve(sqrt_swap_sequence(amplitude_ueV)), gate_matrix(GateId.SQRT_SWAP)
+        evolve(sqrt_swap_sequence(_REPRODUCTION_AMPLITUDE_UEV)), gate_matrix(GateId.SQRT_SWAP)
     )
-    u = evolve(calibrate_phase_flip(1, amplitude_ueV))
+    u = evolve(calibrate_phase_flip(1, _REPRODUCTION_AMPLITUDE_UEV))
     rows = np.asarray(COMPUTATIONAL_ROWS)
     checks["pulse[phase_flip_dqd1]"] = dist_up_to_global_phase(
         u[np.ix_(rows, rows)], np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)

@@ -36,13 +36,12 @@ __all__ = [
     "MAX_TRACE_SAMPLES",
     "MAX_BIAS_SAMPLES",
     "ReadoutConfig",
-    "ReadoutTrace",
     "rabi_frequency",
     "readout_unitary",
     "readout_traces",
     "propagator_error",
     "OptimalReadout",
-    "ReadoutPair",
+    "ReadoutTraces",
     "scan_bias",
     "thermal_occupancy",
     "InitPlan",
@@ -105,14 +104,6 @@ class ReadoutConfig:
             raise ValueError(
                 f"duration_ns / timestep_ns gives more than {MAX_TRACE_SAMPLES} samples"
             )
-
-
-@dataclass(frozen=True)
-class ReadoutTrace:
-    """Sampled left-dot occupation during a readout pulse."""
-
-    times_ns: np.ndarray
-    p_left: np.ndarray
 
 
 def _mixing(
@@ -186,24 +177,27 @@ class OptimalReadout(NamedTuple):
         return self.distinguishability < 1e-12
 
 
-class ReadoutPair(NamedTuple):
-    """Both space states' traces and the best measurement time between them."""
+class ReadoutTraces(NamedTuple):
+    """One pulse's readout: sample times, the left-dot populations of
+    ``|+>`` and ``|->`` (rows of ``p_left``, shape ``(2, n)``), the best
+    measurement and the index of its sample."""
 
-    plus: ReadoutTrace
-    minus: ReadoutTrace
+    times_ns: np.ndarray
+    p_left: np.ndarray
     best: OptimalReadout
+    best_sample: int
 
 
-def _optima(times: np.ndarray, p_left: np.ndarray) -> list[OptimalReadout]:
-    """Earliest sample of largest ``|P_L(plus) - P_L(minus)|``, per Hamiltonian."""
+def _optima(times: np.ndarray, p_left: np.ndarray) -> tuple[np.ndarray, list[OptimalReadout]]:
+    """Index and optimum of the earliest largest ``|P_L(+) - P_L(-)|``, per Hamiltonian."""
     contrast = np.abs(p_left[0] - p_left[1])
     k = np.argmax(contrast, axis=-1)
     best = contrast[np.arange(len(k)), k]
-    return [OptimalReadout(float(times[i]), float(c)) for i, c in zip(k, best)]
+    return k, [OptimalReadout(float(times[i]), float(c)) for i, c in zip(k, best)]
 
 
-def readout_traces(config: ReadoutConfig) -> ReadoutPair:
-    """The ``plus`` and ``minus`` traces and their optimum, in closed form.
+def readout_traces(config: ReadoutConfig) -> ReadoutTraces:
+    """Both space states' traces and their optimum, in closed form.
 
     The optimum is the sample time maximizing the left-dot occupation
     contrast ``|P_L(plus) - P_L(minus)|``; ties resolve to the earliest
@@ -212,24 +206,19 @@ def readout_traces(config: ReadoutConfig) -> ReadoutPair:
     """
     times = _sample_times(config)
     p_left = _left_populations(config.tunnel_coupling_ueV, [config.bias_ueV], times)
-    return ReadoutPair(
-        ReadoutTrace(times, p_left[0, 0]),
-        ReadoutTrace(times, p_left[1, 0]),
-        _optima(times, p_left)[0],
-    )
+    k, (best,) = _optima(times, p_left)
+    return ReadoutTraces(times, p_left[:, 0], best, int(k[0]))
 
 
-def propagator_error(config: ReadoutConfig, pair: ReadoutPair) -> float:
+def propagator_error(config: ReadoutConfig, traces: ReadoutTraces) -> float:
     """Largest ``|P_L - |(U psi)_L|^2|`` over ``|+>`` and ``|->`` at the measurement time.
 
-    ``P_L`` is ``pair``'s traces at ``pair.best.time_ns`` and ``U`` is
+    ``P_L`` is ``traces``' populations at the optimum's sample and ``U`` is
     :func:`readout_unitary` there: the kernel's populations against the
     propagator's, two ways to the same number.
     """
-    k = np.searchsorted(pair.plus.times_ns, pair.best.time_ns)
-    left = np.abs((readout_unitary(config, pair.best.time_ns) @ _TO_DOT_BASIS)[0]) ** 2
-    kernel = np.array([pair.plus.p_left[k], pair.minus.p_left[k]])
-    return float(np.max(np.abs(kernel - left)))
+    left = np.abs((readout_unitary(config, traces.best.time_ns) @ _TO_DOT_BASIS)[0]) ** 2
+    return float(np.max(np.abs(traces.p_left[:, traces.best_sample] - left)))
 
 
 def _contrast_bounds(
@@ -276,12 +265,10 @@ def scan_bias(
     n_bias = require_count("n_bias", n_bias, 2, MAX_BIAS_SAMPLES)
     with np.errstate(over="ignore"):
         biases = 4.0 * tunnel_coupling_ueV * np.arange(1, n_bias + 1) / n_bias
-    # The first config checks the pulse; biases grow with i, so the last
-    # one rejects an overflow to inf.
-    times = _sample_times(
-        ReadoutConfig(tunnel_coupling_ueV, float(biases[0]), duration_ns, timestep_ns)
-    )
-    ReadoutConfig(tunnel_coupling_ueV, float(biases[-1]), duration_ns, timestep_ns)
+    # The Rabi frequency and the end phase grow with |bias|, so the largest
+    # bias's config rejects every pulse that a smaller one would.
+    pulse = ReadoutConfig(tunnel_coupling_ueV, float(biases[-1]), duration_ns, timestep_ns)
+    times = _sample_times(pulse)
     step = max(1, _SCAN_ELEMENTS // len(times))
     found: dict[int, OptimalReadout] = {}
 
@@ -289,7 +276,7 @@ def scan_bias(
         for start in range(0, len(indices), step):
             chunk = indices[start:start + step]
             p_left = _left_populations(tunnel_coupling_ueV, biases[chunk], times)
-            found.update(zip(chunk.tolist(), _optima(times, p_left)))
+            found.update(zip(chunk.tolist(), _optima(times, p_left)[1]))
 
     bounds = _contrast_bounds(tunnel_coupling_ueV, biases, times[-1])
     top = int(np.argmax(bounds))
@@ -360,11 +347,9 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     """
     if target not in _INITIAL_SPACE_STATES:
         raise ValueError(f"target must be 'plus' or 'minus', got {target!r}")
-    times = _sample_times(config)
-    populations = _left_populations(config.tunnel_coupling_ueV, [config.bias_ueV], times)
-    best = _optima(times, populations)[0]
+    _, populations, best, k = readout_traces(config)
     state = list(_INITIAL_SPACE_STATES).index(target)  # the populations' plus/minus axis
-    p_left = float(populations[state, 0, np.searchsorted(times, best.time_ns)])
+    p_left = float(populations[state, k])
     source_dot = "L" if p_left >= 0.5 else "R"
     source = np.eye(2, dtype=complex)[0 if source_dot == "L" else 1]
     u = readout_unitary(config, best.time_ns)

@@ -59,7 +59,7 @@ def test_criterion_1_catalog_algebra(capsys):
 
 
 def test_criterion_2_pulse_engine(capsys):
-    residuals = pulses.reproduction_residuals(10.0)
+    residuals = pulses.reproduction_residuals()
     worst_gate = max(residuals.values())
 
     # four-pulse swap as a state map on every computational basis state
@@ -197,9 +197,9 @@ def test_criterion_6_readout_and_initialization(capsys):
     init_gap = 0.0
     for target in ("plus", "minus"):
         plan = readout.init_by_reversed_readout(cfg, target)
-        trace = traces.plus if target == "plus" else traces.minus
+        p_left = traces.p_left[0 if target == "plus" else 1]
         idx = int(round(plan.duration_ns / cfg.timestep_ns))
-        forward = trace.p_left[idx] if plan.source_dot == "L" else 1.0 - trace.p_left[idx]
+        forward = p_left[idx] if plan.source_dot == "L" else 1.0 - p_left[idx]
         init_gap = max(init_gap, abs(plan.fidelity - float(forward)))
 
     ok = (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,15 @@ def test_exports_exist_and_every_import_is_used(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used - exported == set(), "imported but neither used nor re-exported"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_runtime_imports_are_the_standard_library_numpy_or_dqdsim(name):
+    # numpy is the one runtime dependency; scipy is a test-time oracle only
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dqdsim"}
+    assert {module.split(".")[0] for module in absolute} - allowed == set()

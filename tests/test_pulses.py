@@ -391,6 +391,18 @@ def test_parsed_schedule_is_three_read_only_columns():
         schedule[4]
 
 
+@pytest.mark.parametrize("sl", [slice(1, 3), slice(None, None, -1), slice(5, 2), slice(None)])
+def test_a_sliced_schedule_is_a_schedule_of_the_sliced_segments(sl, tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule_to_json(_random_schedule(np.random.default_rng(5), 9))))
+    schedule = load_schedule(path)
+    part = schedule[sl]
+    assert isinstance(part, Schedule) and list(part) == list(schedule)[sl]
+    for column in (part.electrode, part.amplitude_ueV, part.duration_ns):
+        assert not column.flags.writeable
+    assert np.array_equal(evolve(schedule[1:]), evolve(list(schedule)[1:]))
+
+
 def _per_segment_schedule_from_json(data):
     """The parser the column pass replaced, one ``PulseSegment`` per segment,
     kept as the oracle for its results and its messages."""

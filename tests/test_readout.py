@@ -64,7 +64,7 @@ def test_config_rejects_integers_beyond_the_float_range(field):
 
 def test_trace_sample_count_is_capped():
     # floor(duration / timestep) + 1 samples; checked before any allocation
-    assert len(readout_traces(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).plus.times_ns) == 10
+    assert len(readout_traces(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).times_ns) == 10
     ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES - 1), 1.0)
     with pytest.raises(ValueError, match=str(MAX_TRACE_SAMPLES)):
         ReadoutConfig(1.0, 2.0, float(MAX_TRACE_SAMPLES), 1.0)
@@ -120,39 +120,40 @@ def test_trace_against_rabi_formula():
     sin_a, cos_a = 5.0 / e, 5.0 / e
     omega = rabi_frequency(CFG)
 
-    plus, minus, _ = readout_traces(CFG)
-    t = plus.times_ns
+    traces = readout_traces(CFG)
+    plus, minus = traces.p_left
+    t = traces.times_ns
     expect = 0.5 * (1.0 + sin_a * cos_a * (1.0 - np.cos(omega * t)))
-    assert np.max(np.abs(plus.p_left - expect)) < 1e-12
+    assert np.max(np.abs(plus - expect)) < 1e-12
 
     expect = 0.5 * (1.0 - sin_a * cos_a * (1.0 - np.cos(omega * t)))
-    assert np.max(np.abs(minus.p_left - expect)) < 1e-12
+    assert np.max(np.abs(minus - expect)) < 1e-12
 
 
 def test_trace_conserves_probability():
     # Every 40th sample of both traces against the propagator: |U psi|^2 sums to
     # one and its left-dot entry is the trace's value.
-    pair = readout_traces(CFG)
+    traces = readout_traces(CFG)
     to_dots = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    for k, t in enumerate(pair.plus.times_ns[::40]):
+    for k, t in enumerate(traces.times_ns[::40]):
         populations = np.abs(readout_unitary(CFG, t) @ to_dots) ** 2
         assert np.max(np.abs(populations.sum(axis=0) - 1.0)) < 1e-12
-        kernel = [pair.plus.p_left[40 * k], pair.minus.p_left[40 * k]]
+        kernel = traces.p_left[:, 40 * k]
         assert np.max(np.abs(populations[0] - kernel)) < 1e-12
 
 
 def test_trace_time_grid():
-    trace = readout_traces(CFG).plus
-    assert trace.times_ns[0] == 0.0
-    assert trace.times_ns[-1] == pytest.approx(0.4)
-    assert np.allclose(np.diff(trace.times_ns), 0.0005)
+    times = readout_traces(CFG).times_ns
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.4)
+    assert np.allclose(np.diff(times), 0.0005)
 
 
 def test_space_states_fill_both_dots_evenly():
     # the bonding/antibonding levels spread the electron evenly over the two
     # dots; charge only localizes once the readout pulse superposes them
-    for trace in readout_traces(CFG)[:2]:
-        assert trace.p_left[0] == pytest.approx(0.5, abs=1e-15)
+    for p_left in readout_traces(CFG).p_left:
+        assert p_left[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_optimal_time_is_half_rabi_period():
@@ -229,19 +230,19 @@ def test_init_plan_reverses_readout():
     assert plan.fidelity > 0.999
     # preparing by running the measurement backwards succeeds exactly as
     # often as the forward readout would have flagged the right dot
-    trace = readout_traces(CFG).plus
+    plus = readout_traces(CFG).p_left[0]
     idx = int(round(plan.duration_ns / CFG.timestep_ns))
-    assert plan.fidelity == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
-    assert plan.forward_probability == pytest.approx(float(trace.p_left[idx]), abs=1e-12)
+    assert plan.fidelity == pytest.approx(float(plus[idx]), abs=1e-12)
+    assert plan.forward_probability == pytest.approx(float(plus[idx]), abs=1e-12)
 
 
 def test_init_plan_minus_comes_from_right_dot():
     plan = init_by_reversed_readout(CFG, "minus")
     assert plan.source_dot == "R"
     assert plan.fidelity > 0.999
-    trace = readout_traces(CFG).minus
+    minus = readout_traces(CFG).p_left[1]
     idx = int(round(plan.duration_ns / CFG.timestep_ns))
-    assert plan.forward_probability == pytest.approx(1.0 - float(trace.p_left[idx]), abs=1e-12)
+    assert plan.forward_probability == pytest.approx(1.0 - float(minus[idx]), abs=1e-12)
 
 
 def test_init_rejects_unknown_target():
@@ -319,14 +320,14 @@ def test_traces_are_bitwise_the_one_state_evaluation():
         duration, timestep = _random_pulse(rng, int(samples))
         bias = float(rng.choice([0.0, rng.uniform(-40.0, 40.0)]))
         config = ReadoutConfig(float(10.0 ** rng.uniform(-2, 2)), bias, duration, timestep)
-        pair = readout_traces(config)
-        for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus")):
+        traces = readout_traces(config)
+        for kernel, initial in zip(traces.p_left, ("plus", "minus")):
             times, p_left = _oracle_trace(config, initial)
             assert len(times) == samples
-            assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
-            gap = np.max(np.abs(trace.p_left - _eigh_trace(config, initial)))
+            assert np.array_equal(traces.times_ns, times) and np.array_equal(kernel, p_left)
+            gap = np.max(np.abs(kernel - _eigh_trace(config, initial)))
             assert gap <= _eigh_tolerance(config)
-        assert tuple(pair.best) == _oracle_optimum(config)
+        assert tuple(traces.best) == _oracle_optimum(config)
 
 
 @pytest.mark.parametrize("n_bias, samples", [
@@ -437,10 +438,11 @@ def test_traces_match_the_closed_form_rabi_oracle(t_c, bias, end_phase, samples)
     e = np.hypot(t_c, bias / 2.0)
     assume(e >= 1e-3)
     duration = end_phase * HBAR_UEV_NS / (2.0 * e)  # rabi_frequency * duration = end_phase
-    pair = readout_traces(ReadoutConfig(t_c, bias, duration, duration / samples))
-    swing = (t_c / e) * (bias / 2.0 / e) * np.sin(e * pair.plus.times_ns / HBAR_UEV_NS) ** 2
-    assert np.max(np.abs(pair.plus.p_left - (0.5 + swing))) <= 1e-12
-    assert np.max(np.abs(pair.minus.p_left - (0.5 - swing))) <= 1e-12
+    traces = readout_traces(ReadoutConfig(t_c, bias, duration, duration / samples))
+    swing = (t_c / e) * (bias / 2.0 / e) * np.sin(e * traces.times_ns / HBAR_UEV_NS) ** 2
+    plus, minus = traces.p_left
+    assert np.max(np.abs(plus - (0.5 + swing))) <= 1e-12
+    assert np.max(np.abs(minus - (0.5 - swing))) <= 1e-12
 
 
 # Edge pulses of the closed form: E = 0 (where H / E is 0 / 0), negative
@@ -456,13 +458,13 @@ def test_traces_match_the_closed_form_rabi_oracle(t_c, bias, end_phase, samples)
     ReadoutConfig(1e300, -3e300, 0.4, 0.0005),
 ])
 def test_edge_traces_are_bitwise_the_one_state_evaluation(config):
-    pair = readout_traces(config)
-    for trace, initial in ((pair.plus, "plus"), (pair.minus, "minus")):
+    traces = readout_traces(config)
+    for kernel, initial in zip(traces.p_left, ("plus", "minus")):
         times, p_left = _oracle_trace(config, initial)
-        assert np.array_equal(trace.times_ns, times) and np.array_equal(trace.p_left, p_left)
-        gap = np.max(np.abs(trace.p_left - _eigh_trace(config, initial)))
+        assert np.array_equal(traces.times_ns, times) and np.array_equal(kernel, p_left)
+        gap = np.max(np.abs(kernel - _eigh_trace(config, initial)))
         assert gap <= _eigh_tolerance(config)
-    assert tuple(pair.best) == _oracle_optimum(config)
+    assert tuple(traces.best) == _oracle_optimum(config)
 
 
 def test_rabi_frequency_overflow_is_rejected_at_construction():
@@ -490,9 +492,9 @@ _PULSES = st.builds(
 @given(_PULSES)
 def test_space_state_populations_are_complementary(config):
     # |+> and |-> are orthonormal, so their left-dot populations sum to one
-    pair = readout_traces(config)
-    assert np.max(np.abs(pair.plus.p_left + pair.minus.p_left - 1.0)) <= 1e-12
-    assert readout.propagator_error(config, pair) <= 1e-12
+    traces = readout_traces(config)
+    assert np.max(np.abs(traces.p_left.sum(axis=0) - 1.0)) <= 1e-12
+    assert readout.propagator_error(config, traces) <= 1e-12
 
 
 @given(_PULSES)
@@ -505,9 +507,9 @@ def test_trace_csv_cells_round_trip(config):
         assert main(argv) == 0
     header, *rows = list(csv.reader(io.StringIO(out.getvalue())))
     assert header == ["t_ns", "p_left_plus", "p_left_minus", "contrast"]
-    pair = readout_traces(config)
-    plus, minus = pair.plus.p_left, pair.minus.p_left
-    expected = zip(pair.plus.times_ns, plus, minus, np.abs(plus - minus))
+    traces = readout_traces(config)
+    plus, minus = traces.p_left
+    expected = zip(traces.times_ns, plus, minus, np.abs(plus - minus))
     assert len(rows) == len(plus)
     for row, values in zip(rows, expected):
         assert [float(cell) for cell in row] == [float(v) for v in values]
@@ -526,3 +528,28 @@ def test_readout_unitary_matches_scipy_expm(config, t_ns):
     expected = scipy.linalg.expm(-1j * angle * h)
     scale = 1.0 + angle * np.hypot(t_c, half_bias)
     assert max_abs_diff(readout_unitary(config, t_ns), expected) <= 2e-15 * scale
+
+
+@given(_PULSES, st.sampled_from(["plus", "minus"]))
+def test_init_reads_the_readout_pass(config, target):
+    # init is readout run backwards: one kernel pass each, the same optimum,
+    # and the forward population read at the optimum's own sample
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = readout._left_populations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(readout, "_left_populations", counting)
+        traces = readout_traces(config)
+        assert len(calls) == 1
+        patch.setattr(readout, "readout_traces", lambda c: calls.append(c) or traces)
+        plan = init_by_reversed_readout(config, target)
+        assert calls[1:] == [config]  # init ran no kernel pass of its own
+    assert traces.times_ns[traces.best_sample] == traces.best.time_ns
+    assert plan.duration_ns == traces.best.time_ns
+    assert plan.degenerate == traces.best.degenerate
+    p_left = float(traces.p_left[0 if target == "plus" else 1, traces.best_sample])
+    assert plan.forward_probability == (p_left if plan.source_dot == "L" else 1.0 - p_left)
