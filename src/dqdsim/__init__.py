@@ -13,12 +13,13 @@ deterministic machine-readable reports.
 
 The package root exports the names of the README quick start; everything
 else is imported from its submodule (``dqdsim.compiler``,
-``dqdsim.decoherence``, ``dqdsim.readout``, ...).
+``dqdsim.decoherence``, ``dqdsim.readout``, ...).  The pulse-layer names
+(``calibrate``, ``evolve``, ``swap_sequence``) load ``dqdsim.pulses`` on
+first access, so importing the package, as every CLI run does, does not.
 """
 
 from .basis import computational_basis_state, leakage_population
 from .gates import GateId, gate_matrix
-from .pulses import calibrate, evolve, swap_sequence
 
 __all__ = [
     "GateId",
@@ -31,3 +32,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("calibrate", "evolve", "swap_sequence"):
+        from . import pulses
+        return getattr(pulses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

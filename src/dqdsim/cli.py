@@ -13,11 +13,12 @@ sweeps and traces CSV; floats carry 17 significant digits so identical runs
 produce byte-identical output.  Reports contain no timestamps for the same
 reason.
 
-Importing this module loads ``compiler``, ``gates``, ``pulses`` and
-``reporting``, all that ``verify``, ``compile`` and ``evolve`` run.  The
-``decohere`` handlers import ``decoherence``, and the ``readout`` and
-``init`` handlers import ``readout``, when they run, so a cold ``verify``
-or ``compile`` process never loads either.
+Importing this module loads ``basis``, ``compiler``, ``constants``,
+``gates``, ``linalg`` and ``reporting``: all that ``compile`` runs, so a
+cold ``compile`` process loads nothing more.  The other subcommands import
+the layer they need when their handler runs: ``verify`` and ``evolve``
+import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
+``readout`` and ``init`` handlers ``readout``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import compiler, pulses
+from . import compiler
 from .basis import basis_labels, computational_basis_state, leakage_population
 from .constants import MAX_BIAS_SAMPLES, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, MAX_TRACE_SAMPLES
 from .gates import GateId, gate_matrix, verify_catalog_identities
@@ -85,6 +86,7 @@ _DECOMPOSITION_RESIDUALS = ("phase_gate_best_residual", "cnot_residual", "xor_4d
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
+    from . import pulses
     identities = verify_catalog_identities()
     pulse_checks = pulses.reproduction_residuals()
     decomposition = compiler.decomposition_report(args.resolution)
@@ -119,6 +121,7 @@ def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> Result:
+    from . import pulses
     if args.schedule is None:
         raise ValueError("evolve requires --schedule <file>")
     schedule = pulses.load_schedule(args.schedule)

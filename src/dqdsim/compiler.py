@@ -56,13 +56,15 @@ CZ_4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # conjugate; "plus_half_on_zero" is the mirrored convention.
 _XOR_CONVENTIONS = ("minus_half_on_zero", "plus_half_on_zero")
 
-# Qubit value carried by each computational row (rows 0,2,3,5), per qubit.
-_QUBIT_VALUE = {
-    1: {0: 0, 2: 0, 3: 1, 5: 1},
-    2: {0: 0, 2: 1, 3: 0, 5: 1},
+# Per qubit, the sign of each row's computational phase in Z_q(theta): -1 on
+# rows where the qubit is 0, +1 where it is 1 (rows 0, 2, 3, 5), and 0 on
+# the leakage rows 1 (both DQDs of qubit 1 in "+") and 4 (both in "-").
+_ROW_SIGN = {
+    1: np.array([-1.0, 0.0, -1.0, 1.0, 0.0, 1.0]),
+    2: np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]),
 }
-_LEAK_PP_ROW = 1  # both DQDs of qubit 1 in "+"
-_LEAK_MM_ROW = 4  # both DQDs of qubit 1 in "-"
+_LEAK = _ROW_SIGN[1] == 0.0
+_LEAK_PP = np.arange(6) == 1
 
 
 @dataclass(frozen=True, order=True)
@@ -94,12 +96,8 @@ def _z_phases(qubit: int, theta: float, k_pp, k_mm, offset) -> np.ndarray:
     leading axes, one diagonal per embedding.
     """
     half = theta / 2.0
-    k_pp, k_mm, offset = np.broadcast_arrays(k_pp, k_mm, offset)
-    angles = np.empty(k_pp.shape + (6,))
-    for row, value in _QUBIT_VALUE[qubit].items():
-        angles[..., row] = half if value else -half
-    angles[..., _LEAK_PP_ROW] = k_pp * half + offset
-    angles[..., _LEAK_MM_ROW] = k_mm * half + offset
+    slope = np.where(_LEAK_PP, np.asarray(k_pp)[..., None], np.asarray(k_mm)[..., None])
+    angles = np.where(_LEAK, slope * half + np.asarray(offset)[..., None], _ROW_SIGN[qubit] * half)
     return np.exp(1j * angles)
 
 
@@ -139,14 +137,20 @@ def build_cnot(emb: PhaseEmbedding) -> np.ndarray:
     return h2 @ (build_pi(emb) @ h2)
 
 
-#: Largest offset-grid size :func:`search_embedding` accepts.  The search
-#: screens ``625 * n**2`` candidates, 2.56 million at the cap.
+#: Largest offset-grid size :func:`search_embedding` accepts.  The grid has
+#: ``625 * n**2`` candidates, 2.56 million at the cap.  At every size up to
+#: the cap the search stops after screening the first batch (even ``n``,
+#: 4,096 candidates at the cap) or the first 25 k-tuples (odd ``n``,
+#: ``25 * n**2``, 99,225 at ``n = 63``).
 MAX_OFFSETS = 64
 
-# Margin of the screen over the smallest upper bound.  It covers the
-# roundoff between the factored products and build_pi and is far wider
-# than the 1e-14 tie window of the exact pass.
+# Margin of the screen over the smallest upper bound and over the 1e-14
+# stop level.  It covers the roundoff between the factored products and
+# build_pi and is far wider than the 1e-14 tie window of the exact pass.
 _SCREEN_SLACK = 1e-12
+
+# Fewest candidates per screen batch.
+_BATCH_CANDIDATES = 125
 
 _K_VALUES = np.arange(-2, 3)
 
@@ -157,61 +161,68 @@ def _embedding_at(index: int, offsets: np.ndarray) -> PhaseEmbedding:
     return PhaseEmbedding(*(int(_K_VALUES[k]) for k in ks), float(offsets[i1]), float(offsets[i2]))
 
 
-def _screen_products(offsets: np.ndarray):
-    """:func:`build_pi` of every candidate, 125 candidates at a time.
+def _screen_batches(offsets: np.ndarray):
+    """:func:`build_pi` of every candidate, in lexicographic order.
 
-    A candidate pairs a qubit-1 triple ``(k_z1_pp, k_z1_mm, offset_z1)``
-    with a qubit-2 triple.  With ``A = a1 * a2``, the product of the two
-    ``pi/2`` z-gate diagonals, and ``b1`` the qubit-1 ``pi`` diagonal, the
-    product factors as ``diag(A) S diag(A) (S diag(b1) S)``; the last factor
-    depends on qubit 1 only.  Yields, for each ``(k_z1_pp, offset_z1,
-    offset_z2)``, the lexicographic indices of its candidates and their
-    products, shape ``(125, 6, 6)``, in the lexicographic order of
-    ``(k_z1_mm, k_z2_pp, k_z2_mm)``.  A batch holds ~72 kB of products at
-    every grid size; only the ``(n, 25, 6)`` table of qubit-2 diagonals
-    grows with ``n`` (150 kB at the cap).  Batches over all qubit-2 triples
-    would hold ``(25 n, 6, 6)`` stacks, 0.9 MB each at the cap.
+    A batch is a run of consecutive k-tuples ``(k_z1_pp, k_z1_mm, k_z2_pp,
+    k_z2_mm)`` over all ``n**2`` offset pairs, at least
+    ``_BATCH_CANDIDATES`` candidates.  With ``a1``, ``a2`` the two ``pi/2``
+    z-gate diagonals and ``b1`` the qubit-1 ``pi`` diagonal, a product is
+    ``diag(a1 a2) S diag(a1 a2) (S diag(b1) S)``: row ``i`` of it is
+    ``a2[i]`` times ``sum_k a2[k] W[k, i, :]``, where ``W[k, i, j] = a1[i]
+    S[i, k] a1[k] (S diag(b1) S)[k, j]`` depends on the qubit-1 triple
+    ``(k_z1_pp, k_z1_mm, offset_z1)`` alone.  So one matrix product per
+    qubit-1 triple, ``(n, 6) @ (6, 36)``, gives the products of all its
+    ``n`` qubit-2 offsets.  Yields the lexicographic index of each batch's
+    first candidate and the batch's products, shape ``(m * n**2, 6, 6)``.
     """
     n = offsets.size
     k = _K_VALUES.size
     s = gate_matrix(GateId.SQRT_SWAP)
-    # Qubit-2 diagonals per offset, one row per (k_z2_pp, k_z2_mm): shape (n, 25, 6).
-    a2 = _z_phases(2, -np.pi / 2.0, _K_VALUES[:, None], _K_VALUES, offsets[:, None, None])
-    a2 = a2.reshape(n, k * k, 6)
-    block = np.arange(k**3) * (n * n)
-    for p, k1p in enumerate(_K_VALUES):
-        for i1, o1 in enumerate(offsets):
-            # Qubit-1 diagonals and tails, one per k_z1_mm.
-            a1 = _z_phases(1, np.pi / 2.0, k1p, _K_VALUES, o1)[:, None]
-            tails = (s @ (_z_phases(1, np.pi, k1p, _K_VALUES, o1)[:, :, None] * s))[:, None]
-            for i2 in range(n):
-                a = (a1 * a2[i2]).reshape(-1, 6)
-                products = a[:, :, None] * s
-                products *= a[:, None, :]
-                products = products.reshape(k, k * k, 6, 6) @ tails
-                yield block + ((p * k**3 * n + i1) * n + i2), products.reshape(-1, 6, 6)
+    per_batch = -(-_BATCH_CANDIDATES // (n * n))  # k-tuples per batch
+    # Diagonals per (k_pp, k_mm) pair and offset: shape (25, n, 6).
+    grid = (_K_VALUES[:, None, None], _K_VALUES[:, None], offsets)
+    a1 = _z_phases(1, np.pi / 2.0, *grid).reshape(k * k, n, 6)
+    a2 = _z_phases(2, -np.pi / 2.0, *grid).reshape(k * k, n, 6)
+    b1 = _z_phases(1, np.pi, *grid).reshape(k * k, n, 6)
+    for start in range(0, k**4, per_batch):
+        q1, q2 = np.divmod(np.arange(start, min(start + per_batch, k**4)), k * k)
+        lo, hi = q1[0], q1[-1] + 1  # the batch's qubit-1 (k_pp, k_mm) pairs
+        heads = a1[lo:hi, :, None, :] * s.T * a1[lo:hi, :, :, None]  # [k, i] = a1[i] S[i, k] a1[k]
+        tails = s @ (b1[lo:hi, :, :, None] * s)
+        w = (heads[..., None] * tails[..., None, :]).reshape(hi - lo, n, 6, 36)
+        products = (a2[q2, None] @ w[q1 - lo]).reshape(q1.size, n, n, 6, 6)
+        products *= a2[q2, None, :, :, None]
+        yield start * n * n, products.reshape(-1, 6, 6)
 
 
-def _screen_bounds(products: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-product bounds ``lb <= dist_up_to_global_phase(p, target) <= ub``.
+def _lower_bounds(products: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``max| |P| - |T| |`` per product, at most ``dist_up_to_global_phase(P, T)``.
 
-    ``lb`` compares magnitudes only, which no global phase can change;
-    ``ub`` is the residual at one phase, the trace-aligned one (phase 1
-    where the trace vanishes), so it is at least the minimum over all
-    phases that the exact distance returns.
+    It compares magnitudes only, which no global phase can change.
     """
     residual = np.abs(products)
     residual -= np.abs(target)
-    lb = np.abs(residual, out=residual).max(axis=(1, 2))
+    return np.abs(residual, out=residual).max(axis=(1, 2))
+
+
+def _upper_bounds(products: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Residual per product at one phase, at least ``dist_up_to_global_phase(P, T)``.
+
+    The phase is the trace-aligned one (1 where the trace vanishes), so the
+    residual is at least the minimum over all phases that the exact
+    distance returns.
+    """
     overlap = np.einsum("ij,nij->n", target.conj(), products)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
     diff = phase[:, None, None] * target
-    ub = np.abs(np.subtract(products, diff, out=diff), out=residual).max(axis=(1, 2))
-    return lb, ub
+    return np.abs(np.subtract(products, diff, out=diff)).max(axis=(1, 2))
 
 
-def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
+def search_embedding(
+    n_offsets: int = 4, *, counts: dict[str, int] | None = None
+) -> tuple[PhaseEmbedding, float]:
     """Exhaustive search for the leakage-phase embedding of the z gates.
 
     Scans ``k in {-2..2}`` per gate and leakage row and per-gate offsets on
@@ -219,52 +230,73 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     ``1..``:data:`MAX_OFFSETS`), and returns the embedding
     minimizing the global-phase-insensitive distance between
     :func:`build_pi` and the catalog phase gate, together with that
-    residual.
+    residual.  If ``counts`` is a dict, it receives ``screened_candidates``
+    and ``exact_evaluations``.
 
-    The candidates are screened 125 at a time on products factored per
-    qubit (see :func:`_screen_products`).  Each gets a lower bound
-    ``max| |P| - |T| |`` (valid because ``| |u| - |t| | <= |u - c t|`` for
-    ``|c| = 1``) and an upper bound, the residual at the trace-aligned phase
-    ``tr(T^H P) / |tr(T^H P)|``.  Only candidates whose lower bound is
-    within a slack of ``1e-12`` of the smallest upper bound are evaluated
-    exactly, with :func:`dist_up_to_global_phase` on :func:`build_pi`, in
-    lexicographic order; a candidate replaces the best only when it
-    improves the residual by more than ``1e-14``.  A dropped candidate
-    misses the minimum by more than the slack less roundoff, far beyond
-    that tie window, so it is never the one this in-order rule settles on.
-    Residuals are never negative, so once the best is within ``1e-14`` of
-    zero no later candidate can replace it and the exact pass stops; at
-    the default grid that is after the first survivor.  The result is
-    deterministic, with ties broken to the smallest parameter tuple in
-    lexicographic order.
+    The exact residual is :func:`dist_up_to_global_phase` on
+    :func:`build_pi`, taken in lexicographic order of ``(k_z1_pp, k_z1_mm,
+    k_z2_pp, k_z2_mm, offset_z1, offset_z2)``; a candidate replaces the best
+    only when it improves the residual by more than ``1e-14``, so ties go to
+    the smallest tuple.  Residuals are never negative, so once the best is
+    within ``1e-14`` of zero no later candidate can replace it.
+
+    The candidates are screened in that order, in batches (see
+    :func:`_screen_batches`), with a lower bound ``max| |P| - |T| |`` (valid
+    because ``| |u| - |t| | <= |u - c t|`` for ``|c| = 1``).  Those whose
+    bound is within a slack of ``1e-12`` of the ``1e-14`` stop level get the
+    exact residual at once, and the search returns at the first best within
+    ``1e-14``.  Any other candidate misses zero by more than the slack, far
+    beyond the tie window, so it never decides where the in-order rule
+    stops.  Without a stop, the search keeps the candidates whose lower
+    bound is within the slack of the smallest upper bound, the residual at
+    the trace-aligned phase ``tr(T^H P) / |tr(T^H P)|``, and takes their
+    exact residuals in order, reusing those already computed; a dropped
+    candidate misses the minimum by more than the slack less roundoff.
     """
     n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
     offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
+    residuals: dict[int, float] = {}  # exact residual by candidate index
 
+    def in_order(indices, best=None, best_residual=np.inf):
+        """The in-order rule over ``indices``, from ``best``; stops within 1e-14 of zero."""
+        for index in indices:
+            if index not in residuals:
+                emb = _embedding_at(index, offsets)
+                residuals[index] = dist_up_to_global_phase(build_pi(emb), target)
+            if residuals[index] < best_residual - 1e-14:
+                best, best_residual = index, residuals[index]
+                if best_residual <= 1e-14:
+                    break  # residuals are >= 0: no later candidate can improve by 1e-14
+        return best, best_residual
+
+    screened = 0
     survivors = np.empty(0, dtype=np.intp)
     survivor_lb = np.empty(0)
     best_ub = np.inf
-    for index, products in _screen_products(offsets):
-        lb, ub = _screen_bounds(products, target)
-        best_ub = min(best_ub, float(ub.min()))
-        survivors = np.concatenate((survivors, index))
-        survivor_lb = np.concatenate((survivor_lb, lb))
+    best, best_residual = None, np.inf
+    for start, products in _screen_batches(offsets):
+        lb = _lower_bounds(products, target)
+        screened += lb.size
+        stoppers = start + np.flatnonzero(lb <= 1e-14 + _SCREEN_SLACK)
+        best, best_residual = in_order(stoppers.tolist(), best, best_residual)
+        if best_residual <= 1e-14:
+            break
+        # Only these candidates can survive or lower the best upper bound: ub >= lb.
+        kept = np.flatnonzero(lb <= best_ub + _SCREEN_SLACK)
+        if kept.size:
+            best_ub = min(best_ub, float(_upper_bounds(products[kept], target).min()))
+        survivors = np.concatenate((survivors, start + kept))
+        survivor_lb = np.concatenate((survivor_lb, lb[kept]))
         keep = survivor_lb <= best_ub + _SCREEN_SLACK
         survivors, survivor_lb = survivors[keep], survivor_lb[keep]
-
-    best: PhaseEmbedding | None = None
-    best_residual = np.inf
-    # A list sort: numpy's sort kernels would add their code pages to the peak RSS.
-    for index in sorted(survivors.tolist()):
-        emb = _embedding_at(index, offsets)
-        residual = dist_up_to_global_phase(build_pi(emb), target)
-        if residual < best_residual - 1e-14:
-            best, best_residual = emb, residual
-            if best_residual <= 1e-14:
-                break  # residuals are >= 0: no later candidate can improve by 1e-14
+    else:
+        # A list sort: numpy's sort kernels would add their code pages to the peak RSS.
+        best, best_residual = in_order(sorted(survivors.tolist()))
     assert best is not None
-    return best, float(best_residual)
+    if counts is not None:
+        counts.update(screened_candidates=screened, exact_evaluations=len(residuals))
+    return _embedding_at(best, offsets), float(best_residual)
 
 
 def _z4(qubit: int, theta: float, convention: str) -> np.ndarray:
@@ -294,7 +326,8 @@ def verify_xor_4dim() -> dict[str, float]:
 
 def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
     """Residuals and conventions of every compiled two-qubit construction."""
-    emb, best_residual = search_embedding(n_offsets)
+    counts: dict[str, int] = {}
+    emb, best_residual = search_embedding(n_offsets, counts=counts)
     trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_matrix(GateId.PHASE))
     cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_matrix(GateId.CNOT))
     xor = verify_xor_4dim()
@@ -308,6 +341,8 @@ def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
         "xor_4dim_convention": convention,
         "xor_4dim_residuals": xor,
         "embedding": asdict(emb),
+        "search_screened_candidates": counts["screened_candidates"],
+        "search_exact_evaluations": counts["exact_evaluations"],
         "offset_grid_size": n_offsets,
     }
     if best_residual > 1e-10:

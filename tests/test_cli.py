@@ -187,6 +187,22 @@ def test_compile_reports_the_offset_grid_it_searched(capsys):
     assert grids == [3, 4]
 
 
+@pytest.mark.parametrize("n_offsets, embedding, screened", [
+    (63, [-2, -2, 2, 2, 0.0, 0.0], 25 * 63**2),
+    (64, [-2, -2, -2, -2, 0.0, np.pi], 64**2),
+], ids=["n63", "n64"])
+def test_compile_on_the_largest_grids_finds_the_pattern_embedding(
+        capsys, n_offsets, embedding, screened):
+    code, out, _ = run(capsys, "compile", "--resolution", str(n_offsets))
+    assert code == 0
+    report = json.loads(out)
+    assert list(report["embedding"].values()) == embedding
+    assert report["phase_gate_best_residual"] == 2.220446049250313e-16
+    assert report["offset_grid_size"] == n_offsets
+    assert report["search_screened_candidates"] == screened
+    assert report["search_exact_evaluations"] == 1
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -270,13 +286,15 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
         from pathlib import Path
 
         out, golden = Path(sys.argv[1]), Path(sys.argv[2])
-        lazy = ("dqdsim.decoherence", "dqdsim.readout")
+        lazy = ("dqdsim.pulses", "dqdsim.decoherence", "dqdsim.readout")
         from dqdsim import cli
         assert not [m for m in lazy if m in sys.modules], "import dqdsim.cli"
         assert cli.main(["compile", "--out", str(out / "compile_r4.json")]) == 0
         assert not [m for m in lazy if m in sys.modules], "compile"
-        for name, argv in (("compile_r4.json", None), ("decohere_tau.csv", ["decohere"]),
-                           ("readout.csv", ["readout"])):
+        assert cli.main(["verify", "--out", str(out / "verify_r4.json")]) == 0
+        assert not [m for m in lazy[1:] if m in sys.modules], "verify"
+        for name, argv in (("compile_r4.json", None), ("verify_r4.json", None),
+                           ("decohere_tau.csv", ["decohere"]), ("readout.csv", ["readout"])):
             if argv is not None:
                 assert cli.main(argv + ["--out", str(out / name)]) == 0
             assert (out / name).read_text() == (golden / name).read_text(), name

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,8 +14,10 @@ from dqdsim.compiler import (
     TRIVIAL_EMBEDDING,
     PhaseEmbedding,
     _embedding_at,
-    _screen_bounds,
-    _screen_products,
+    _lower_bounds,
+    _screen_batches,
+    _upper_bounds,
+    _z_phases,
     build_cnot,
     build_pi,
     decomposition_report,
@@ -23,7 +26,7 @@ from dqdsim.compiler import (
     z_gate,
 )
 from dqdsim.gates import GateId, gate_matrix
-from dqdsim.linalg import dist_up_to_global_phase, is_unitary, max_abs_diff
+from dqdsim.linalg import dist_up_to_global_phase, is_unitary, max_abs_diff, require_count
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -72,6 +75,39 @@ def test_z_gates_on_different_qubits_commute():
     assert max_abs_diff(a @ b, b @ a) < 1e-14
 
 
+_QUBIT_VALUE = {1: {0: 0, 2: 0, 3: 1, 5: 1}, 2: {0: 0, 2: 1, 3: 0, 5: 1}}
+
+
+def oracle_z_phases(qubit, theta, k_pp, k_mm, offset):
+    """The slice-store construction ``_z_phases`` replaced, kept as its oracle."""
+    half = theta / 2.0
+    k_pp, k_mm, offset = np.broadcast_arrays(k_pp, k_mm, offset)
+    angles = np.empty(k_pp.shape + (6,))
+    for row, value in _QUBIT_VALUE[qubit].items():
+        angles[..., row] = half if value else -half
+    angles[..., 1] = k_pp * half + offset
+    angles[..., 4] = k_mm * half + offset
+    return np.exp(1j * angles)
+
+
+K = np.arange(-2, 3)
+
+
+@pytest.mark.parametrize("qubit, theta, k_pp, k_mm, offset", [
+    (1, np.pi / 2, K[:, None, None], K[:, None], np.arange(7) * (2 * np.pi / 7)),
+    (2, -np.pi / 2, K[:, None], K, np.arange(3)[:, None, None] * 2.1),
+    (1, np.pi, -2, K, 0.75),
+    (2, 0.0, 0, 0, 0.0),
+    (1, -0.0, 1, -1, -0.0),
+    (2, 0.731, 3, -2, -1.25),
+])
+def test_z_phases_match_the_slice_store_oracle(qubit, theta, k_pp, k_mm, offset):
+    got = _z_phases(qubit, theta, k_pp, k_mm, offset)
+    expected = oracle_z_phases(qubit, theta, k_pp, k_mm, offset)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_xor_identity_holds_in_four_dims():
     residuals = verify_xor_4dim()
     assert list(residuals) == ["minus_half_on_zero", "plus_half_on_zero"]
@@ -98,19 +134,136 @@ def test_search_rejects_offset_counts_outside_the_cap(n_offsets):
         search_embedding(n_offsets)
 
 
+def bits(result: tuple[PhaseEmbedding, float]) -> tuple:
+    """A search result with every float as its bit pattern."""
+    emb, residual = result
+    return tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(emb)), residual.hex()
+
+
+def frozen_pattern(n_offsets: int) -> PhaseEmbedding:
+    """The winner at every grid size: its ``offset_z2`` at even ``n`` is grid point ``n/2``.
+
+    That point is pi up to roundoff: at n = 50 it is 3.1415926535897936, an ulp above.
+    """
+    if n_offsets % 2:
+        return PhaseEmbedding(-2, -2, 2, 2, 0.0, 0.0)
+    return PhaseEmbedding(-2, -2, -2, -2, 0.0, float((n_offsets // 2) * (2.0 * np.pi / n_offsets)))
+
+
+def test_search_stops_at_the_frozen_pattern_at_every_grid_size(monkeypatch):
+    batches = []
+
+    def recording(offsets):
+        for start, products in _screen_batches(offsets):
+            batches.append((start, len(products)))
+            yield start, products
+
+    monkeypatch.setattr(compiler, "_screen_batches", recording)
+    for n in range(1, MAX_OFFSETS + 1):
+        batches.clear()
+        counts = {}
+        emb, residual = search_embedding(n, counts=counts)
+        assert (emb, residual) == (frozen_pattern(n), 2.220446049250313e-16), n
+        if n % 2 == 0:
+            assert len(batches) == 1, n
+        else:
+            # The winner opens the 25th k-block, and the search stops in its batch.
+            start, size = batches[-1]
+            assert start <= 24 * n * n < start + size, n
+        assert counts == {"screened_candidates": sum(size for _, size in batches),
+                          "exact_evaluations": 1}, n
+
+
+# --- The search before the lexicographic stop, kept as its oracle: every
+# candidate screened, 125 at a time, then the in-order exact pass.
+
+def oracle_screen_products(offsets):
+    n = offsets.size
+    k = 5
+    s = gate_matrix(GateId.SQRT_SWAP)
+    a2 = oracle_z_phases(2, -np.pi / 2.0, K[:, None], K, offsets[:, None, None])
+    a2 = a2.reshape(n, k * k, 6)
+    block = np.arange(k**3) * (n * n)
+    for p, k1p in enumerate(K):
+        for i1, o1 in enumerate(offsets):
+            a1 = oracle_z_phases(1, np.pi / 2.0, k1p, K, o1)[:, None]
+            tails = (s @ (oracle_z_phases(1, np.pi, k1p, K, o1)[:, :, None] * s))[:, None]
+            for i2 in range(n):
+                a = (a1 * a2[i2]).reshape(-1, 6)
+                products = a[:, :, None] * s
+                products *= a[:, None, :]
+                products = products.reshape(k, k * k, 6, 6) @ tails
+                yield block + ((p * k**3 * n + i1) * n + i2), products.reshape(-1, 6, 6)
+
+
+def oracle_screen_bounds(products, target):
+    residual = np.abs(products)
+    residual -= np.abs(target)
+    lb = np.abs(residual, out=residual).max(axis=(1, 2))
+    overlap = np.einsum("ij,nij->n", target.conj(), products)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    diff = phase[:, None, None] * target
+    ub = np.abs(np.subtract(products, diff, out=diff), out=residual).max(axis=(1, 2))
+    return lb, ub
+
+
+def oracle_search(n_offsets):
+    n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
+    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
+    target = gate_matrix(GateId.PHASE)
+    survivors = np.empty(0, dtype=np.intp)
+    survivor_lb = np.empty(0)
+    best_ub = np.inf
+    for index, products in oracle_screen_products(offsets):
+        lb, ub = oracle_screen_bounds(products, target)
+        best_ub = min(best_ub, float(ub.min()))
+        survivors = np.concatenate((survivors, index))
+        survivor_lb = np.concatenate((survivor_lb, lb))
+        keep = survivor_lb <= best_ub + 1e-12
+        survivors, survivor_lb = survivors[keep], survivor_lb[keep]
+    best, best_residual = None, np.inf
+    for index in sorted(survivors.tolist()):
+        emb = _embedding_at(index, offsets)
+        residual = dist_up_to_global_phase(build_pi(emb), target)
+        if residual < best_residual - 1e-14:
+            best, best_residual = emb, residual
+            if best_residual <= 1e-14:
+                break
+    return best, float(best_residual)
+
+
+@pytest.mark.parametrize("n_offsets", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_search_is_bitwise_the_full_screen_oracle(n_offsets):
+    assert bits(search_embedding(n_offsets)) == bits(oracle_search(n_offsets))
+
+
 def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
-    """Reference: every candidate evaluated exactly, in lexicographic order."""
+    """Reference: candidates evaluated exactly, one at a time, in lexicographic order.
+
+    Residuals are never negative, so a best within 1e-14 of zero is final.
+    """
     grid = 2.0 * np.pi / n_offsets
     offsets = [i * grid for i in range(n_offsets)]
     ks = range(-2, 3)
-    target = gate_matrix(GateId.PHASE)
+    target = compiler.gate_matrix(GateId.PHASE)
     best, best_residual = None, np.inf
     for params in itertools.product(ks, ks, ks, ks, offsets, offsets):
         emb = PhaseEmbedding(*params)
         residual = dist_up_to_global_phase(build_pi(emb), target)
         if residual < best_residual - 1e-14:
             best, best_residual = emb, residual
+            if best_residual <= 1e-14:
+                break
     return best, float(best_residual)
+
+
+def unreachable_phase_gate(gate: GateId) -> np.ndarray:
+    """The catalog, with the phase gate's rows turned by up to 0.3 rad: no candidate reaches it."""
+    matrix = gate_matrix(gate)
+    if gate is GateId.PHASE:
+        matrix = matrix * np.exp(0.3j * np.sin(np.arange(1, 7)))[:, None]
+    return matrix
 
 
 @pytest.mark.parametrize(
@@ -122,10 +275,20 @@ def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
     ],
     ids=["n1", "n2", "n3"],
 )
-def test_screened_search_matches_sequential_reference(n_offsets, embedding):
+def test_screened_search_matches_sequential_reference(monkeypatch, n_offsets, embedding):
     expected = sequential_search(n_offsets)
     assert expected == (embedding, 2.220446049250313e-16)
     assert search_embedding(n_offsets) == expected
+
+    # Without a stop, the search screens every candidate and falls back to
+    # the survivors of the global bound.
+    monkeypatch.setattr(compiler, "gate_matrix", unreachable_phase_gate)
+    expected = sequential_search(n_offsets)
+    assert expected[1] > 1e-3
+    counts = {}
+    assert search_embedding(n_offsets, counts=counts) == expected
+    assert counts["screened_candidates"] == 625 * n_offsets**2
+    assert 1 < counts["exact_evaluations"] < 625 * n_offsets**2 // 10
 
 
 def test_exact_pass_stops_at_a_residual_within_the_tie_window(monkeypatch):
@@ -151,18 +314,19 @@ def sampled_candidates(n_offsets: int, partners: int) -> np.ndarray:
     return np.concatenate(index)
 
 
-def screened(n_offsets: int, sample: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Screen product and bounds of each sampled candidate, and every index the screen yields."""
+def screened(n_offsets: int, sample: np.ndarray) -> tuple[dict, list[tuple[int, int]]]:
+    """Screen product and bounds of each sampled candidate, and each batch's start and size."""
     offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
     target = gate_matrix(GateId.PHASE)
-    found, seen = {}, []
-    for index, products in _screen_products(offsets):
-        lb, ub = _screen_bounds(products, target)
-        seen.append(index)
+    found, batches = {}, []
+    for start, products in _screen_batches(offsets):
+        index = start + np.arange(len(products))
+        lb, ub = _lower_bounds(products, target), _upper_bounds(products, target)
+        batches.append((start, len(products)))
         for j in np.flatnonzero(np.isin(index, sample)):
             found[int(index[j])] = (products[j], lb[j], ub[j])
     assert sorted(found) == sorted(sample.tolist())
-    return found, np.concatenate(seen)
+    return found, batches
 
 
 # n = 7: offset steps that are not multiples of pi/2, so the phases are not all +-1, +-1j.
@@ -181,11 +345,24 @@ def test_screen_bounds_bracket_the_exact_distance(n_offsets, partners):
 @pytest.mark.parametrize("n_offsets", [4, 7], ids=["n4", "n7"])
 def test_stacked_products_match_build_pi(n_offsets):
     offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
-    found, seen = screened(n_offsets, sampled_candidates(n_offsets, 4))
+    found, batches = screened(n_offsets, sampled_candidates(n_offsets, 4))
     for i, (product, _, _) in found.items():
         assert max_abs_diff(product, build_pi(_embedding_at(i, offsets))) <= 1e-14
-    # The screen covers every candidate exactly once.
-    assert np.array_equal(np.sort(seen), np.arange(625 * n_offsets**2))
+    # The batches cover every candidate exactly once, in order.
+    starts, sizes = np.array(batches).T
+    assert starts[0] == 0 and np.array_equal(starts[1:], np.cumsum(sizes)[:-1])
+    assert sizes.sum() == 625 * n_offsets**2
+
+
+@pytest.mark.parametrize("n_offsets", [1, 2, 3, 4, 11, 12])
+def test_batches_are_whole_k_tuple_runs_of_at_least_125_candidates(n_offsets):
+    n2 = n_offsets**2
+    sizes = [len(products) for _, products in _screen_batches(np.arange(n_offsets) * 1.0)]
+    # Never more screen calls than the 5 n**2 batches of 125 of the full screen.
+    assert len(sizes) <= 5 * n2
+    assert all(size % n2 == 0 for size in sizes)
+    assert all(size >= 125 for size in sizes[:-1])
+    assert sum(sizes) == 625 * n2
 
 
 def test_pi_construction_with_frozen_embedding():
