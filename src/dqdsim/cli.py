@@ -18,7 +18,8 @@ Importing this module loads ``basis``, ``compiler``, ``constants``,
 cold ``compile`` process loads nothing more.  The other subcommands import
 the layer they need when their handler runs: ``verify`` and ``evolve``
 import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
-``readout`` and ``init`` handlers ``readout``.
+``readout`` and ``init`` handlers ``readout``.  A trace's CSV table loads
+``floattext``, the formatter of float arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -323,7 +323,8 @@ def _cmd_init(args: argparse.Namespace) -> Result:
     from . import readout
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
     matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
-    return Result({**asdict(plan), "fidelity_matches_forward": matches,
+    # The plan's fields are flat values: its instance dict needs no deep copy.
+    return Result({**vars(plan), "fidelity_matches_forward": matches,
                    "passed": matches and not plan.degenerate})
 
 

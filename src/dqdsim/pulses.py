@@ -147,12 +147,27 @@ class Schedule(Sequence[PulseSegment]):
     """Checked segments as three read-only columns: electrode index into
     :data:`ELECTRODES`, amplitude and duration.  Items are equal
     :class:`PulseSegment` objects, slices are schedules over the sliced
-    columns; :func:`evolve` reads the columns."""
+    columns; :func:`evolve` reads the columns, and keeps the product of
+    each chunk of segments for the schedule's later calls."""
 
     def __init__(self, electrode: np.ndarray, amplitude_ueV: np.ndarray, duration_ns: np.ndarray):
         for column in (electrode, amplitude_ueV, duration_ns):
             column.flags.writeable = False
         self.electrode, self.amplitude_ueV, self.duration_ns = electrode, amplitude_ueV, duration_ns
+        self._products: tuple[np.ndarray, ...] | None = None
+
+    def _chunk_products(self) -> tuple[np.ndarray, ...]:
+        """The ordered product of each run of up to 128 segments, computed on
+        the first call and read-only."""
+        if self._products is None:
+            columns = (self.electrode, self.amplitude_ueV, self.duration_ns)
+            products = []
+            for start in range(0, len(self), _CHUNK_SEGMENTS):
+                chunk = slice(start, start + _CHUNK_SEGMENTS)
+                products.append(_ordered_product(_segment_unitaries(*(c[chunk] for c in columns))))
+                products[-1].flags.writeable = False
+            self._products = tuple(products)
+        return self._products
 
     def __len__(self) -> int:
         return len(self.electrode)
@@ -210,7 +225,9 @@ def evolve(
     No segment is eigendecomposed: each unitary comes from its electrode's
     exact spectral projectors (:func:`_segment_unitaries`), and every 128
     segments are multiplied as a balanced tree of batched products
-    (:func:`_ordered_product`), chunk after chunk.
+    (:func:`_ordered_product`), chunk after chunk.  A :class:`Schedule`
+    keeps those chunk products, so its later calls apply the same matrices
+    in the same order and give bitwise the same results.
 
     Args:
         schedule: segments in execution order (first acts first); a list
@@ -238,11 +255,8 @@ def evolve(
 
     if not isinstance(schedule, Schedule):
         schedule = _columns(schedule)
-    columns = (schedule.electrode, schedule.amplitude_ueV, schedule.duration_ns)
-    for start in range(0, len(schedule), _CHUNK_SEGMENTS):
-        chunk = slice(start, start + _CHUNK_SEGMENTS)
-        u = _ordered_product(_segment_unitaries(*(column[chunk] for column in columns)))
-        state = u if state is None else u @ state
+    for u in schedule._chunk_products():
+        state = u.copy() if state is None else u @ state
     return np.eye(6, dtype=complex) if state is None else state
 
 

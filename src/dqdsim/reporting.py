@@ -77,8 +77,9 @@ def _render_cell(cell: object) -> str:
     return str(cell)
 
 
-# Rows per formatting pass: bounds the floats and text held at once.
-_CHUNK_ROWS = 4096
+# Rows per formatting pass of a float array: bounds the temporaries of
+# floattext.format_rows (about 250 bytes per cell) at about 1 MB for 4 columns.
+_CHUNK_ROWS = 1024
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndarray) -> str:
@@ -88,9 +89,10 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndar
     writer quotes whatever needs quoting; the line terminator is a bare
     newline on every platform so repeated runs stay byte-identical.  A
     table of floats, such as a readout trace, may come as one ``(n, width)``
-    float array: one ``isfinite`` checks it, and its rows are formatted
-    with a ``%.17g`` template, ``_CHUNK_ROWS`` at a time, which gives the
-    writer's bytes because such a cell holds no delimiter, quote or newline.
+    float array: one ``isfinite`` checks it, and ``floattext.format_rows``
+    writes the ``%.17g`` text of its rows, ``_CHUNK_ROWS`` at a time, which
+    gives the writer's bytes because such a cell holds no delimiter, quote
+    or newline.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -102,10 +104,9 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndar
         finite = np.isfinite(rows)
         if not finite.all():
             format_float(rows[~finite][0])  # raises, naming the first non-finite value
-        template = ",".join(["%.17g"] * len(header)) + "\n"
+        from .floattext import format_rows  # loaded by the first float table, not on import
         for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            buffer.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+            buffer.write(format_rows(rows[start:start + _CHUNK_ROWS]))
         return buffer.getvalue()
     for row in rows:
         cells = [_render_cell(c) for c in row]

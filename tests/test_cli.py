@@ -286,7 +286,7 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
         from pathlib import Path
 
         out, golden = Path(sys.argv[1]), Path(sys.argv[2])
-        lazy = ("dqdsim.pulses", "dqdsim.decoherence", "dqdsim.readout")
+        lazy = ("dqdsim.pulses", "dqdsim.decoherence", "dqdsim.readout", "dqdsim.floattext")
         from dqdsim import cli
         assert not [m for m in lazy if m in sys.modules], "import dqdsim.cli"
         assert cli.main(["compile", "--out", str(out / "compile_r4.json")]) == 0
@@ -298,6 +298,8 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
             if argv is not None:
                 assert cli.main(argv + ["--out", str(out / name)]) == 0
             assert (out / name).read_text() == (golden / name).read_text(), name
+        # the readout trace table was the first to build the formatter's tables
+        assert sys.modules["dqdsim.floattext"]._tables.cache_info().misses == 1
     """)
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

@@ -403,6 +403,34 @@ def test_a_sliced_schedule_is_a_schedule_of_the_sliced_segments(sl, tmp_path):
     assert np.array_equal(evolve(schedule[1:]), evolve(list(schedule)[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 256, 300])
+def test_a_schedule_multiplies_each_chunk_once(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    segments = _random_schedule(rng, n)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    initials = (None, v / np.linalg.norm(v), evolve(_random_schedule(rng, 3)))
+    from_list = [evolve(segments, initial) for initial in initials]
+    from_schedule = [evolve(schedule_from_json(schedule_to_json(segments)), initial)
+                     for initial in initials]
+    sliced = evolve(segments[1:])
+
+    trees = []
+    ordered_product = pulses._ordered_product
+    monkeypatch.setattr(pulses, "_ordered_product",
+                        lambda u: trees.append(len(u)) or ordered_product(u))
+    schedule = schedule_from_json(schedule_to_json(segments))
+    for _ in range(2):
+        for initial, a, b in zip(initials, from_list, from_schedule):
+            out = evolve(schedule, initial)
+            assert np.array_equal(out, a) and np.array_equal(out, b)
+            out[...] = 0.0  # a fresh array: the kept products are not handed out
+    assert len(trees) == math.ceil(n / 128) and sum(trees) == n
+
+    trees.clear()
+    assert np.array_equal(evolve(schedule[1:]), sliced)
+    assert len(trees) == math.ceil((n - 1) / 128)
+
+
 def _per_segment_schedule_from_json(data):
     """The parser the column pass replaced, one ``PulseSegment`` per segment,
     kept as the oracle for its results and its messages."""

@@ -139,7 +139,7 @@ def test_render_csv_of_a_float_array_is_the_stdlib_writer_over_formatted_cells(t
 
 
 def test_render_csv_passes_meet_at_chunk_edges():
-    # 4,096 rows per pass: 9,000 rows make two full passes and a short one
+    # 1,024 rows per pass: 4,096 rows make four full passes, 9,000 eight and a short one
     rows = [(i * 0.1, -i / 3.0, _EDGE_FLOATS[i % len(_EDGE_FLOATS)]) for i in range(9000)]
     header = ("a", "b", "c")
     for n in (0, 1, 4095, 4096, 4097, 8192, 9000):
