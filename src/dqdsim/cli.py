@@ -19,7 +19,9 @@ cold ``compile`` process loads nothing more.  The other subcommands import
 the layer they need when their handler runs: ``verify`` and ``evolve``
 import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
 ``readout`` and ``init`` handlers ``readout``.  A trace's CSV table loads
-``floattext``, the formatter of float arrays.
+``floattext``, the formatter of float arrays.  A run names its subcommand
+first and is parsed by that subcommand's parser alone, whose flags are
+added on first use.
 """
 
 from __future__ import annotations
@@ -215,13 +217,13 @@ def _rate_sweep(args: argparse.Namespace) -> Result:
     fits: dict[str, float] = {}
     expected = {"deformation": 6.0, "piezoelectric": 2.0}
     passed = True
+    temperatures = [float(t) for t in grid]
     for branch in branches:
-        rates = []
-        for t in grid:
-            env = decoherence.Environment(temperature_K=float(t), resolution=resolution)
-            rate, est_error = decoherence.two_phonon_rate_per_s(args.deps, branch, env, geom, mode=mode)
-            rates.append(rate)
-            rows.append((float(t), branch.kind, mode, rate, est_error))
+        results = decoherence.two_phonon_rates_per_s(args.deps, branch, temperatures, geom,
+                                                     mode=mode, resolution=resolution)
+        rates = [rate for rate, _ in results]
+        rows += [(t, branch.kind, mode, rate, est_error)
+                 for t, (rate, est_error) in zip(temperatures, results)]
         slope = decoherence.fit_scaling_exponent(zip(grid, rates))
         fits[branch.kind] = slope
         rows.append((0.0, branch.kind, "fitted_exponent", slope, 0.1))
@@ -351,41 +353,21 @@ def _add_readout_pulse(p: argparse.ArgumentParser) -> None:
                         % MAX_TRACE_SAMPLES)
 
 
-@cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # Built once per process: parsing never changes the parsers, and
-    # rebuilding six subparsers costs more than most commands.
-    parser = argparse.ArgumentParser(
-        prog="dqdsim",
-        description="Simulate and verify charge qubits encoded in DQD space states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    offsets_help = "offset-grid points per turn, 1..%d" % compiler.MAX_OFFSETS
+def _add_offset_grid(p: argparse.ArgumentParser, tolerance: float) -> None:
+    p.add_argument("--tolerance", type=_tolerance, default=tolerance)
+    p.add_argument("--resolution", type=int, default=4,
+                   help="offset-grid points per turn, 1..%d" % compiler.MAX_OFFSETS)
 
-    p = sub.add_parser("verify", help="check catalog identities, pulse calibration, compilation")
-    p.set_defaults(handler=_cmd_verify)
-    _add_common(p)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
-    p = sub.add_parser("evolve", help="apply a pulse schedule to a state")
-    p.set_defaults(handler=_cmd_evolve)
-    _add_common(p)
+def _add_evolve(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.add_argument("--schedule", help="JSON pulse schedule file")
     p.add_argument("--initial", choices=("00", "01", "10", "11"), default="00")
     p.add_argument("--initial-file", dest="initial_file", help="JSON file with six [re, im] pairs")
     p.add_argument("--target", choices=[g.value for g in GateId])
 
-    p = sub.add_parser("compile", help="report the phase-gate embedding search and CNOT build")
-    p.set_defaults(handler=_cmd_compile)
-    _add_common(p)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
-    p.add_argument("--resolution", type=int, default=4, help=offsets_help)
 
-    p = sub.add_parser("decohere", help="phonon lifetime/rate sweeps and the selection rule")
-    p.set_defaults(handler=_cmd_decohere)
-    _add_common(p)
+def _add_decohere(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int,
                    help="quadrature nodes: 8..%d for rate sweeps (default 256), 16..%d for the "
                         "selection rule (default 800)"
@@ -403,22 +385,57 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--dot-separation-nm", dest="dot_separation_nm", type=float, default=22.0)
     p.add_argument("--orbital-width-nm", dest="orbital_width_nm", type=float, default=5.0)
 
-    p = sub.add_parser("readout", help="charge readout traces and distinguishability")
-    p.set_defaults(handler=_cmd_readout)
-    _add_common(p)
+
+def _add_readout(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int, default=40,
                    help="bias samples of --scan, 2..%d" % MAX_BIAS_SAMPLES)
     _add_readout_pulse(p)
     p.add_argument("--scan", action="store_true",
                    help="scan biases in (0, 4*tunnel_coupling] for the best contrast")
 
-    p = sub.add_parser("init", help="prepare a space state by reversed readout")
-    p.set_defaults(handler=_cmd_init)
-    _add_common(p)
+
+def _add_init(p: argparse.ArgumentParser) -> None:
     _add_readout_pulse(p)
     p.add_argument("--target", choices=("plus", "minus"), default="plus")
 
+
+#: Subcommand -> (help, handler, adds the subcommand's own flags).
+_COMMANDS = {
+    "verify": ("check catalog identities, pulse calibration, compilation", _cmd_verify,
+               lambda p: _add_offset_grid(p, 1e-9)),
+    "evolve": ("apply a pulse schedule to a state", _cmd_evolve, _add_evolve),
+    "compile": ("report the phase-gate embedding search and CNOT build", _cmd_compile,
+                lambda p: _add_offset_grid(p, 1e-10)),
+    "decohere": ("phonon lifetime/rate sweeps and the selection rule", _cmd_decohere,
+                 _add_decohere),
+    "readout": ("charge readout traces and distinguishability", _cmd_readout, _add_readout),
+    "init": ("prepare a space state by reversed readout", _cmd_init, _add_init),
+}
+
+
+@cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Built once per process, with each subcommand's flags left to _command:
+    # a run parses with its own subcommand's parser alone.
+    parser = argparse.ArgumentParser(
+        prog="dqdsim",
+        description="Simulate and verify charge qubits encoded in DQD space states.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser, sub.choices
+
+
+def _command(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, its flags and handler added on first use."""
+    p = _build_parser()[1][name]
+    if p.get_default("handler") is None:
+        _, handler, add_flags = _COMMANDS[name]
+        p.set_defaults(handler=handler)
+        _add_common(p)
+        add_flags(p)
+    return p
 
 
 def _config_argv(command: argparse.ArgumentParser, path: str) -> list[str]:
@@ -445,16 +462,27 @@ def _config_argv(command: argparse.ArgumentParser, path: str) -> list[str]:
     return argv
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its subcommand's parser alone, when ``argv[0]`` names one."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        return _command(name).parse_args(argv[1:], argparse.Namespace(command=name))
+    # Help, a missing or unknown subcommand, or flags before it: the
+    # top-level parser, with every subcommand complete.
+    for name in _COMMANDS:
+        _command(name)
+    return _build_parser()[0].parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if args.config:
             # Config values go first so that explicit flags override them.
             at = argv.index(args.command) + 1
-            config_argv = _config_argv(commands[args.command], args.config)
-            args = parser.parse_args(argv[:at] + config_argv + argv[at:])
+            config_argv = _config_argv(_command(args.command), args.config)
+            args = _parse(argv[:at] + config_argv + argv[at:])
         result = args.handler(args)
         if (args.format or result.default_format) == "csv":
             text = render_csv(*(result.table or _flatten(result.report)))

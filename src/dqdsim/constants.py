@@ -20,8 +20,9 @@ K_B_UEV_PER_K = 86.17333262
 #: is paid once per node count (see ``decoherence.LEGENDRE_CACHE_SIZE``).
 MAX_RESOLUTION = 1024
 
-#: Largest selection-rule resolution; the quadrature passes over an n x n
-#: kernel once, in column blocks, so its time grows as n^2 and its memory as n.
+#: Largest selection-rule resolution; the quadrature passes once over the
+#: n/2 x n half of its kernel that the mirror symmetry leaves, in column
+#: blocks, so its time grows as n^2 / 2 and its memory as n.
 MAX_SELECTION_RESOLUTION = 3200
 
 #: Largest number of samples ``duration / timestep`` may give a readout trace.

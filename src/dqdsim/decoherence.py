@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,16 +52,18 @@ __all__ = [
     "single_phonon_tau_s",
     "angular_flip_weight",
     "TwoPhononRate",
+    "two_phonon_rates_per_s",
     "two_phonon_rate_per_s",
     "fit_scaling_exponent",
     "coulomb_selection_rule",
 ]
 
 #: Node counts whose Gauss-Legendre rule stays cached.  Holds with room to
-#: spare the eight counts of rate sweeps at n = 128..512 and selection sweeps
-#: at n = 400..1600, each of which takes an O(n^2) Newton build (about 20 ms
-#: at n = 800), and bounds the cache at 32 * 3200 * 16 B, about 1.6 MB,
-#: however many resolutions a process sweeps.
+#: spare the counts of rate sweeps at n = 128..512 (n and 2n each), of
+#: selection sweeps at n = 400..1600 and of the selection reference (256 and
+#: 512, shared with the default rate sweep), each of which takes an O(n^2)
+#: Newton build (about 20 ms at n = 800), and bounds the cache at
+#: 32 * 3200 * 16 B, about 1.6 MB, however many resolutions a process sweeps.
 LEGENDRE_CACHE_SIZE = 32
 
 #: Newton steps ``_legendre_nodes`` may take; from Tricomi's guesses it
@@ -78,6 +80,15 @@ _ROUNDING_FLOOR = 1e-13
 #: block at 1 MB whatever the resolution.  Selection time was flat from 2**16
 #: to 2**21 elements.
 _KERNEL_ELEMENTS = 1 << 17
+
+#: Node counts of the selection rule's one-dimensional reference and of the
+#: finer rule it must agree with: the default rate sweep's two counts, so a
+#: process that has run one builds no nodes for the other.
+_REFERENCE_NODES = (256, 512)
+
+#: Orbital widths past the far peak ``u = d`` where the reference integral
+#: stops; the autocorrelation there is below exp(-50) of its peak.
+_REFERENCE_SPAN = 10.0
 
 #: Lowest temperature; keeps ``(n / kT)**2`` of the reduced quadrature finite.
 MIN_TEMPERATURE_K = 1e-6
@@ -177,9 +188,10 @@ def validity_edge_K(delta_eps_ueV: float) -> float:
     return 10.0 * delta_eps_ueV / K_B_UEV_PER_K
 
 
-def bose_einstein(eps_ueV: np.ndarray | float, temperature_K: float) -> np.ndarray | float:
-    """Thermal phonon occupation at energy ``eps`` (a scalar or an array)."""
-    if not temperature_K > 0.0:
+def bose_einstein(eps_ueV: np.ndarray | float,
+                  temperature_K: np.ndarray | float) -> np.ndarray | float:
+    """Thermal phonon occupation at energy ``eps``; both may be arrays that broadcast."""
+    if not np.all(np.asarray(temperature_K) > 0.0):
         raise ValueError(f"temperature must be positive, got {temperature_K!r}")
     x = np.asarray(eps_ueV, dtype=float) / (K_B_UEV_PER_K * temperature_K)
     if not np.all(x > 0.0):
@@ -263,39 +275,46 @@ def _gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
     return mid + half * x, half * w
 
 
-def _two_phonon_integral(
+def _two_phonon_integrals(
     delta_eps_ueV: float,
     branch: PhononBranch,
-    env: Environment,
+    envs: Sequence[Environment],
     geom: DotGeometry,
     mode: str,
     n_nodes: int,
-) -> float:
-    kT = env.kT_ueV
+) -> np.ndarray:
+    """The rate integral at every temperature of ``envs``, one row each.
+
+    Each temperature's scalars form a ``(T, 1)`` column, so every row takes
+    the same floating-point operations as a one-row stack.
+    """
+    kT = np.array([env.kT_ueV for env in envs])[:, None]
     eps_lo = 1e-9 * kT
-    eps_hi = min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
-    if eps_hi <= eps_lo:
+    eps_hi = np.minimum(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
+    if np.any(eps_hi <= eps_lo):
         raise ValueError("spectral cutoff below the emission threshold")
     # The final state is degenerate with the initial one, so the emitted
     # phonon carries the absorbed energy and both vertices share each factor.
     eps, weights = _gauss_legendre(eps_lo, eps_hi, n_nodes)
     q = eps / HBAR_C_UEV_NM
-    n = bose_einstein(eps, env.temperature_K)
+    n = bose_einstein(eps, np.array([env.temperature_K for env in envs])[:, None])
     occupation = (n + 1.0) * n
     c = branch.coupling_sq(q)
     w = angular_flip_weight(q, geom)
 
     if mode == "reduced":
-        denom = (2.0 / kT) ** 2 * np.ones_like(eps)
+        # Python's float power, as on a lone float: numpy's ** 2 squares, which can round apart
+        denom = np.array([(2.0 / env.kT_ueV) ** 2 for env in envs])[:, None]
     else:
+        width = 1j * (0.01 * kT)
         amplitude = np.zeros(eps.shape, dtype=complex)
         for eps_z in (-delta_eps_ueV, delta_eps_ueV):
-            amplitude += 1.0 / (eps_z - eps + 1j * (0.01 * kT))
+            amplitude += 1.0 / (eps_z - eps + width)
         denom = np.abs(amplitude) ** 2
 
     phase_space = q**2 * q**2 / HBAR_C_UEV_NM**2
     integrand = phase_space * (c * c) * (w * w) * occupation * denom
-    return float(np.sum(weights * integrand))
+    return np.sum(weights * integrand, axis=-1)
 
 
 class TwoPhononRate(NamedTuple):
@@ -310,14 +329,15 @@ class TwoPhononRate(NamedTuple):
     est_error_per_s: float
 
 
-def two_phonon_rate_per_s(
+def two_phonon_rates_per_s(
     delta_eps_ueV: float,
     branch: PhononBranch,
-    env: Environment,
+    temperatures_K: Iterable[float],
     geom: DotGeometry,
     mode: str = "reduced",
-) -> TwoPhononRate:
-    """Second-order two-phonon transition rate by quadrature.
+    resolution: int = 256,
+) -> list[TwoPhononRate]:
+    """Second-order two-phonon transition rates over a temperature grid.
 
     The transition is the two-DQD flip ``|+-> -> |-+>`` between degenerate
     configurations, through the virtual ``|++>`` and ``|-->`` at
@@ -333,33 +353,56 @@ def two_phonon_rate_per_s(
     denominators ``eps_z - eps_emitted`` with an imaginary level width of
     one percent of kT regularizing the on-shell crossing.
 
-    The result is checked for quadrature convergence by doubling the node
-    count; disagreement beyond 1% raises, and the difference, floored at
-    1e-13 of the rate, is returned as the error estimate.  A warning flags
-    temperatures below :func:`validity_edge_K`, where the high-temperature
-    reduction is dubious; the edge itself is inside.
+    Every temperature is checked as an :class:`Environment` before any is
+    integrated.  The grid is then one ``(T, resolution)`` and one
+    ``(T, 2 * resolution)`` array; each row is bitwise the rate of a
+    one-temperature grid.  Each rate is checked for quadrature convergence
+    by doubling the node count; disagreement beyond 1% raises, and the
+    difference, floored at 1e-13 of the rate, is returned as the error
+    estimate.  A warning flags temperatures below :func:`validity_edge_K`,
+    where the high-temperature reduction is dubious; the edge itself is
+    inside.  Warnings and the convergence check go in grid order.
     """
     if mode not in ("reduced", "exact"):
         raise ValueError(f"mode must be 'reduced' or 'exact', got {mode!r}")
-    if env.temperature_K < validity_edge_K(delta_eps_ueV):
-        warnings.warn(
-            "two-phonon model assumes kT >> level splitting; "
-            f"kT/deps = {env.kT_ueV / delta_eps_ueV:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    coarse = _two_phonon_integral(delta_eps_ueV, branch, env, geom, mode, env.resolution)
-    fine = _two_phonon_integral(delta_eps_ueV, branch, env, geom, mode, 2 * env.resolution)
-    scale = max(abs(fine), abs(coarse))
-    if scale > 0.0 and abs(fine - coarse) > 0.01 * scale:
-        raise RuntimeError(
-            f"two-phonon quadrature not converged at resolution {env.resolution}: "
-            f"{coarse!r} vs {fine!r}"
-        )
-    # 2*pi/hbar in 1/(ueV ns) times 1e9 ns/s.
-    rate = float(2.0 * np.pi / HBAR_UEV_NS * fine * 1e9)
-    rate_coarse = float(2.0 * np.pi / HBAR_UEV_NS * coarse * 1e9)
-    return TwoPhononRate(rate, max(abs(rate - rate_coarse), _ROUNDING_FLOOR * abs(rate)))
+    edge = validity_edge_K(delta_eps_ueV)
+    envs = [Environment(temperature_K=t, resolution=resolution) for t in temperatures_K]
+    if not envs:
+        return []
+    coarse_rows = _two_phonon_integrals(delta_eps_ueV, branch, envs, geom, mode, resolution)
+    fine_rows = _two_phonon_integrals(delta_eps_ueV, branch, envs, geom, mode, 2 * resolution)
+    rates = []
+    for env, coarse, fine in zip(envs, coarse_rows.tolist(), fine_rows.tolist()):
+        if env.temperature_K < edge:
+            warnings.warn(
+                "two-phonon model assumes kT >> level splitting; "
+                f"kT/deps = {env.kT_ueV / delta_eps_ueV:.3g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        scale = max(abs(fine), abs(coarse))
+        if scale > 0.0 and abs(fine - coarse) > 0.01 * scale:
+            raise RuntimeError(
+                f"two-phonon quadrature not converged at resolution {resolution}: "
+                f"{coarse!r} vs {fine!r}"
+            )
+        # 2*pi/hbar in 1/(ueV ns) times 1e9 ns/s.
+        rate = float(2.0 * np.pi / HBAR_UEV_NS * fine * 1e9)
+        rate_coarse = float(2.0 * np.pi / HBAR_UEV_NS * coarse * 1e9)
+        rates.append(TwoPhononRate(rate, max(abs(rate - rate_coarse), _ROUNDING_FLOOR * abs(rate))))
+    return rates
+
+
+def two_phonon_rate_per_s(
+    delta_eps_ueV: float,
+    branch: PhononBranch,
+    env: Environment,
+    geom: DotGeometry,
+    mode: str = "reduced",
+) -> TwoPhononRate:
+    """The rate of :func:`two_phonon_rates_per_s` at the one temperature of ``env``."""
+    return two_phonon_rates_per_s(delta_eps_ueV, branch, [env.temperature_K], geom, mode,
+                                  env.resolution)[0]
 
 
 def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:
@@ -377,6 +420,62 @@ def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:
     return float(slope)
 
 
+def _selection_densities(
+    x: np.ndarray, wq: np.ndarray, geom: DotGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted densities at the nodes: the flip ``wq plus minus``, odd, and the
+    unflipped bra's ``wq plus^2`` and ``wq minus^2``, even.
+
+    On nodes that mirror exactly, ``right`` is ``left`` reversed bit for bit,
+    so ``plus`` is bitwise even and ``minus`` bitwise odd.
+    """
+    a = geom.a_nm
+    norm = (np.pi * a * a) ** -0.25
+    left = norm * np.exp(-((x + geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+    right = norm * np.exp(-((x - geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+    s = geom.overlap
+    plus = (left + right) / np.sqrt(2.0 * (1.0 + s))
+    minus = (left - right) / np.sqrt(2.0 * (1.0 - s))
+    return wq * plus * minus, wq * plus * plus, wq * minus * minus
+
+
+def _selection_reference(geom: DotGeometry, n: int) -> float:
+    """The allowed element as a one-dimensional integral, on ``n`` nodes.
+
+    The flip density is ``(g(x + d/2) - g(x - d/2)) / (2 sqrt(1 - S^2))``
+    with ``g`` a normalized Gaussian of variance ``a^2 / 2``, so its
+    autocorrelation is ``C(u) = [2G(u) - G(u-d) - G(u+d)] / (4 (1 - S^2))``,
+    ``G`` the normalized Gaussian of variance ``a^2``, and the allowed
+    element is ``2 * int_0^inf C(u) / sqrt(u^2 + w^2) du``.  The sinh
+    substitution ``u = w sinh t`` (Johnston & Elliott, IJNME 62, 2005) turns
+    the kernel's peak into ``du / sqrt(u^2 + w^2) = dt``; the range stops
+    ``_REFERENCE_SPAN`` widths past ``u = d``, and dots more than twice that
+    apart get one panel per peak, skipping the stretch where C is nil.  Each
+    difference of Gaussians is the larger one times an ``expm1`` of the
+    exponents' difference, and ``1 - S^2 = -expm1(-d^2 / (2 a^2))``, so no
+    step cancels, however close the dots.
+    """
+    d, a = geom.d_nm, geom.a_nm
+    w = a / 10.0
+    span = _REFERENCE_SPAN * a
+    ranges = [(0.0, d + span)] if d <= 2.0 * span else [(0.0, span), (d - span, d + span)]
+    two_a_sq = 2.0 * a * a
+
+    def gauss(v: np.ndarray) -> np.ndarray:
+        return np.exp(-v * v / two_a_sq) / (a * np.sqrt(2.0 * np.pi))
+
+    total = 0.0
+    for lo, hi in ranges:
+        t, wt = _gauss_legendre(float(np.arcsinh(lo / w)), float(np.arcsinh(hi / w)), n)
+        u = w * np.sinh(t)
+        g = gauss(u)
+        z = d * (2.0 * u - d) / two_a_sq  # G(u - d) = G(u) exp(z)
+        near = -g * np.expm1(np.minimum(z, 0.0)) + gauss(u - d) * np.expm1(-np.maximum(z, 0.0))
+        far = -g * np.expm1(-d * (2.0 * u + d) / two_a_sq)  # G(u) - G(u + d), as u >= 0
+        total += float(wt @ (near + far))  # near + far = 2G(u) - G(u - d) - G(u + d)
+    return 2.0 * total / (-4.0 * np.expm1(-d * d / two_a_sq))
+
+
 def coulomb_selection_rule(
     geom: DotGeometry,
     resolution: int = 800,
@@ -385,59 +484,63 @@ def coulomb_selection_rule(
 
     Each electron lives on its own DQD axis with Gaussian site orbitals at
     ``+-d/2``; the electrons interact through the softened kernel
-    ``1/sqrt((x1-x2)^2 + w^2)`` with ``w = a/10``.  Transitions that
-    flip a single DQD (``|+-> -> |++>`` or ``|-->``) integrate an odd
-    function and vanish within quadrature error; the double flip
-    (``|+-> -> |-+>``) survives.  Convergence is certified by halving the
-    resolution; the reported error bound covers both elements.
+    ``1/sqrt((x1-x2)^2 + w^2)`` with ``w = a/10``.  The double flip
+    (``|+-> -> |-+>``) is the allowed element; transitions that flip a
+    single DQD (``|+-> -> |++>`` or ``|-->``) integrate an odd function and
+    are forbidden.
 
-    The kernel is never held whole: one pass over it in column blocks of at
-    most ``_KERNEL_ELEMENTS`` elements accumulates the potential of the flip
-    density at every node, so memory grows as n and time as n^2.
+    The Gauss-Legendre nodes mirror exactly and the flip density is odd
+    (``RuntimeError`` if it is not, bit for bit), so the potential of the
+    flip density is odd too.  One pass over the kernel rows of the ``n // 2``
+    negative nodes, in column blocks of at most ``_KERNEL_ELEMENTS``
+    elements, gives it: memory grows as n and time as n^2 / 2.  The allowed
+    element is twice the half sum.  Each mirror pair adds
+    ``(stay_i - stay_mirror_i) * potential_i`` to a forbidden element, which
+    is therefore exactly 0 for the even densities of the unflipped bra and
+    nonzero for an asymmetric one.
+
+    ``error_bound`` is the true error of the allowed element against its
+    one-dimensional reduction (:func:`_selection_reference`, on the 256-node
+    rule, which must agree with the 512-node rule to 1e-13), floored at
+    1e-13 of the allowed element; an error above 1% raises.  The report
+    carries the reference as ``allowed_reference_abs``.
     """
     resolution = require_count("resolution", resolution, 16, MAX_SELECTION_RESOLUTION)
+    n, h = resolution, resolution // 2
+    half_width = geom.d_nm / 2.0 + 8.0 * geom.a_nm
+    x, wq = _gauss_legendre(-half_width, half_width, n)
+    flip, stay_p, stay_m = _selection_densities(x, wq, geom)
+    if not np.array_equal(flip, -flip[::-1]):
+        raise RuntimeError("selection-rule flip density is not odd on the mirrored nodes")
     w = geom.a_nm / 10.0
+    potential = np.zeros(h)  # of the flip density, at the nodes x < 0
+    cols = max(1, _KERNEL_ELEMENTS // h)
+    buffer = np.empty(h * min(cols, n))  # one block's kernel, filled in place
+    for lo in range(0, n, cols):
+        hi = min(lo + cols, n)
+        kernel = buffer[:h * (hi - lo)].reshape(h, hi - lo)  # contiguous, as a fresh array
+        np.subtract(x[:h, None], x[None, lo:hi], out=kernel)
+        np.multiply(kernel, kernel, out=kernel)
+        kernel += w * w
+        np.sqrt(kernel, out=kernel)
+        np.divide(1.0, kernel, out=kernel)  # 1 / sqrt((x_i - x_j)^2 + w^2)
+        potential += kernel @ flip[lo:hi]
+    allowed = 2.0 * float(flip[:h] @ potential)
+    forbidden_pp = float((stay_p[:h] - stay_p[::-1][:h]) @ potential)
+    forbidden_mm = float((stay_m[:h] - stay_m[::-1][:h]) @ potential)
 
-    def elements(n: int) -> tuple[float, float, float]:
-        x, wq = _gauss_legendre(-(geom.d_nm / 2.0 + 8.0 * geom.a_nm),
-                                geom.d_nm / 2.0 + 8.0 * geom.a_nm, n)
-        a = geom.a_nm
-        norm = (np.pi * a * a) ** -0.25
-        left = norm * np.exp(-((x + geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
-        right = norm * np.exp(-((x - geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
-        s = geom.overlap
-        plus = (left + right) / np.sqrt(2.0 * (1.0 + s))
-        minus = (left - right) / np.sqrt(2.0 * (1.0 - s))
-        flip = wq * plus * minus       # odd density driving a single-DQD flip
-        stay_p = wq * plus * plus      # even densities of the unflipped bra
-        stay_m = wq * minus * minus
-        potential = np.zeros(n)        # of the flip density, at each node
-        cols = max(1, _KERNEL_ELEMENTS // n)
-        buffer = np.empty(n * min(cols, n))  # one block's kernel, filled in place
-        for lo in range(0, n, cols):
-            hi = min(lo + cols, n)
-            kernel = buffer[:n * (hi - lo)].reshape(n, hi - lo)  # contiguous, as a fresh array
-            np.subtract(x[:, None], x[None, lo:hi], out=kernel)
-            np.multiply(kernel, kernel, out=kernel)
-            kernel += w * w
-            np.sqrt(kernel, out=kernel)
-            np.divide(1.0, kernel, out=kernel)  # 1 / sqrt((x_i - x_j)^2 + w^2)
-            potential += kernel @ flip[lo:hi]
-        allowed = float(flip @ potential)
-        forbidden_pp = float(stay_p @ potential)
-        forbidden_mm = float(stay_m @ potential)
-        return allowed, forbidden_pp, forbidden_mm
-
-    allowed, forbidden_pp, forbidden_mm = elements(resolution)
-    allowed_lo, _, _ = elements(resolution // 2)
-    drift = abs(allowed - allowed_lo)
-    if abs(allowed) == 0.0 or drift > 0.01 * abs(allowed):
+    reference, fine = (_selection_reference(geom, m) for m in _REFERENCE_NODES)
+    if abs(reference - fine) > _ROUNDING_FLOOR * abs(fine):
+        raise RuntimeError(f"selection-rule reference not converged: {reference!r} vs {fine!r}")
+    error = abs(allowed - reference)
+    if abs(allowed) == 0.0 or error > 0.01 * abs(allowed):
         raise RuntimeError(
             f"selection-rule quadrature not converged at resolution {resolution}"
         )
-    error_bound = max(drift, _ROUNDING_FLOOR * abs(allowed))
+    error_bound = max(error, _ROUNDING_FLOOR * abs(allowed))
     return {
         "allowed_abs": abs(allowed),
+        "allowed_reference_abs": abs(reference),
         "forbidden_pp_abs": abs(forbidden_pp),
         "forbidden_mm_abs": abs(forbidden_mm),
         "error_bound": error_bound,

@@ -731,6 +731,30 @@ def test_unknown_command_exits_via_argparse(capsys):
         main(["frobnicate"])
 
 
+def test_unknown_flag_prints_the_subcommands_usage(capsys):
+    code, out, err = run_to_exit(capsys, "readout", "--scna")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: dqdsim readout [-h] [--config CONFIG]")
+    assert err.endswith("dqdsim readout: error: unrecognized arguments: --scna\n")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = run_to_exit(capsys, "-h")
+    assert code == 0
+    assert out.startswith("usage: dqdsim [-h] {verify,evolve,compile,decohere,readout,init}")
+    for name in ("verify", "evolve", "compile", "decohere", "readout", "init"):
+        assert re.search(rf"^    {name} +\S", out, re.MULTILINE), name
+
+
+def test_a_run_adds_the_flags_of_its_own_subcommand_only(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "decohere", "--sweep", "tau")[0] == 0
+    _, commands = cli._build_parser()
+    assert [name for name, p in commands.items() if p.get_default("handler")] == ["decohere"]
+    # flags before the subcommand go to the top-level parser, which rejects them
+    assert run_to_exit(capsys, "--format", "json", "readout")[0] == 2
+
+
 def test_rate_sweep_is_deterministic(capsys):
     args = ("decohere", "--sweep", "rate", "--branch", "piezoelectric", "--points", "2")
     code1, first, _ = run(capsys, *args)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import collections
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
@@ -30,6 +33,7 @@ from dqdsim.decoherence import (
     single_phonon_tau_s,
     _legendre_nodes,
     two_phonon_rate_per_s,
+    two_phonon_rates_per_s,
     validity_edge_K,
 )
 
@@ -397,6 +401,66 @@ def test_two_phonon_warns_when_kt_comparable_to_splitting():
         two_phonon_rate_per_s(0.1, PhononBranch("deformation"), env, DotGeometry())
 
 
+def _loop_integral(deps, branch, env, geom, mode, n_nodes) -> float:
+    """One temperature's rate integral in plain floats: the loop the stacked rows must match."""
+    kT = env.kT_ueV
+    eps, weights = decoherence._gauss_legendre(
+        1e-9 * kT, min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM), n_nodes)
+    q = eps / HBAR_C_UEV_NM
+    n = bose_einstein(eps, env.temperature_K)
+    if mode == "reduced":
+        denom = (2.0 / kT) ** 2 * np.ones_like(eps)
+    else:
+        amplitude = np.zeros(eps.shape, dtype=complex)
+        for eps_z in (-deps, deps):
+            amplitude += 1.0 / (eps_z - eps + 1j * (0.01 * kT))
+        denom = np.abs(amplitude) ** 2
+    c, w = branch.coupling_sq(q), angular_flip_weight(q, geom)
+    integrand = q**2 * q**2 / HBAR_C_UEV_NM**2 * (c * c) * (w * w) * ((n + 1.0) * n) * denom
+    return float(np.sum(weights * integrand))
+
+
+def _rates_and_warnings(call) -> tuple[list[tuple[str, str]], str | None, list[str]]:
+    """What ``call`` returns (as float hex), the error it raises, and its warnings."""
+    rates, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rates = [(r.rate_per_s.hex(), r.est_error_per_s.hex()) for r in call()]
+        except RuntimeError as exc:
+            error = str(exc)
+    return rates, error, [str(w.message) for w in caught]
+
+
+# A stacked grid gives each row bitwise as its one-temperature call, in any
+# temperature order, below the validity edge (warnings) and at resolutions
+# too coarse to converge (the error of the first unconverged temperature);
+# each stacked integral is bitwise the per-temperature loop's.
+@given(
+    deps=st.floats(0.01, 1.0),
+    edges=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=6),
+    resolution=st.sampled_from([8, 12, 16, 64, 128]),
+    mode=st.sampled_from(["reduced", "exact"]),
+    kind=st.sampled_from(["deformation", "piezoelectric"]),
+)
+def test_stacked_rates_equal_one_temperature_calls(deps, edges, resolution, mode, kind):
+    temperatures = [e * validity_edge_K(deps) for e in edges]
+    branch, geom = PhononBranch(kind), DotGeometry()
+
+    def one_at_a_time():
+        for t in temperatures:
+            yield two_phonon_rate_per_s(deps, branch, Environment(t, resolution), geom, mode)
+
+    stacked = _rates_and_warnings(
+        lambda: two_phonon_rates_per_s(deps, branch, temperatures, geom, mode, resolution))
+    assert stacked == _rates_and_warnings(one_at_a_time)
+    envs = [Environment(t, resolution) for t in temperatures]
+    for n_nodes in (resolution, 2 * resolution):
+        rows = decoherence._two_phonon_integrals(deps, branch, envs, geom, mode, n_nodes)
+        assert [r.hex() for r in rows.tolist()] == [
+            _loop_integral(deps, branch, env, geom, mode, n_nodes).hex() for env in envs]
+
+
 def test_validity_edge_is_ten_splittings():
     assert validity_edge_K(0.4) * K_B_UEV_PER_K == pytest.approx(4.0, rel=1e-15)
 
@@ -471,8 +535,9 @@ def test_each_node_count_is_built_once_per_process(monkeypatch, capsys):
         main(["decohere", "--sweep", "rate"])
         main(["decohere", "--sweep", "selection"])
     capsys.readouterr()
-    # rate: n = 256 and its 2n check; selection: n = 800 and its n/2 check
-    assert builds == {256: 1, 512: 1, 800: 1, 400: 1}
+    # rate: n = 256 and its 2n check; selection: n = 800, and its reference
+    # takes the rate's 256 and 512 from the cache
+    assert builds == {256: 1, 512: 1, 800: 1}
 
 
 def test_unconverged_nodes_are_a_usage_error(monkeypatch, capsys):
@@ -509,7 +574,7 @@ def test_node_cache_is_bounded():
 
 def test_quadratures_hold_no_n_by_n_array():
     # one n x n float array at n = 3200 takes 82 MB; the selection rule
-    # builds the n = 1600 rule of its convergence check in the traced window
+    # builds the 256- and 512-node rules of its reference in the traced window
     mb = 1 << 20
     _legendre_nodes.cache_clear()
     tracemalloc.start()
@@ -547,40 +612,105 @@ def test_fit_scaling_exponent_needs_two_points():
 def test_selection_rule_forbidden_elements_vanish():
     table = coulomb_selection_rule(DotGeometry())
     assert table["allowed_abs"] == pytest.approx(0.2201125, abs=1e-4)
-    assert table["forbidden_pp_abs"] < 1e-15
-    assert table["forbidden_mm_abs"] < 1e-15
+    # even densities against an odd potential: each mirror pair cancels exactly
+    assert table["forbidden_pp_abs"] == table["forbidden_mm_abs"] == 0.0
     assert table["ratio_allowed_to_bound"] > 1e3
-    # the forbidden elements sit far below the quadrature error bound
     assert table["forbidden_pp_abs"] < table["error_bound"]
     assert coulomb_selection_rule(DotGeometry(), np.int64(800)) == table
 
 
+def _dense_elements(geom: DotGeometry, n: int) -> tuple[float, float, float]:
+    """The three elements from the whole n x n kernel, by plain matrix products."""
+    half = geom.d_nm / 2.0 + 8.0 * geom.a_nm
+    x, wq = decoherence._gauss_legendre(-half, half, n)
+    a = geom.a_nm
+    left = np.exp(-((x + geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+    right = np.exp(-((x - geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
+    norm = (np.pi * a * a) ** -0.25
+    plus = norm * (left + right) / np.sqrt(2.0 * (1.0 + geom.overlap))
+    minus = norm * (left - right) / np.sqrt(2.0 * (1.0 - geom.overlap))
+    kernel = 1.0 / np.sqrt((x[:, None] - x[None, :]) ** 2 + (a / 10.0) ** 2)
+    flip = wq * plus * minus
+    return (flip @ kernel @ flip, (wq * plus * plus) @ kernel @ flip,
+            (wq * minus * minus) @ kernel @ flip)
+
+
 def test_blocked_kernel_matches_the_dense_kernel(monkeypatch):
-    # seven columns a block at n = 400, fourteen at its n = 200 check; both
-    # leave a ragged last block
+    # fourteen columns a block over the 200 rows of the negative nodes, with
+    # a ragged last block; at n = 401 the middle node x = 0 has no mirror
     monkeypatch.setattr(decoherence, "_KERNEL_ELEMENTS", 7 * 400 + 5)
     geom = DotGeometry(d_nm=18.5, a_nm=4.7)
-    half = geom.d_nm / 2.0 + 8.0 * geom.a_nm
-    elements = []
-    for n in (400, 200):
-        x, wq = decoherence._gauss_legendre(-half, half, n)
-        a = geom.a_nm
-        left = np.exp(-((x + geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
-        right = np.exp(-((x - geom.d_nm / 2.0) ** 2) / (2.0 * a * a))
-        norm = (np.pi * a * a) ** -0.25
-        plus = norm * (left + right) / np.sqrt(2.0 * (1.0 + geom.overlap))
-        minus = norm * (left - right) / np.sqrt(2.0 * (1.0 - geom.overlap))
-        kernel = 1.0 / np.sqrt((x[:, None] - x[None, :]) ** 2 + (a / 10.0) ** 2)
-        flip = wq * plus * minus
-        elements.append([flip @ kernel @ flip, (wq * plus * plus) @ kernel @ flip,
-                         (wq * minus * minus) @ kernel @ flip])
-    (allowed, pp, mm), (allowed_lo, _, _) = elements
-    table = coulomb_selection_rule(geom, resolution=400)
-    # summation order differs: a few ulp of the allowed element
-    assert table["allowed_abs"] == pytest.approx(abs(allowed), rel=4 * np.finfo(float).eps)
-    assert table["error_bound"] == pytest.approx(abs(allowed - allowed_lo), rel=1e-9)
-    for forbidden in (table["forbidden_pp_abs"], table["forbidden_mm_abs"], abs(pp), abs(mm)):
-        assert forbidden < 1e-15
+    for n in (400, 401):
+        allowed, pp, mm = _dense_elements(geom, n)
+        table = coulomb_selection_rule(geom, resolution=n)
+        # summation order differs: a few ulp of the allowed element
+        assert table["allowed_abs"] == pytest.approx(abs(allowed), rel=4 * np.finfo(float).eps)
+        error = abs(table["allowed_abs"] - table["allowed_reference_abs"])
+        assert table["error_bound"] == max(error, 1e-13 * table["allowed_abs"])
+        assert 1e-9 < error < 1e-4 * table["allowed_abs"]
+        assert table["forbidden_pp_abs"] == table["forbidden_mm_abs"] == 0.0
+        # the dense kernel leaves rounding noise where the mirror pairs cancel
+        assert abs(pp) < 1e-15 and abs(mm) < 1e-15
+
+
+# The reference integrates C(u) K(u) with no cancellation; here quad
+# integrates the textbook form 2G(u) - G(u-d) - G(u+d) against the kernel
+# itself, split at the kernel's width, the orbital width and the far peak.
+@pytest.mark.parametrize("d_nm, a_nm", [
+    (22.0, 5.0), (18.5, 4.7), (18.0, 4.5), (18.0, 5.5), (26.0, 4.5), (26.0, 5.5), (21.3, 4.9),
+])
+def test_selection_reference_matches_adaptive_quadrature(d_nm, a_nm):
+    geom = DotGeometry(d_nm=d_nm, a_nm=a_nm)
+    w, s = a_nm / 10.0, geom.overlap
+
+    def gauss(u: float) -> float:
+        return np.exp(-u * u / (2.0 * a_nm * a_nm)) / (a_nm * np.sqrt(2.0 * np.pi))
+
+    def integrand(u: float) -> float:
+        c = (2.0 * gauss(u) - gauss(u - d_nm) - gauss(u + d_nm)) / (4.0 * (1.0 - s * s))
+        return c / np.sqrt(u * u + w * w)
+
+    edges = [0.0, w, a_nm, d_nm - 3.0 * a_nm, d_nm, d_nm + 3.0 * a_nm, d_nm + 20.0 * a_nm]
+    expected = 2.0 * sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+    for n in (256, 512):
+        assert decoherence._selection_reference(geom, n) == pytest.approx(expected, rel=1e-13)
+    table = coulomb_selection_rule(geom, resolution=1600)
+    assert table["allowed_reference_abs"] == decoherence._selection_reference(geom, 256)
+    # at n = 1600 the 2D sum has converged to the reference's last digits
+    assert table["allowed_abs"] == pytest.approx(expected, rel=1e-13)
+
+
+def test_non_odd_flip_density_raises(monkeypatch, capsys):
+    densities = decoherence._selection_densities
+
+    def tilted(x, wq, geom):
+        flip, stay_p, stay_m = densities(x, wq, geom)
+        return flip * (1.0 + 1e-12 * x), stay_p, stay_m  # even part of order 1e-12
+
+    monkeypatch.setattr(decoherence, "_selection_densities", tilted)
+    with pytest.raises(RuntimeError, match="flip density is not odd"):
+        coulomb_selection_rule(DotGeometry())
+    assert main(["decohere", "--sweep", "selection"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "flip density is not odd" in err
+
+
+def test_asymmetric_bra_density_fails_the_selection_check(monkeypatch, capsys):
+    densities = decoherence._selection_densities
+
+    def shifted_plus(x, wq, geom):
+        # |+> of a DQD moved 0.5 nm along the axis: no longer even
+        flip, _, stay_m = densities(x, wq, geom)
+        _, stay_p, _ = densities(x - 0.5, wq, geom)
+        return flip, stay_p, stay_m
+
+    monkeypatch.setattr(decoherence, "_selection_densities", shifted_plus)
+    assert main(["decohere", "--sweep", "selection", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ratio_forbidden_pp"] > 1e-3
+    assert report["forbidden_mm_abs"] == 0.0
+    assert report["passed"] is False
 
 
 def test_quadrature_resolutions_are_capped():
