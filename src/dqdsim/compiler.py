@@ -1,14 +1,36 @@
 """Two-qubit gate constructions from phase gates and the swap square root.
 
 The conditional phase flip and CNOT can be compiled from the square root
-of swap plus single-qubit phase (z) gates.  In four dimensions the recipe
-is fixed once a sign convention for ``Z(theta)`` is chosen; in the full
-six-configuration space the z gates also need phases on the two leakage
-rows, and nothing in the gate catalog pins those down.  This module treats
-the leakage phases as a small parameterized family
-(``exp(1j*(k*theta/2 + offset))`` per gate and leakage row) and finds, by
-exhaustive deterministic search, the member under which the compiled
-product lands on the catalog phase gate.
+of swap plus single-qubit phase (z) gates (Loss & DiVincenzo, PRA 57, 120,
+1998).  In four dimensions the recipe is fixed once a sign convention for
+``Z(theta)`` is chosen; in the full six-configuration space the z gates
+also need phases on the two leakage rows, and nothing in the gate catalog
+pins those down.  This module treats the leakage phases as a small
+parameterized family (``exp(1j*(k*theta/2 + offset))`` per gate and
+leakage row, ``k`` in ``-2..2``, offsets on a grid of ``n`` steps per
+turn) and solves for the members under which the compiled product lands
+on the catalog phase gate.
+
+The product is ``(D S)^2 E S`` with ``D = Z1(pi/2) Z2(-pi/2)``, ``E =
+Z1(pi)`` and ``S`` the six-dimensional swap square root.  ``S`` mixes only
+rows 1-4, the target is diagonal and the computational rows of ``D`` and
+``E`` are fixed, so the product is the target up to a global phase when
+the four leakage phases, rows 1 and 4 of ``D`` and of ``E``, are all
+``pi`` (mod ``2*pi``).  With offsets ``2*pi*j/n`` and angles in units of
+``pi/(4n)``, a turn is ``8n`` and the four conditions are congruences mod
+``8n`` in integers (``k1p`` is ``k_z1_pp``, ``k2m`` is ``k_z2_mm``)::
+
+    2n*k1p + 8*j1 = 4n                  2n*k1m + 8*j1 = 4n
+    n*(k1p - k2p) + 8*(j1 + j2) = 4n    n*(k1m - k2m) + 8*(j1 + j2) = 4n
+
+Each k-tuple fixes ``j1`` and then ``j2``, so the solutions are found
+without a search over offsets.  The reported residual is still the exact
+distance of the chosen embedding, so a wrong solution would fail the
+check.  The tests keep the numeric search this replaced as the oracle: at
+``n <= 3`` every candidate gets its exact distance, the solutions are
+exactly those within 1e-14 of the target and every other candidate misses
+by more than 0.19; at every ``n <= 64`` the first solution is the old
+search's answer, offsets and residual bit for bit.
 
 The conventions and residuals are surfaced in a decomposition report
 rather than hard-coded, so a failure to reproduce the catalog gate is
@@ -17,6 +39,7 @@ reported explicitly instead of being patched over.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,166 +160,49 @@ def build_cnot(emb: PhaseEmbedding) -> np.ndarray:
     return h2 @ (build_pi(emb) @ h2)
 
 
-#: Largest offset-grid size :func:`search_embedding` accepts.  The grid has
-#: ``625 * n**2`` candidates, 2.56 million at the cap.  At every size up to
-#: the cap the search stops after screening the first batch (even ``n``,
-#: 4,096 candidates at the cap) or the first 25 k-tuples (odd ``n``,
-#: ``25 * n**2``, 99,225 at ``n = 63``).
+#: Largest offset-grid size :func:`search_embedding` accepts.  Solving the
+#: congruences costs the same at every size, so the cap only bounds the input.
 MAX_OFFSETS = 64
 
-# Margin of the screen over the smallest upper bound and over the 1e-14
-# stop level.  It covers the roundoff between the factored products and
-# build_pi and is far wider than the 1e-14 tie window of the exact pass.
-_SCREEN_SLACK = 1e-12
 
-# Fewest candidates per screen batch.
-_BATCH_CANDIDATES = 125
+def _solutions(n: int):
+    """Every ``(k_z1_pp, k_z1_mm, k_z2_pp, k_z2_mm, j1, j2)`` with ``k`` in
+    ``-2..2`` and offsets ``2*pi*j/n`` that solves the four congruences, in
+    lexicographic order.
 
-_K_VALUES = np.arange(-2, 3)
-
-
-def _embedding_at(index: int, offsets: np.ndarray) -> PhaseEmbedding:
-    """The candidate at ``index`` in the lexicographic order of ``(k1p, k1m, k2p, k2m, o1, o2)``."""
-    *ks, i1, i2 = np.unravel_index(index, (_K_VALUES.size,) * 4 + (offsets.size,) * 2)
-    return PhaseEmbedding(*(int(_K_VALUES[k]) for k in ks), float(offsets[i1]), float(offsets[i2]))
-
-
-def _screen_batches(offsets: np.ndarray):
-    """:func:`build_pi` of every candidate, in lexicographic order.
-
-    A batch is a run of consecutive k-tuples ``(k_z1_pp, k_z1_mm, k_z2_pp,
-    k_z2_mm)`` over all ``n**2`` offset pairs, at least
-    ``_BATCH_CANDIDATES`` candidates.  With ``a1``, ``a2`` the two ``pi/2``
-    z-gate diagonals and ``b1`` the qubit-1 ``pi`` diagonal, a product is
-    ``diag(a1 a2) S diag(a1 a2) (S diag(b1) S)``: row ``i`` of it is
-    ``a2[i]`` times ``sum_k a2[k] W[k, i, :]``, where ``W[k, i, j] = a1[i]
-    S[i, k] a1[k] (S diag(b1) S)[k, j]`` depends on the qubit-1 triple
-    ``(k_z1_pp, k_z1_mm, offset_z1)`` alone.  So one matrix product per
-    qubit-1 triple, ``(n, 6) @ (6, 36)``, gives the products of all its
-    ``n`` qubit-2 offsets.  Yields the lexicographic index of each batch's
-    first candidate and the batch's products, shape ``(m * n**2, 6, 6)``.
+    Angles are in units of ``pi/(4n)``: a turn is ``8n`` and ``pi`` is
+    ``4n``.  Row 1 of ``Z1(pi)`` gives ``j1`` and row 1 of ``Z1(pi/2)
+    Z2(-pi/2)`` then gives ``j2``; a k-tuple has a solution when both are
+    on the grid and rows 4 of the two gates are at ``pi`` too.
     """
-    n = offsets.size
-    k = _K_VALUES.size
-    s = gate_matrix(GateId.SQRT_SWAP)
-    per_batch = -(-_BATCH_CANDIDATES // (n * n))  # k-tuples per batch
-    # Diagonals per (k_pp, k_mm) pair and offset: shape (25, n, 6).
-    grid = (_K_VALUES[:, None, None], _K_VALUES[:, None], offsets)
-    a1 = _z_phases(1, np.pi / 2.0, *grid).reshape(k * k, n, 6)
-    a2 = _z_phases(2, -np.pi / 2.0, *grid).reshape(k * k, n, 6)
-    b1 = _z_phases(1, np.pi, *grid).reshape(k * k, n, 6)
-    for start in range(0, k**4, per_batch):
-        q1, q2 = np.divmod(np.arange(start, min(start + per_batch, k**4)), k * k)
-        lo, hi = q1[0], q1[-1] + 1  # the batch's qubit-1 (k_pp, k_mm) pairs
-        heads = a1[lo:hi, :, None, :] * s.T * a1[lo:hi, :, :, None]  # [k, i] = a1[i] S[i, k] a1[k]
-        tails = s @ (b1[lo:hi, :, :, None] * s)
-        w = (heads[..., None] * tails[..., None, :]).reshape(hi - lo, n, 6, 36)
-        products = (a2[q2, None] @ w[q1 - lo]).reshape(q1.size, n, n, 6, 6)
-        products *= a2[q2, None, :, :, None]
-        yield start * n * n, products.reshape(-1, 6, 6)
+    turn, pi = 8 * n, 4 * n
+    for k1p, k1m, k2p, k2m in itertools.product(range(-2, 3), repeat=4):
+        eight_j1 = (pi - 2 * n * k1p) % turn
+        eight_j2 = (pi - n * (k1p - k2p) - eight_j1) % turn
+        if eight_j1 % 8 or eight_j2 % 8:
+            continue
+        if (2 * n * k1m + eight_j1 - pi) % turn or (
+                n * (k1m - k2m) + eight_j1 + eight_j2 - pi) % turn:
+            continue
+        yield k1p, k1m, k2p, k2m, eight_j1 // 8, eight_j2 // 8
 
 
-def _lower_bounds(products: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``max| |P| - |T| |`` per product, at most ``dist_up_to_global_phase(P, T)``.
+def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
+    """The leakage-phase embedding of the z gates on an offset grid, and its residual.
 
-    It compares magnitudes only, which no global phase can change.
-    """
-    residual = np.abs(products)
-    residual -= np.abs(target)
-    return np.abs(residual, out=residual).max(axis=(1, 2))
-
-
-def _upper_bounds(products: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Residual per product at one phase, at least ``dist_up_to_global_phase(P, T)``.
-
-    The phase is the trace-aligned one (1 where the trace vanishes), so the
-    residual is at least the minimum over all phases that the exact
-    distance returns.
-    """
-    overlap = np.einsum("ij,nij->n", target.conj(), products)
-    size = np.abs(overlap)
-    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    diff = phase[:, None, None] * target
-    return np.abs(np.subtract(products, diff, out=diff)).max(axis=(1, 2))
-
-
-def search_embedding(
-    n_offsets: int = 4, *, counts: dict[str, int] | None = None
-) -> tuple[PhaseEmbedding, float]:
-    """Exhaustive search for the leakage-phase embedding of the z gates.
-
-    Scans ``k in {-2..2}`` per gate and leakage row and per-gate offsets on
-    the grid of ``n_offsets`` equal steps per turn (an integer in
-    ``1..``:data:`MAX_OFFSETS`), and returns the embedding
-    minimizing the global-phase-insensitive distance between
-    :func:`build_pi` and the catalog phase gate, together with that
-    residual.  If ``counts`` is a dict, it receives ``screened_candidates``
-    and ``exact_evaluations``.
-
-    The exact residual is :func:`dist_up_to_global_phase` on
-    :func:`build_pi`, taken in lexicographic order of ``(k_z1_pp, k_z1_mm,
-    k_z2_pp, k_z2_mm, offset_z1, offset_z2)``; a candidate replaces the best
-    only when it improves the residual by more than ``1e-14``, so ties go to
-    the smallest tuple.  Residuals are never negative, so once the best is
-    within ``1e-14`` of zero no later candidate can replace it.
-
-    The candidates are screened in that order, in batches (see
-    :func:`_screen_batches`), with a lower bound ``max| |P| - |T| |`` (valid
-    because ``| |u| - |t| | <= |u - c t|`` for ``|c| = 1``).  Those whose
-    bound is within a slack of ``1e-12`` of the ``1e-14`` stop level get the
-    exact residual at once, and the search returns at the first best within
-    ``1e-14``.  Any other candidate misses zero by more than the slack, far
-    beyond the tie window, so it never decides where the in-order rule
-    stops.  Without a stop, the search keeps the candidates whose lower
-    bound is within the slack of the smallest upper bound, the residual at
-    the trace-aligned phase ``tr(T^H P) / |tr(T^H P)|``, and takes their
-    exact residuals in order, reusing those already computed; a dropped
-    candidate misses the minimum by more than the slack less roundoff.
+    ``n_offsets`` is the number of equal offset steps per turn, an integer
+    in ``1..``:data:`MAX_OFFSETS`.  Returns the lexicographically first
+    solution of the congruences (see :func:`_solutions`) and
+    :func:`dist_up_to_global_phase` between its :func:`build_pi` and the
+    catalog phase gate.  The residual is that one exact distance, so a
+    wrong solution would show as a large residual and a failed check.
+    ``(-2, -2, 2, 2, 0, 0)`` is a solution at every ``n``.
     """
     n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
-    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
-    target = gate_matrix(GateId.PHASE)
-    residuals: dict[int, float] = {}  # exact residual by candidate index
-
-    def in_order(indices, best=None, best_residual=np.inf):
-        """The in-order rule over ``indices``, from ``best``; stops within 1e-14 of zero."""
-        for index in indices:
-            if index not in residuals:
-                emb = _embedding_at(index, offsets)
-                residuals[index] = dist_up_to_global_phase(build_pi(emb), target)
-            if residuals[index] < best_residual - 1e-14:
-                best, best_residual = index, residuals[index]
-                if best_residual <= 1e-14:
-                    break  # residuals are >= 0: no later candidate can improve by 1e-14
-        return best, best_residual
-
-    screened = 0
-    survivors = np.empty(0, dtype=np.intp)
-    survivor_lb = np.empty(0)
-    best_ub = np.inf
-    best, best_residual = None, np.inf
-    for start, products in _screen_batches(offsets):
-        lb = _lower_bounds(products, target)
-        screened += lb.size
-        stoppers = start + np.flatnonzero(lb <= 1e-14 + _SCREEN_SLACK)
-        best, best_residual = in_order(stoppers.tolist(), best, best_residual)
-        if best_residual <= 1e-14:
-            break
-        # Only these candidates can survive or lower the best upper bound: ub >= lb.
-        kept = np.flatnonzero(lb <= best_ub + _SCREEN_SLACK)
-        if kept.size:
-            best_ub = min(best_ub, float(_upper_bounds(products[kept], target).min()))
-        survivors = np.concatenate((survivors, start + kept))
-        survivor_lb = np.concatenate((survivor_lb, lb[kept]))
-        keep = survivor_lb <= best_ub + _SCREEN_SLACK
-        survivors, survivor_lb = survivors[keep], survivor_lb[keep]
-    else:
-        # A list sort: numpy's sort kernels would add their code pages to the peak RSS.
-        best, best_residual = in_order(sorted(survivors.tolist()))
-    assert best is not None
-    if counts is not None:
-        counts.update(screened_candidates=screened, exact_evaluations=len(residuals))
-    return _embedding_at(best, offsets), float(best_residual)
+    *ks, j1, j2 = next(_solutions(n_offsets))
+    step = 2.0 * np.pi / n_offsets
+    emb = PhaseEmbedding(*ks, j1 * step, j2 * step)
+    return emb, dist_up_to_global_phase(build_pi(emb), gate_matrix(GateId.PHASE))
 
 
 def _z4(qubit: int, theta: float, convention: str) -> np.ndarray:
@@ -326,8 +232,7 @@ def verify_xor_4dim() -> dict[str, float]:
 
 def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
     """Residuals and conventions of every compiled two-qubit construction."""
-    counts: dict[str, int] = {}
-    emb, best_residual = search_embedding(n_offsets, counts=counts)
+    emb, best_residual = search_embedding(n_offsets)
     trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_matrix(GateId.PHASE))
     cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_matrix(GateId.CNOT))
     xor = verify_xor_4dim()
@@ -341,8 +246,6 @@ def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
         "xor_4dim_convention": convention,
         "xor_4dim_residuals": xor,
         "embedding": asdict(emb),
-        "search_screened_candidates": counts["screened_candidates"],
-        "search_exact_evaluations": counts["exact_evaluations"],
         "offset_grid_size": n_offsets,
     }
     if best_residual > 1e-10:

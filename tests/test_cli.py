@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqdsim import cli
+from dqdsim import cli, compiler
 from dqdsim.cli import MAX_SWEEP_POINTS, main
 from dqdsim.compiler import MAX_OFFSETS
 from dqdsim.decoherence import MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, validity_edge_K
 from dqdsim.readout import MAX_BIAS_SAMPLES, MAX_TRACE_SAMPLES
-from dqdsim.gates import GateId
+from dqdsim.gates import GateId, gate_matrix
 from dqdsim.pulses import calibrate, schedule_to_json, swap_sequence
 
 
@@ -187,20 +187,38 @@ def test_compile_reports_the_offset_grid_it_searched(capsys):
     assert grids == [3, 4]
 
 
-@pytest.mark.parametrize("n_offsets, embedding, screened", [
-    (63, [-2, -2, 2, 2, 0.0, 0.0], 25 * 63**2),
-    (64, [-2, -2, -2, -2, 0.0, np.pi], 64**2),
+@pytest.mark.parametrize("n_offsets, embedding", [
+    (63, [-2, -2, 2, 2, 0.0, 0.0]),
+    (64, [-2, -2, -2, -2, 0.0, np.pi]),
 ], ids=["n63", "n64"])
-def test_compile_on_the_largest_grids_finds_the_pattern_embedding(
-        capsys, n_offsets, embedding, screened):
+def test_compile_on_the_largest_grids_finds_the_pattern_embedding(capsys, n_offsets, embedding):
     code, out, _ = run(capsys, "compile", "--resolution", str(n_offsets))
     assert code == 0
     report = json.loads(out)
     assert list(report["embedding"].values()) == embedding
     assert report["phase_gate_best_residual"] == 2.220446049250313e-16
     assert report["offset_grid_size"] == n_offsets
-    assert report["search_screened_candidates"] == screened
-    assert report["search_exact_evaluations"] == 1
+
+
+def unreachable_phase_gate(gate: GateId) -> np.ndarray:
+    """The catalog, with the phase gate's rows turned by up to 0.3 rad: no candidate reaches it."""
+    matrix = gate_matrix(gate)
+    if gate is GateId.PHASE:
+        matrix = matrix * np.exp(0.3j * np.sin(np.arange(1, 7)))[:, None]
+    return matrix
+
+
+def test_compile_fails_when_the_embedding_misses_the_phase_gate(capsys, monkeypatch):
+    # The reported residual is the exact distance of the returned embedding,
+    # so a target the solution does not reach fails the check.
+    monkeypatch.setattr(compiler, "gate_matrix", unreachable_phase_gate)
+    code, out, _ = run(capsys, "compile")
+    assert code == 1
+    report = json.loads(out)
+    assert report["phase_gate_reproduced"] is False
+    assert report["message"] == "identity not reproduced"
+    assert report["phase_gate_best_residual"] > 0.19
+    assert report["passed"] is False
 
 
 GOLDEN = Path(__file__).parent / "golden"

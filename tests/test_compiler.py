@@ -13,10 +13,7 @@ from dqdsim.compiler import (
     SQRT_SWAP_4,
     TRIVIAL_EMBEDDING,
     PhaseEmbedding,
-    _embedding_at,
-    _lower_bounds,
-    _screen_batches,
-    _upper_bounds,
+    _solutions,
     _z_phases,
     build_cnot,
     build_pi,
@@ -150,32 +147,19 @@ def frozen_pattern(n_offsets: int) -> PhaseEmbedding:
     return PhaseEmbedding(-2, -2, -2, -2, 0.0, float((n_offsets // 2) * (2.0 * np.pi / n_offsets)))
 
 
-def test_search_stops_at_the_frozen_pattern_at_every_grid_size(monkeypatch):
-    batches = []
-
-    def recording(offsets):
-        for start, products in _screen_batches(offsets):
-            batches.append((start, len(products)))
-            yield start, products
-
-    monkeypatch.setattr(compiler, "_screen_batches", recording)
+def test_search_stops_at_the_frozen_pattern_at_every_grid_size():
     for n in range(1, MAX_OFFSETS + 1):
-        batches.clear()
-        counts = {}
-        emb, residual = search_embedding(n, counts=counts)
-        assert (emb, residual) == (frozen_pattern(n), 2.220446049250313e-16), n
-        if n % 2 == 0:
-            assert len(batches) == 1, n
-        else:
-            # The winner opens the 25th k-block, and the search stops in its batch.
-            start, size = batches[-1]
-            assert start <= 24 * n * n < start + size, n
-        assert counts == {"screened_candidates": sum(size for _, size in batches),
-                          "exact_evaluations": 1}, n
+        assert search_embedding(n) == (frozen_pattern(n), 2.220446049250313e-16), n
 
 
-# --- The search before the lexicographic stop, kept as its oracle: every
-# candidate screened, 125 at a time, then the in-order exact pass.
+# --- The numeric search before the congruence solver, kept as its oracle:
+# every candidate screened, 125 at a time, then the in-order exact pass.
+
+def embedding_at(index, offsets):
+    """The candidate at ``index`` in the lexicographic order of ``(k1p, k1m, k2p, k2m, o1, o2)``."""
+    *ks, i1, i2 = np.unravel_index(index, (K.size,) * 4 + (offsets.size,) * 2)
+    return PhaseEmbedding(*(int(K[k]) for k in ks), float(offsets[i1]), float(offsets[i2]))
+
 
 def oracle_screen_products(offsets):
     n = offsets.size
@@ -224,7 +208,7 @@ def oracle_search(n_offsets):
         survivors, survivor_lb = survivors[keep], survivor_lb[keep]
     best, best_residual = None, np.inf
     for index in sorted(survivors.tolist()):
-        emb = _embedding_at(index, offsets)
+        emb = embedding_at(index, offsets)
         residual = dist_up_to_global_phase(build_pi(emb), target)
         if residual < best_residual - 1e-14:
             best, best_residual = emb, residual
@@ -258,14 +242,6 @@ def sequential_search(n_offsets: int) -> tuple[PhaseEmbedding, float]:
     return best, float(best_residual)
 
 
-def unreachable_phase_gate(gate: GateId) -> np.ndarray:
-    """The catalog, with the phase gate's rows turned by up to 0.3 rad: no candidate reaches it."""
-    matrix = gate_matrix(gate)
-    if gate is GateId.PHASE:
-        matrix = matrix * np.exp(0.3j * np.sin(np.arange(1, 7)))[:, None]
-    return matrix
-
-
 @pytest.mark.parametrize(
     "n_offsets, embedding",
     [
@@ -275,20 +251,23 @@ def unreachable_phase_gate(gate: GateId) -> np.ndarray:
     ],
     ids=["n1", "n2", "n3"],
 )
-def test_screened_search_matches_sequential_reference(monkeypatch, n_offsets, embedding):
+def test_screened_search_matches_sequential_reference(n_offsets, embedding):
     expected = sequential_search(n_offsets)
     assert expected == (embedding, 2.220446049250313e-16)
     assert search_embedding(n_offsets) == expected
 
-    # Without a stop, the search screens every candidate and falls back to
-    # the survivors of the global bound.
-    monkeypatch.setattr(compiler, "gate_matrix", unreachable_phase_gate)
-    expected = sequential_search(n_offsets)
-    assert expected[1] > 1e-3
-    counts = {}
-    assert search_embedding(n_offsets, counts=counts) == expected
-    assert counts["screened_candidates"] == 625 * n_offsets**2
-    assert 1 < counts["exact_evaluations"] < 625 * n_offsets**2 // 10
+    # The congruences' solutions are exactly the candidates the exact
+    # distance puts at zero, and every other candidate misses by far more
+    # than roundoff.
+    step = 2.0 * np.pi / n_offsets
+    target = gate_matrix(GateId.PHASE)
+    residuals = {}
+    for *ks, j1, j2 in itertools.product(*[range(-2, 3)] * 4, *[range(n_offsets)] * 2):
+        emb = PhaseEmbedding(*ks, j1 * step, j2 * step)
+        residuals[(*ks, j1, j2)] = dist_up_to_global_phase(build_pi(emb), target)
+    solutions = set(_solutions(n_offsets))
+    assert solutions == {c for c, r in residuals.items() if r <= 1e-14}
+    assert min(r for c, r in residuals.items() if c not in solutions) > 0.19
 
 
 def test_exact_pass_stops_at_a_residual_within_the_tie_window(monkeypatch):
@@ -301,68 +280,6 @@ def test_exact_pass_stops_at_a_residual_within_the_tie_window(monkeypatch):
     monkeypatch.setattr(compiler, "dist_up_to_global_phase", counting)
     assert search_embedding(4) == (EXPECTED_EMBEDDING, 2.220446049250313e-16)
     assert len(calls) == 1
-
-
-def sampled_candidates(n_offsets: int, partners: int) -> np.ndarray:
-    """``partners`` random qubit-2 triples for every qubit-1 triple, as candidate indices."""
-    rng = np.random.default_rng(n_offsets)
-    q2 = 25 * n_offsets
-    index = []
-    for k1p, k1m, i1 in itertools.product(range(5), range(5), range(n_offsets)):
-        k2p, k2m, i2 = np.unravel_index(rng.choice(q2, partners, replace=False), (5, 5, n_offsets))
-        index.append(np.ravel_multi_index((k1p, k1m, k2p, k2m, i1, i2), (5,) * 4 + (n_offsets,) * 2))
-    return np.concatenate(index)
-
-
-def screened(n_offsets: int, sample: np.ndarray) -> tuple[dict, list[tuple[int, int]]]:
-    """Screen product and bounds of each sampled candidate, and each batch's start and size."""
-    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
-    target = gate_matrix(GateId.PHASE)
-    found, batches = {}, []
-    for start, products in _screen_batches(offsets):
-        index = start + np.arange(len(products))
-        lb, ub = _lower_bounds(products, target), _upper_bounds(products, target)
-        batches.append((start, len(products)))
-        for j in np.flatnonzero(np.isin(index, sample)):
-            found[int(index[j])] = (products[j], lb[j], ub[j])
-    assert sorted(found) == sorted(sample.tolist())
-    return found, batches
-
-
-# n = 7: offset steps that are not multiples of pi/2, so the phases are not all +-1, +-1j.
-@pytest.mark.parametrize("n_offsets, partners", [(1, 25), (4, 2), (7, 2)], ids=["n1", "n4", "n7"])
-def test_screen_bounds_bracket_the_exact_distance(n_offsets, partners):
-    # Roundoff between the factorized products and build_pi reaches ~2e-16,
-    # well inside the search's 1e-12 screening slack.
-    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
-    target = gate_matrix(GateId.PHASE)
-    found, _ = screened(n_offsets, sampled_candidates(n_offsets, partners))
-    for i, (_, lb, ub) in found.items():
-        d = dist_up_to_global_phase(build_pi(_embedding_at(i, offsets)), target)
-        assert lb - 1e-14 <= d <= ub + 1e-14
-
-
-@pytest.mark.parametrize("n_offsets", [4, 7], ids=["n4", "n7"])
-def test_stacked_products_match_build_pi(n_offsets):
-    offsets = np.arange(n_offsets) * (2.0 * np.pi / n_offsets)
-    found, batches = screened(n_offsets, sampled_candidates(n_offsets, 4))
-    for i, (product, _, _) in found.items():
-        assert max_abs_diff(product, build_pi(_embedding_at(i, offsets))) <= 1e-14
-    # The batches cover every candidate exactly once, in order.
-    starts, sizes = np.array(batches).T
-    assert starts[0] == 0 and np.array_equal(starts[1:], np.cumsum(sizes)[:-1])
-    assert sizes.sum() == 625 * n_offsets**2
-
-
-@pytest.mark.parametrize("n_offsets", [1, 2, 3, 4, 11, 12])
-def test_batches_are_whole_k_tuple_runs_of_at_least_125_candidates(n_offsets):
-    n2 = n_offsets**2
-    sizes = [len(products) for _, products in _screen_batches(np.arange(n_offsets) * 1.0)]
-    # Never more screen calls than the 5 n**2 batches of 125 of the full screen.
-    assert len(sizes) <= 5 * n2
-    assert all(size % n2 == 0 for size in sizes)
-    assert all(size >= 125 for size in sizes[:-1])
-    assert sum(sizes) == 625 * n2
 
 
 def test_pi_construction_with_frozen_embedding():
