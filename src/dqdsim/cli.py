@@ -22,6 +22,17 @@ import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
 ``floattext``, the formatter of float arrays.  A run names its subcommand
 first and is parsed by that subcommand's parser alone, whose flags are
 added on first use.
+
+Argparse declares every flag, but a run whose flags are all plain skips its
+``parse_args``: each argument must be an exact ``--flag value`` whose value
+does not start with ``-``, an exact ``--flag=value`` (same rule), or an
+exact ``store_true`` flag, and each value must pass the flag's type and
+choices.  Such a run is read from a table of the subcommand parser's own
+actions and defaults, into the Namespace ``parse_args`` would give.  Every
+other argv goes to ``parse_args``: help, abbreviations, unknown flags,
+``--``, values that start with ``-``, a missing value, ``--scan=x`` and
+every value that fails its type or choices, so that help, usage text and
+exit 2 stay argparse's own.
 """
 
 from __future__ import annotations
@@ -427,6 +438,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+class _PlainFlags(NamedTuple):
+    """A subcommand parser's own table for :func:`_parse_plain`: each option
+    string that stores one value or ``True``, and what ``parse_args`` puts in
+    a Namespace before it reads any flag."""
+
+    actions: dict[str, argparse.Action]
+    defaults: dict[str, object]
+
+
+def _plain_flags(p: argparse.ArgumentParser) -> _PlainFlags:
+    actions = {option: a for a in p._actions for option in a.option_strings
+               if type(a) is argparse._StoreTrueAction
+               or type(a) is argparse._StoreAction and a.nargs is None}
+    defaults = {a.dest: a.default for a in p._actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    for dest, value in p._defaults.items():
+        defaults.setdefault(dest, value)
+    return _PlainFlags(actions, defaults)
+
+
 def _command(name: str) -> argparse.ArgumentParser:
     """The parser of subcommand ``name``, its flags and handler added on first use."""
     p = _build_parser()[1][name]
@@ -435,6 +466,8 @@ def _command(name: str) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         _add_common(p)
         add_flags(p)
+        # Kept on the parser, so that dropping the parser drops its table.
+        p.plain_flags = _plain_flags(p)  # type: ignore[attr-defined]
     return p
 
 
@@ -462,11 +495,50 @@ def _config_argv(command: argparse.ArgumentParser, path: str) -> list[str]:
     return argv
 
 
+def _parse_plain(flags: _PlainFlags, args: list[str]) -> dict[str, object] | None:
+    """What ``parse_args`` makes of ``args``, if each is an exact ``--flag value``,
+    ``--flag=value`` or ``True``-storing flag, and no value starts with ``-``
+    or fails the flag's type or choices; otherwise ``None``."""
+    values = dict(flags.defaults)
+    i = 0
+    while i < len(args):
+        option, eq, value = args[i].partition("=")
+        action = flags.actions.get(option)
+        if action is None:
+            return None
+        i += 1
+        if action.nargs == 0:
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            if i == len(args):
+                return None
+            value = args[i]
+            i += 1
+        if value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return values
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` parsed by its subcommand's parser alone, when ``argv[0]`` names one."""
     if argv and argv[0] in _COMMANDS:
         name = argv[0]
-        return _command(name).parse_args(argv[1:], argparse.Namespace(command=name))
+        command = _command(name)
+        values = _parse_plain(command.plain_flags, argv[1:])  # type: ignore[attr-defined]
+        if values is not None:
+            return argparse.Namespace(command=name, **values)
+        # Anything else, help and every error among it, is argparse's own.
+        return command.parse_args(argv[1:], argparse.Namespace(command=name))
     # Help, a missing or unknown subcommand, or flags before it: the
     # top-level parser, with every subcommand complete.
     for name in _COMMANDS:

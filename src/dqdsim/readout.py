@@ -78,22 +78,24 @@ class ReadoutConfig:
     timestep_ns: float
 
     def __post_init__(self) -> None:
+        # Scalar math: float products and math.hypot overflow to inf silently.
+        values = []
         for name in ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns"):
-            if not math.isfinite(require_float(name, getattr(self, name))):
+            values.append(require_float(name, getattr(self, name)))
+            if not math.isfinite(values[-1]):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.tunnel_coupling_ueV < 0.0:
+        tunnel_coupling, bias, duration, _ = values
+        if tunnel_coupling < 0.0:
             raise ValueError("tunnel coupling must be >= 0")
-        with np.errstate(over="ignore"):
-            omega = rabi_frequency(self)
-            end_phase = omega * self.duration_ns
-        if not np.isfinite(omega):
+        omega = 2.0 * math.hypot(tunnel_coupling, bias / 2.0) / HBAR_UEV_NS
+        if not math.isfinite(omega):
             raise ValueError(
                 f"tunnel_coupling_ueV = {self.tunnel_coupling_ueV!r} and bias_ueV = "
                 f"{self.bias_ueV!r} give a Rabi frequency outside the float range"
             )
-        if not self.duration_ns > 0.0:
+        if not duration > 0.0:
             raise ValueError("duration must be positive")
-        if not np.isfinite(end_phase):
+        if not math.isfinite(omega * duration):
             raise ValueError(
                 f"duration_ns = {self.duration_ns!r} gives a readout phase outside the float range"
             )
@@ -127,7 +129,7 @@ def rabi_frequency(config: ReadoutConfig) -> float:
 
 
 def _sample_times(config: ReadoutConfig) -> np.ndarray:
-    n = int(np.floor(config.duration_ns / config.timestep_ns + 1e-9))
+    n = math.floor(config.duration_ns / config.timestep_ns + 1e-9)
     return np.arange(n + 1) * config.timestep_ns
 
 
@@ -164,7 +166,10 @@ def _left_populations(
     """
     energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, biases_ueV)
     swing = (coupling * half_bias)[:, None] * np.sin(energy[:, None] * times / HBAR_UEV_NS) ** 2
-    return np.stack((0.5 + swing, 0.5 - swing))
+    p_left = np.empty((2, *swing.shape))
+    np.add(0.5, swing, out=p_left[0])
+    np.subtract(0.5, swing, out=p_left[1])
+    return p_left
 
 
 class OptimalReadout(NamedTuple):

@@ -87,9 +87,23 @@ MUTANTS = (
     ),
     Mutant(
         "ReadoutConfig without the finiteness check", "readout.py",
-        "if not math.isfinite(require_float(name, getattr(self, name))):",
-        "if require_float(name, getattr(self, name)) is None:",
+        "if not math.isfinite(values[-1]):", "if False:",
         ("tests/test_readout.py::test_config_rejects_non_finite_fields",),
+    ),
+    Mutant(
+        "plain-flag parse without the choices check", "cli.py",
+        "if action.choices is not None and value not in action.choices:", "if False:",
+        ("tests/test_cli.py::test_plain_flags_parse_as_argparse_parses_them",),
+    ),
+    Mutant(
+        "selection reference without its 256/512-node check", "decoherence.py",
+        "if abs(reference - fine) > _ROUNDING_FLOOR * abs(fine):", "if False:",
+        ("tests/test_decoherence.py::test_selection_reference_must_agree_with_its_512_node_rule",),
+    ),
+    Mutant(
+        "two-phonon rate without the 1% coarse/fine check", "decoherence.py",
+        "if scale > 0.0 and abs(fine - coarse) > 0.01 * scale:", "if False:",
+        ("tests/test_decoherence.py::test_two_phonon_rejects_unconverged_quadrature",),
     ),
     Mutant(
         "schedule columns admit None", "pulses.py",

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dqdsim import cli, compiler
 from dqdsim.cli import MAX_SWEEP_POINTS, main
@@ -779,3 +784,191 @@ def test_rate_sweep_is_deterministic(capsys):
     code2, second, _ = run(capsys, *args)
     assert (code1, first) == (code2, second)
     assert first != ""
+
+
+# ---------------------------------------------------------------------------
+# parsing: plain flags skip argparse, and every argv keeps the exit-code contract
+# ---------------------------------------------------------------------------
+
+# Numbers in and out of every range, a float for an int, text and no text,
+# and one past each size cap.
+NUMBER_TEXTS = ("0", "-0.0", "1", "2", "5", "16", "40", "0.4", "0.0005", "-1", "-1e-9", "1.5",
+                "1e3", "nan", "inf", "-inf", "1e300", "1e-300", "-1e300", "x", "", "10" * 20,
+                *dict.fromkeys(str(cap + 1) for cap in (MAX_OFFSETS, MAX_SWEEP_POINTS,
+                                                        MAX_BIAS_SAMPLES, MAX_RESOLUTION,
+                                                        MAX_SELECTION_RESOLUTION)))
+# How one flag is written: weighted toward the exact forms that skip argparse.
+FORMS = ("exact",) * 8 + ("equals",) * 3 + ("prefix", "missing", "unknown", "help", "--")
+
+
+@st.composite
+def command_lines(draw, paths=None):
+    """An argv for one subcommand, built from the actions of its own parser.
+
+    ``paths`` maps a text flag's dest to the values to draw for it; without
+    it, text flags get plain, empty, ``=``-holding and dash-led values.
+    """
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    actions = [a for a in cli._command(name)._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 4))):
+        action = draw(st.sampled_from(actions))
+        option = draw(st.sampled_from(action.option_strings))
+        if action.choices is not None:
+            texts = [*action.choices, "nope", ""]
+        elif action.type is not None:
+            # half of the time the default, so that more runs reach a handler
+            texts = NUMBER_TEXTS if action.default is None else [str(action.default)]
+            texts = draw(st.sampled_from((texts, NUMBER_TEXTS)))
+        else:
+            texts = (paths or {}).get(action.dest, ("report.txt", "", "a=b", "-", "--", "-x"))
+        value = draw(st.sampled_from(texts))
+        form = draw(st.sampled_from(FORMS))
+        if form == "prefix":
+            option = option[:draw(st.integers(3, len(option)))]
+        if form == "equals":
+            argv.append(f"{option}={value}")
+        elif form in ("unknown", "help", "--"):
+            argv += {"unknown": ["--nope", value], "help": ["-h"], "--": ["--", value]}[form]
+        else:
+            argv.append(option)
+            if action.nargs != 0 and form != "missing":
+                argv.append(value)
+    return argv
+
+
+def outcome(call, argv):
+    """``call(argv)``'s value, or its ``SystemExit`` code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            value = call(argv)
+        except SystemExit as exc:
+            value = exc.code
+    return value, out.getvalue(), err.getvalue()
+
+
+def argparse_parse(argv):
+    return cli._command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+@settings(max_examples=200)
+@given(argv=command_lines())
+@example(argv=["decohere", "--sweep", "nope"])
+@example(argv=["init", "--target=nope", "--bias", "2"])
+@example(argv=["readout", "--scan", "--resolution", "x"])
+@example(argv=["readout", "--scan=1"])
+@example(argv=["evolve", "--out=--"])
+@example(argv=["verify", "--tolerance", "-1"])
+def test_plain_flags_parse_as_argparse_parses_them(argv):
+    # The same Namespace, or the same exit code with the same usage text.  The
+    # reprs are compared: they tell 0.0 from -0.0 and 5 from 5.0, and a nan
+    # value matches a nan.
+    assert repr(outcome(cli._parse, argv)) == repr(outcome(argparse_parse, argv))
+
+
+# One benchmark-shaped command line per subcommand: exact `--flag value` pairs.
+BENCHMARK_ARGV = (
+    (0, "verify --resolution 4 --format json"),
+    (0, "compile --resolution 4 --format csv"),
+    (0, f"evolve --schedule {GOLDEN / 'swap_schedule.json'} --initial 01"),
+    (1, "decohere --sweep rate --deps 0.2 --t-min 25.5 --t-max 150.25 --points 3 "
+        "--resolution 128 --mode reduced --branch deformation"),
+    (0, "readout --scan --tunnel-coupling 7.25 --duration 0.31 --timestep 0.000775 "
+        "--resolution 40"),
+    (0, "readout --tunnel-coupling 7.25 --bias 14.5 --duration 0.31 --timestep 0.000775 "
+        "--format csv"),
+    (0, "init --tunnel-coupling 7.25 --bias 14.5 --duration 0.31 --timestep 0.000775 "
+        "--target minus"),
+)
+
+
+def test_benchmark_command_lines_skip_argparse(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(method):
+        original = getattr(argparse.ArgumentParser, method)
+
+        def count(self, *args, **kwargs):
+            calls.append(method)
+            return original(self, *args, **kwargs)
+        return count
+
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, method, counted(method))
+    for expected, command_line in BENCHMARK_ARGV:
+        out = tmp_path / "report"
+        assert run(capsys, *command_line.split(), "--out", str(out)) == (expected, "", "")
+        assert out.read_text() and calls == [], command_line
+    # Help, an abbreviation and a bad value go through argparse once.
+    for argv, code, stream, text in (
+        (["readout", "-h"], 0, "out", "usage: dqdsim readout [-h]"),
+        (["readout", "--tun", "5", "--format", "json"], 0, "out", '"tunnel_coupling_ueV": 5,'),
+        (["readout", "--resolution", "x"], 2, "err",
+         "dqdsim readout: error: argument --resolution: invalid int value: 'x'\n"),
+    ):
+        calls.clear()
+        got, out, err = run_to_exit(capsys, *argv)
+        assert got == code and text in {"out": out, "err": err}[stream]
+        assert calls == ["parse_args", "parse_known_args"], argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Files for the text flags: good, malformed and missing ones."""
+    d = tmp_path_factory.mktemp("argv")
+    texts = {
+        "config_csv.json": '{"format": "csv"}',
+        "config_scan.json": '{"scan": true}',
+        "config_unknown.json": '{"nope": 1}',
+        "config_list.json": "[1]",
+        "config_nan.json": '{"bias": "nan", "deps": "nan"}',
+        "config_negative.json": '{"tolerance": -1, "resolution": -1}',
+        "broken.json": "{",
+        "state.json": json.dumps([[0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]),
+        "state_short.json": "[[1, 0]]",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    missing = str(d / "missing" / "x.json")
+    configs = [str(d / n) for n in texts if n.startswith("config")]
+    return {
+        "config": (*configs, str(d / "broken.json"), missing),
+        "schedule": (str(GOLDEN / "swap_schedule.json"), str(d / "config_csv.json"),
+                     str(d / "broken.json"), missing, ""),
+        "initial_file": (str(d / "state.json"), str(d / "state_short.json"), missing),
+        "out": (str(d / "report.out"), missing, ""),
+    }
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_command_line_keeps_the_exit_code_contract(argv_paths, data):
+    argv = data.draw(command_lines(argv_paths), label="argv")
+    results = []
+
+    def recording(handler):
+        def record(args):
+            results.append(handler(args))
+            return results[-1]
+        return record
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "two-phonon model assumes")
+        for name, (help_text, handler, add_flags) in cli._COMMANDS.items():
+            patch.setitem(cli._COMMANDS, name, (help_text, recording(handler), add_flags))
+        cli._build_parser.cache_clear()
+        try:
+            code, out, err = outcome(main, argv)
+        finally:
+            cli._build_parser.cache_clear()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert results and results[-1].report["passed"] is False
+    if code == 2:
+        assert out == ""
+    if code == 0 and results:
+        assert results[-1].report["passed"] is True

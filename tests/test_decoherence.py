@@ -728,6 +728,22 @@ def test_selection_rule_resolution_must_be_an_integer(resolution):
         coulomb_selection_rule(DotGeometry(), resolution=resolution)
 
 
+@pytest.mark.parametrize("drift, raises", [(1e-12, True), (1e-14, False)])
+def test_selection_reference_must_agree_with_its_512_node_rule(monkeypatch, drift, raises):
+    # The 256-node reference must match the 512-node one to 1e-13.
+    reference = decoherence._selection_reference
+
+    def drifting(geom, n):
+        return reference(geom, n) * (1.0 + drift * (n == 512))
+
+    monkeypatch.setattr(decoherence, "_selection_reference", drifting)
+    if raises:
+        with pytest.raises(RuntimeError, match="selection-rule reference not converged"):
+            coulomb_selection_rule(DotGeometry(), resolution=400)
+    else:
+        coulomb_selection_rule(DotGeometry(), resolution=400)
+
+
 def test_selection_rule_convergence_gate():
     with pytest.raises(RuntimeError):
         coulomb_selection_rule(DotGeometry(), resolution=16)

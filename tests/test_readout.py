@@ -62,6 +62,51 @@ def test_config_rejects_integers_beyond_the_float_range(field):
         ReadoutConfig(*values)
 
 
+def numpy_config_error(values):
+    """The first of ReadoutConfig's checks that ``values`` fail, in numpy
+    arithmetic, as a fragment of its message; ``None`` when all pass."""
+    names = ("tunnel_coupling_ueV", "bias_ueV", "duration_ns", "timestep_ns")
+    for name, value in zip(names, values):
+        if not np.isfinite(value):
+            return f"{name} must be finite"
+    t_c, bias, duration, timestep = values
+    if t_c < 0.0:
+        return "tunnel coupling must be >= 0"
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        omega = 2.0 * np.hypot(t_c, bias / 2.0) / HBAR_UEV_NS
+        phase = omega * duration
+    if not np.isfinite(omega):
+        return "give a Rabi frequency outside the float range"
+    if not duration > 0.0:
+        return "duration must be positive"
+    if not np.isfinite(phase):
+        return "gives a readout phase outside the float range"
+    if not 0.0 < timestep <= duration:
+        return "timestep must be positive"
+    if not duration / timestep + 1e-9 < MAX_TRACE_SAMPLES:
+        return f"more than {MAX_TRACE_SAMPLES} samples"
+    return None
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, 0.4, 0.0005, 5.0, -5.0, 1e150, 1e300,
+                               1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+@given(values=st.lists(st.one_of(EDGE_FLOATS, st.floats()), min_size=4, max_size=4))
+@example(values=[1e308, 1e308, 1.0, 0.1])   # the Rabi frequency overflows
+@example(values=[1.0, 2.0, 1e308, 1e304])    # the end phase overflows
+@example(values=[np.nan, -1.0, 0.0, np.inf])  # the first bad field is named
+def test_config_checks_match_their_numpy_form(values):
+    # Scalar math raises the same first error as numpy arithmetic would.
+    expected = numpy_config_error(values)
+    if expected is None:
+        ReadoutConfig(*values)
+    else:
+        with pytest.raises(ValueError) as error:
+            ReadoutConfig(*values)
+        assert expected in str(error.value)
+
+
 def test_trace_sample_count_is_capped():
     # floor(duration / timestep) + 1 samples; checked before any allocation
     assert len(readout_traces(ReadoutConfig(1.0, 2.0, 9.0, 1.0)).times_ns) == 10
