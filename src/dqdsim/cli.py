@@ -302,13 +302,13 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
     from . import readout
     cfg = _readout_config(args)
     if args.scan:
-        best_cfg, best = readout.scan_bias(
+        best_bias, best = readout.scan_bias(
             cfg.tunnel_coupling_ueV, cfg.duration_ns, cfg.timestep_ns, n_bias=args.resolution
         )
         return Result({
             "scan": "bias",
-            "tunnel_coupling_ueV": best_cfg.tunnel_coupling_ueV,
-            "best_bias_ueV": best_cfg.bias_ueV,
+            "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
+            "best_bias_ueV": best_bias,
             "measurement_time_ns": best.time_ns,
             "distinguishability": best.distinguishability,
             "passed": best.distinguishability >= 0.99,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "Q_CUTOFF_PER_NM",
     "TAU_ANCHOR_S",
     "PhononBranch",
-    "Environment",
     "DotGeometry",
     "validity_edge_K",
     "bose_einstein",
@@ -53,7 +52,6 @@ __all__ = [
     "angular_flip_weight",
     "TwoPhononRate",
     "two_phonon_rates_per_s",
-    "two_phonon_rate_per_s",
     "fit_scaling_exponent",
     "coulomb_selection_rule",
 ]
@@ -135,24 +133,6 @@ class PhononBranch:
         """Squared coupling ``|F_q|^2`` in ueV^2 at wavevector ``q`` (1/nm)."""
         q = np.asarray(q_per_nm, dtype=float)
         return q if self.kind == "deformation" else 1.0 / q
-
-
-@dataclass(frozen=True)
-class Environment:
-    """Temperature of the host crystal and the quadrature resolution."""
-
-    temperature_K: float
-    resolution: int = 256
-
-    def __post_init__(self) -> None:
-        if not MIN_TEMPERATURE_K <= self.temperature_K < np.inf:
-            raise ValueError(f"temperature_K must be finite and at least {MIN_TEMPERATURE_K}, "
-                             f"got {self.temperature_K!r}")
-        require_count("resolution", self.resolution, 8, MAX_RESOLUTION)
-
-    @property
-    def kT_ueV(self) -> float:
-        return self.temperature_K * K_B_UEV_PER_K
 
 
 @dataclass(frozen=True)
@@ -278,17 +258,16 @@ def _gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
 def _two_phonon_integrals(
     delta_eps_ueV: float,
     branch: PhononBranch,
-    envs: Sequence[Environment],
+    temperature_K: np.ndarray,
     geom: DotGeometry,
     mode: str,
     n_nodes: int,
 ) -> np.ndarray:
-    """The rate integral at every temperature of ``envs``, one row each.
+    """The rate integral at every temperature of the ``(T, 1)`` column, one row each.
 
-    Each temperature's scalars form a ``(T, 1)`` column, so every row takes
-    the same floating-point operations as a one-row stack.
+    Every row takes the same floating-point operations as a one-row column.
     """
-    kT = np.array([env.kT_ueV for env in envs])[:, None]
+    kT = temperature_K * K_B_UEV_PER_K
     eps_lo = 1e-9 * kT
     eps_hi = np.minimum(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
     if np.any(eps_hi <= eps_lo):
@@ -297,14 +276,14 @@ def _two_phonon_integrals(
     # phonon carries the absorbed energy and both vertices share each factor.
     eps, weights = _gauss_legendre(eps_lo, eps_hi, n_nodes)
     q = eps / HBAR_C_UEV_NM
-    n = bose_einstein(eps, np.array([env.temperature_K for env in envs])[:, None])
+    n = bose_einstein(eps, temperature_K)
     occupation = (n + 1.0) * n
     c = branch.coupling_sq(q)
     w = angular_flip_weight(q, geom)
 
     if mode == "reduced":
         # Python's float power, as on a lone float: numpy's ** 2 squares, which can round apart
-        denom = np.array([(2.0 / env.kT_ueV) ** 2 for env in envs])[:, None]
+        denom = np.array([(2.0 / k) ** 2 for k in kT[:, 0].tolist()])[:, None]
     else:
         width = 1j * (0.01 * kT)
         amplitude = np.zeros(eps.shape, dtype=complex)
@@ -353,30 +332,38 @@ def two_phonon_rates_per_s(
     denominators ``eps_z - eps_emitted`` with an imaginary level width of
     one percent of kT regularizing the on-shell crossing.
 
-    Every temperature is checked as an :class:`Environment` before any is
-    integrated.  The grid is then one ``(T, resolution)`` and one
-    ``(T, 2 * resolution)`` array; each row is bitwise the rate of a
-    one-temperature grid.  Each rate is checked for quadrature convergence
-    by doubling the node count; disagreement beyond 1% raises, and the
-    difference, floored at 1e-13 of the rate, is returned as the error
-    estimate.  A warning flags temperatures below :func:`validity_edge_K`,
-    where the high-temperature reduction is dubious; the edge itself is
-    inside.  Warnings and the convergence check go in grid order.
+    The inputs are checked once, before anything is integrated, also for an
+    empty grid: ``mode``, ``delta_eps_ueV``, each temperature in grid order
+    (finite and at least :data:`MIN_TEMPERATURE_K`), then ``resolution``.
+    The grid is one ``(T, resolution)`` and one ``(T, 2 * resolution)``
+    array; each row is bitwise the rate of a one-temperature grid.  Each
+    rate is checked for quadrature convergence by doubling the node count;
+    disagreement beyond 1% raises, and the difference, floored at 1e-13 of
+    the rate, is returned as the error estimate.  A warning flags
+    temperatures below :func:`validity_edge_K`, where the high-temperature
+    reduction is dubious; the edge itself is inside.  Warnings and the
+    convergence check go in grid order.
     """
     if mode not in ("reduced", "exact"):
         raise ValueError(f"mode must be 'reduced' or 'exact', got {mode!r}")
     edge = validity_edge_K(delta_eps_ueV)
-    envs = [Environment(temperature_K=t, resolution=resolution) for t in temperatures_K]
-    if not envs:
+    temperatures = list(temperatures_K)
+    for t in temperatures:
+        if not MIN_TEMPERATURE_K <= t < np.inf:
+            raise ValueError(f"temperature_K must be finite and at least {MIN_TEMPERATURE_K}, "
+                             f"got {t!r}")
+    resolution = require_count("resolution", resolution, 8, MAX_RESOLUTION)
+    if not temperatures:
         return []
-    coarse_rows = _two_phonon_integrals(delta_eps_ueV, branch, envs, geom, mode, resolution)
-    fine_rows = _two_phonon_integrals(delta_eps_ueV, branch, envs, geom, mode, 2 * resolution)
+    column = np.array(temperatures, dtype=float)[:, None]
+    coarse_rows = _two_phonon_integrals(delta_eps_ueV, branch, column, geom, mode, resolution)
+    fine_rows = _two_phonon_integrals(delta_eps_ueV, branch, column, geom, mode, 2 * resolution)
     rates = []
-    for env, coarse, fine in zip(envs, coarse_rows.tolist(), fine_rows.tolist()):
-        if env.temperature_K < edge:
+    for t, coarse, fine in zip(temperatures, coarse_rows.tolist(), fine_rows.tolist()):
+        if t < edge:
             warnings.warn(
                 "two-phonon model assumes kT >> level splitting; "
-                f"kT/deps = {env.kT_ueV / delta_eps_ueV:.3g}",
+                f"kT/deps = {t * K_B_UEV_PER_K / delta_eps_ueV:.3g}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -391,18 +378,6 @@ def two_phonon_rates_per_s(
         rate_coarse = float(2.0 * np.pi / HBAR_UEV_NS * coarse * 1e9)
         rates.append(TwoPhononRate(rate, max(abs(rate - rate_coarse), _ROUNDING_FLOOR * abs(rate))))
     return rates
-
-
-def two_phonon_rate_per_s(
-    delta_eps_ueV: float,
-    branch: PhononBranch,
-    env: Environment,
-    geom: DotGeometry,
-    mode: str = "reduced",
-) -> TwoPhononRate:
-    """The rate of :func:`two_phonon_rates_per_s` at the one temperature of ``env``."""
-    return two_phonon_rates_per_s(delta_eps_ueV, branch, [env.temperature_K], geom, mode,
-                                  env.resolution)[0]
 
 
 def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:

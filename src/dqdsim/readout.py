@@ -245,13 +245,14 @@ def scan_bias(
     duration_ns: float,
     timestep_ns: float,
     n_bias: int = 40,
-) -> tuple[ReadoutConfig, OptimalReadout]:
+) -> tuple[float, OptimalReadout]:
     """Search biases in ``(0, 4 t_c]`` for the best space-state contrast.
 
     The contrast is perfect when the bias matches twice the tunnel
     coupling, where the space states map onto charge eigenstates after
     half a Rabi period, so the scan grid includes that point.  The first
-    bias beating every earlier one by more than 1e-15 wins.
+    bias beating every earlier one by more than 1e-15 wins; it is returned
+    (ueV) with its optimum.
 
     A screen spares the kernel most biases.  Over the sampled window, bias
     ``j`` reaches at most ``U_j = K_j sin^2(min(E_j T / hbar, pi / 2))``
@@ -304,8 +305,7 @@ def scan_bias(
     for i in sorted(found):
         if found[i].distinguishability > found[best_i].distinguishability + 1e-15:
             best_i = i
-    best_bias = float(biases[best_i])
-    return ReadoutConfig(tunnel_coupling_ueV, best_bias, duration_ns, timestep_ns), found[best_i]
+    return float(biases[best_i]), found[best_i]
 
 
 def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:

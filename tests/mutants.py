@@ -106,6 +106,21 @@ MUTANTS = (
         ("tests/test_decoherence.py::test_two_phonon_rejects_unconverged_quadrature",),
     ),
     Mutant(
+        "two-phonon rate without the temperature floor", "decoherence.py",
+        "if not MIN_TEMPERATURE_K <= t < np.inf:", "if not 0.0 < t < np.inf:",
+        ("tests/test_decoherence.py::test_environment_temperature_floor",),
+    ),
+    Mutant(
+        "selection rule without its 1% check against the reference", "decoherence.py",
+        "error > 0.01 * abs(allowed)", "False",
+        ("tests/test_decoherence.py::test_selection_rule_convergence_gate",),
+    ),
+    Mutant(
+        "Gauss-Legendre nodes without the non-convergence raise", "decoherence.py",
+        'raise RuntimeError(f"Gauss-Legendre nodes not converged for n = {n}")', "pass",
+        ("tests/test_decoherence.py::test_unconverged_nodes_are_a_usage_error",),
+    ),
+    Mutant(
         "schedule columns admit None", "pulses.py",
         "<= {int, float}", "<= {int, float, type(None)}",
         ("tests/test_pulses.py::test_schedule_from_json_raises_the_per_segment_message",),

@@ -192,7 +192,7 @@ def test_criterion_6_readout_and_initialization(capsys):
     )
     traces = readout.readout_traces(cfg)
     propagator = readout.propagator_error(cfg, traces)
-    best_cfg, best = readout.scan_bias(5.0, duration_ns=0.4, timestep_ns=0.0005)
+    best_bias, best = readout.scan_bias(5.0, duration_ns=0.4, timestep_ns=0.0005)
     thermal = readout.thermal_occupancy(9.3 * K_B_UEV_PER_K, 1.0)
     init_gap = 0.0
     for target in ("plus", "minus"):
@@ -211,7 +211,7 @@ def test_criterion_6_readout_and_initialization(capsys):
     announce(
         capsys, 6, "readout and initialization", ok,
         f"propagator {propagator:.1e}, distinguishability {best.distinguishability:.6f} "
-        f"at bias {best_cfg.bias_ueV:g}, thermal {thermal:.2e}, init gap {init_gap:.1e}",
+        f"at bias {best_bias:g}, thermal {thermal:.2e}, init gap {init_gap:.1e}",
     )
     assert propagator <= PROPAGATOR_TOL
     assert best.distinguishability >= 0.99

@@ -500,6 +500,22 @@ def test_readout_scan(capsys):
     assert report["passed"] is True
 
 
+def test_readout_scan_checks_two_configs(capsys, monkeypatch):
+    # The flags' config, then the largest-bias pulse; the best bias needs no third.
+    from dqdsim import readout
+    checked = []
+    post_init = readout.ReadoutConfig.__post_init__
+
+    def counting(self):
+        checked.append(self.bias_ueV)
+        post_init(self)
+
+    monkeypatch.setattr(readout.ReadoutConfig, "__post_init__", counting)
+    code, out, _ = run(capsys, "readout", "--scan", "--format", "json")
+    assert code == 0 and json.loads(out)["best_bias_ueV"] == 10.0
+    assert checked == [10.0, 20.0]
+
+
 def test_init_fidelity_matches_forward_probability(capsys):
     code, out, _ = run(capsys, "init", "--target", "minus")
     assert code == 0

@@ -24,7 +24,6 @@ from dqdsim.decoherence import (
     MIN_TEMPERATURE_K,
     Q_CUTOFF_PER_NM,
     DotGeometry,
-    Environment,
     PhononBranch,
     angular_flip_weight,
     bose_einstein,
@@ -32,7 +31,6 @@ from dqdsim.decoherence import (
     fit_scaling_exponent,
     single_phonon_tau_s,
     _legendre_nodes,
-    two_phonon_rate_per_s,
     two_phonon_rates_per_s,
     validity_edge_K,
 )
@@ -113,9 +111,26 @@ def test_branch_coupling_shapes():
         PhononBranch("optical")
 
 
-def test_environment_derived_quantities():
-    env = Environment(temperature_K=0.25)
-    assert env.kT_ueV == pytest.approx(0.25 * K_B_UEV_PER_K, rel=1e-15)
+def _rate(temperature_K, resolution=256, deps=0.1, branch=PhononBranch("deformation"),
+          mode="reduced"):
+    """The rate of a one-temperature grid."""
+    (rate,) = two_phonon_rates_per_s(deps, branch, [temperature_K], DotGeometry(), mode,
+                                     resolution)
+    return rate
+
+
+def test_environment_derived_quantities(monkeypatch):
+    windows = []
+    gauss_legendre = decoherence._gauss_legendre
+
+    def recording(lo, hi, n):
+        windows.append(hi)
+        return gauss_legendre(lo, hi, n)
+
+    monkeypatch.setattr(decoherence, "_gauss_legendre", recording)
+    _rate(0.25)
+    # the spectral window ends at 40 kT, with kT = T k_B
+    assert [hi.tolist() for hi in windows] == [[[40.0 * (0.25 * K_B_UEV_PER_K)]]] * 2
     # hbar * c with c in m/s numerically equal to nm/ns
     assert HBAR_C_UEV_NM == pytest.approx(HBAR_UEV_NS * 5000.0, rel=1e-15)
 
@@ -123,19 +138,21 @@ def test_environment_derived_quantities():
 @pytest.mark.parametrize("resolution", [256.0, True, "256", np.float64(256.0)])
 def test_environment_resolution_must_be_an_integer(resolution):
     with pytest.raises(ValueError, match="integer"):
-        Environment(temperature_K=0.3, resolution=resolution)
+        _rate(0.3, resolution=resolution)
 
 
 def test_environment_accepts_numpy_integer_resolution():
-    assert Environment(temperature_K=0.3, resolution=np.int64(256)).resolution == 256
+    assert _rate(0.3, resolution=np.int64(256)) == _rate(0.3, resolution=256)
 
 
 def test_environment_temperature_floor():
-    env = Environment(temperature_K=MIN_TEMPERATURE_K)
     # the reduced denominator (n / kT)**2 stays finite at the floor
-    assert np.isfinite((2.0 / env.kT_ueV) ** 2)
+    assert np.isfinite((2.0 / (MIN_TEMPERATURE_K * K_B_UEV_PER_K)) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # far below the validity edge
+        _rate(MIN_TEMPERATURE_K)
     with pytest.raises(ValueError, match="temperature_K"):
-        Environment(temperature_K=MIN_TEMPERATURE_K / 2.0)
+        _rate(MIN_TEMPERATURE_K / 2.0)
 
 
 @pytest.mark.parametrize("d_nm, a_nm", [
@@ -273,25 +290,21 @@ def test_angular_flip_weight_small_q_suppression():
 
 def _decade_slope(branch: PhononBranch, mode: str, resolution: int = 256) -> float:
     t_min = validity_edge_K(0.1)
-    geom = DotGeometry()
     samples = []
     # the decade starts at the validity edge kT = 10 * splitting, which is inside
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for T in np.geomspace(t_min, 10 * t_min, 7):
-            env = Environment(temperature_K=float(T), resolution=resolution)
-            rate = two_phonon_rate_per_s(0.1, branch, env, geom, mode=mode).rate_per_s
+            rate = _rate(float(T), resolution, branch=branch, mode=mode).rate_per_s
             samples.append((float(T), rate))
     return fit_scaling_exponent(samples)
 
 
 def test_two_phonon_rate_positive_and_increasing():
-    geom = DotGeometry()
     branch = PhononBranch("deformation")
     rates = []
     for T in (0.05, 0.1, 0.2, 0.4):
-        env = Environment(temperature_K=T)
-        rates.append(two_phonon_rate_per_s(0.1, branch, env, geom).rate_per_s)
+        rates.append(_rate(T, branch=branch).rate_per_s)
     assert all(r > 0 for r in rates)
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
@@ -309,12 +322,11 @@ def test_two_phonon_rate_positive_and_increasing():
 @pytest.mark.parametrize("kT_ueV", [0.001, 0.01])
 def test_two_phonon_rate_matches_low_temperature_closed_form(kind, m, gamma, zeta, kT_ueV):
     geom = DotGeometry()
-    env = Environment(temperature_K=kT_ueV / K_B_UEV_PER_K, resolution=256)
     s = geom.overlap
     c = (2.0 * np.pi / HBAR_UEV_NS * 1e9 * geom.d_nm**4 * 4.0
          / (144.0 * (1.0 - s * s) ** 2 * HBAR_C_UEV_NM ** (m + 2)))
     closed_form = c * gamma * zeta * kT_ueV ** (m - 1)
-    rate = two_phonon_rate_per_s(1e-4, PhononBranch(kind), env, geom).rate_per_s
+    rate = _rate(kT_ueV / K_B_UEV_PER_K, 256, deps=1e-4, branch=PhononBranch(kind)).rate_per_s
     assert rate / closed_form == pytest.approx(1.0, abs=1e-6)
 
 
@@ -339,8 +351,7 @@ def test_two_phonon_rate_matches_adaptive_quadrature(kind, kT_over_deps):
     eps_hi = min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM)
     integral, _ = quad(integrand, 1e-9 * kT, eps_hi, epsabs=0.0, epsrel=1e-13, limit=200)
     expected = 2.0 * np.pi / HBAR_UEV_NS * integral * 1e9
-    env = Environment(temperature_K=temperature)
-    rate = two_phonon_rate_per_s(deps, branch, env, geom).rate_per_s
+    rate = _rate(temperature, deps=deps, branch=branch).rate_per_s
     # quad's own error estimate is below 4e-14 relative; the rates agree to ~1e-15
     assert rate == pytest.approx(expected, rel=1e-12)
 
@@ -366,10 +377,9 @@ def test_two_phonon_exact_denominators_agree_with_reduced_scaling():
 
 
 def test_two_phonon_quadrature_converged_in_resolution():
-    geom = DotGeometry()
     branch = PhononBranch("piezoelectric")
-    r256 = two_phonon_rate_per_s(0.1, branch, Environment(temperature_K=0.3, resolution=256), geom)
-    r512 = two_phonon_rate_per_s(0.1, branch, Environment(temperature_K=0.3, resolution=512), geom)
+    r256 = _rate(0.3, 256, branch=branch)
+    r512 = _rate(0.3, 512, branch=branch)
     assert r256.rate_per_s == pytest.approx(r512.rate_per_s, rel=1e-6)
     # resolution n returns the 2n-node rate; its error estimate is the
     # difference to the n-node rate, which resolution n/2 returns, or 1e-13
@@ -382,32 +392,29 @@ def test_two_phonon_quadrature_converged_in_resolution():
 def test_two_phonon_error_estimate_is_floored_at_rounding():
     # At 128 nodes the deformation rate at T = 0.0348 K is converged to an ulp:
     # its node-doubling difference (1.9e-32 of 2.7e-18) is rounding noise.
-    env = Environment(temperature_K=0.034813554365236761, resolution=128)
-    rate = two_phonon_rate_per_s(0.3, PhononBranch("deformation"), env, DotGeometry())
+    rate = _rate(0.034813554365236761, 128, deps=0.3)
     assert rate.est_error_per_s == 1e-13 * rate.rate_per_s
 
 
 def test_two_phonon_rejects_unconverged_quadrature():
-    env = Environment(temperature_K=0.3, resolution=8)
     with pytest.raises(RuntimeError):
-        two_phonon_rate_per_s(0.1, PhononBranch("deformation"), env, DotGeometry())
+        _rate(0.3, 8)
     with pytest.raises(ValueError):
-        Environment(temperature_K=0.3, resolution=4)
+        _rate(0.3, 4)
 
 
 def test_two_phonon_warns_when_kt_comparable_to_splitting():
-    env = Environment(temperature_K=0.005)
     with pytest.warns(RuntimeWarning):
-        two_phonon_rate_per_s(0.1, PhononBranch("deformation"), env, DotGeometry())
+        _rate(0.005)
 
 
-def _loop_integral(deps, branch, env, geom, mode, n_nodes) -> float:
+def _loop_integral(deps, branch, temperature_K, geom, mode, n_nodes) -> float:
     """One temperature's rate integral in plain floats: the loop the stacked rows must match."""
-    kT = env.kT_ueV
+    kT = temperature_K * K_B_UEV_PER_K
     eps, weights = decoherence._gauss_legendre(
         1e-9 * kT, min(40.0 * kT, HBAR_C_UEV_NM * Q_CUTOFF_PER_NM), n_nodes)
     q = eps / HBAR_C_UEV_NM
-    n = bose_einstein(eps, env.temperature_K)
+    n = bose_einstein(eps, temperature_K)
     if mode == "reduced":
         denom = (2.0 / kT) ** 2 * np.ones_like(eps)
     else:
@@ -449,16 +456,16 @@ def test_stacked_rates_equal_one_temperature_calls(deps, edges, resolution, mode
 
     def one_at_a_time():
         for t in temperatures:
-            yield two_phonon_rate_per_s(deps, branch, Environment(t, resolution), geom, mode)
+            yield from two_phonon_rates_per_s(deps, branch, [t], geom, mode, resolution)
 
     stacked = _rates_and_warnings(
         lambda: two_phonon_rates_per_s(deps, branch, temperatures, geom, mode, resolution))
     assert stacked == _rates_and_warnings(one_at_a_time)
-    envs = [Environment(t, resolution) for t in temperatures]
+    column = np.array(temperatures)[:, None]
     for n_nodes in (resolution, 2 * resolution):
-        rows = decoherence._two_phonon_integrals(deps, branch, envs, geom, mode, n_nodes)
+        rows = decoherence._two_phonon_integrals(deps, branch, column, geom, mode, n_nodes)
         assert [r.hex() for r in rows.tolist()] == [
-            _loop_integral(deps, branch, env, geom, mode, n_nodes).hex() for env in envs]
+            _loop_integral(deps, branch, t, geom, mode, n_nodes).hex() for t in temperatures]
 
 
 def test_validity_edge_is_ten_splittings():
@@ -469,9 +476,8 @@ def test_validity_edge_is_ten_splittings():
 def test_splitting_must_be_finite_and_positive(deps):
     with pytest.raises(ValueError, match="delta_eps_ueV"):
         validity_edge_K(deps)
-    env = Environment(temperature_K=0.3)
     with pytest.raises(ValueError, match="delta_eps_ueV"):
-        two_phonon_rate_per_s(deps, PhononBranch("deformation"), env, DotGeometry())
+        _rate(0.3, deps=deps)
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +720,11 @@ def test_asymmetric_bra_density_fails_the_selection_check(monkeypatch, capsys):
 
 
 def test_quadrature_resolutions_are_capped():
-    Environment(temperature_K=0.3, resolution=MAX_RESOLUTION)
+    # an empty grid checks its resolution too
+    assert two_phonon_rates_per_s(0.1, PhononBranch("deformation"), [], DotGeometry(),
+                                  resolution=MAX_RESOLUTION) == []
     with pytest.raises(ValueError, match=str(MAX_RESOLUTION)):
-        Environment(temperature_K=0.3, resolution=MAX_RESOLUTION + 1)
+        _rate(0.3, MAX_RESOLUTION + 1)
     # raises before building the n x n kernel
     with pytest.raises(ValueError, match=str(MAX_SELECTION_RESOLUTION)):
         coulomb_selection_rule(DotGeometry(), resolution=MAX_SELECTION_RESOLUTION + 1)

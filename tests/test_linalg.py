@@ -10,8 +10,9 @@ from dqdsim.decoherence import (
     MAX_RESOLUTION,
     MAX_SELECTION_RESOLUTION,
     DotGeometry,
-    Environment,
+    PhononBranch,
     coulomb_selection_rule,
+    two_phonon_rates_per_s,
 )
 from dqdsim.linalg import (
     dist_up_to_global_phase,
@@ -45,11 +46,12 @@ def test_require_normalized():
 
 # Every count the library takes, as (name in its messages, call, lo, hi,
 # an accepted value).  The selection rule raises its convergence
-# RuntimeError at 16 nodes, so it is accepted at 800.
+# RuntimeError at 16 nodes, so it is accepted at 800.  The two-phonon rate
+# takes an empty temperature grid, whose resolution is checked all the same.
 COUNT_SITES = {
     "search_embedding": ("offset-grid size", search_embedding, 1, MAX_OFFSETS, 1),
-    "Environment": ("resolution", lambda n: Environment(temperature_K=0.3, resolution=n),
-                    8, MAX_RESOLUTION, 8),
+    "two_phonon_rates_per_s": ("resolution", lambda n: two_phonon_rates_per_s(
+        0.1, PhononBranch("deformation"), [], DotGeometry(), resolution=n), 8, MAX_RESOLUTION, 8),
     "coulomb_selection_rule": ("resolution", lambda n: coulomb_selection_rule(DotGeometry(), n),
                                16, MAX_SELECTION_RESOLUTION, 800),
     "scan_bias": ("n_bias", lambda n: scan_bias(5.0, 0.4, 0.0005, n_bias=n),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -36,3 +37,25 @@ def test_package_root_exports_exactly_the_quick_start_imports():
     ]
     assert sorted(dqdsim.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported) == 7
+
+
+def _readme_names() -> list[tuple[str, str]]:
+    """(module, name) of every ``from dqdsim.<module> import <name>`` and of every
+    backticked ``<module>.<name>`` whose module is a dqdsim submodule."""
+    text = README.read_text()
+    modules = {path.stem for path in Path(dqdsim.__file__).parent.glob("*.py")}
+    names = [(module, name.strip())
+             for module, names in re.findall(r"from dqdsim\.(\w+) import \(?([\w,\s]+)\)?", text)
+             for name in names.split(",") if name.strip()]
+    names += [(module, name)
+              for module, name in re.findall(r"`(\w+)\.(\w+)[^`\n]*`", text)
+              if module in modules]
+    return names
+
+
+def test_readme_names_resolve():
+    names = _readme_names()
+    assert ("decoherence", "two_phonon_rates_per_s") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"dqdsim.{module}"), name)]
+    assert missing == []
