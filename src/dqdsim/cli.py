@@ -5,10 +5,11 @@ are that command's flag names with ``_`` for ``-``.  Config values go
 through the command's own parser, so they are typed and checked exactly
 like flags, and explicit flags win.  Each command's handler only computes:
 it returns its report with the report's default format and, for sweeps and
-traces, a CSV table.  :func:`main` is the one place that renders the report
-to ``--out`` or stdout and turns its ``"passed"`` into the exit code: 0
-exactly when all checks the command declares are within tolerance, 1 when
-one is not, 2 on a usage or data error.  Structured results are JSON,
+traces, a function that builds the CSV table, called only when CSV is
+rendered.  :func:`main` is the one place that renders the report to
+``--out`` or stdout and turns its ``"passed"`` into the exit code: 0 exactly
+when all checks the command declares are within tolerance, 1 when one is
+not, 2 on a usage or data error.  Structured results are JSON,
 sweeps and traces CSV; floats carry 17 significant digits so identical runs
 produce byte-identical output.  Reports contain no timestamps for the same
 reason.
@@ -42,7 +43,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,14 +67,15 @@ class Result(NamedTuple):
     """What a command hands :func:`main` to render.
 
     ``report`` always carries ``"passed"``, which sets the exit code.  The
-    CSV form is ``table``, a ``(header, rows)`` pair whose rows may be one
-    float array, or else the report flattened to ``name,value`` rows; it is
-    rendered only when CSV is asked for.
+    CSV form is what ``table`` returns, a ``(header, rows)`` pair whose rows
+    may be one float array, or else the report flattened to ``name,value``
+    rows.  :func:`main` calls ``table`` only when CSV is asked for, so a
+    trace rendered as JSON never builds its table.
     """
 
     report: dict
     default_format: str = "json"
-    table: tuple[Sequence[str], Iterable[Sequence[object]] | np.ndarray] | None = None
+    table: Callable[[], tuple[Sequence[str], Iterable | np.ndarray]] | None = None
 
 
 def _flatten(report: dict) -> tuple[Sequence[str], list[tuple[str, object]]]:
@@ -163,7 +165,8 @@ def _cmd_evolve(args: argparse.Namespace) -> Result:
 
     labels = basis_labels()
     rows = [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)]
-    return Result(report, "json", (("row", "configuration", "re", "im", "probability"), rows))
+    header = ("row", "configuration", "re", "im", "probability")
+    return Result(report, "json", lambda: (header, rows))
 
 
 def _cmd_compile(args: argparse.Namespace) -> Result:
@@ -210,7 +213,8 @@ def _tau_sweep(args: argparse.Namespace) -> Result:
         "anchors_are_calibration_inputs": True,
         "passed": passed,
     }
-    return Result(report, "csv", (("deps_ueV", "branch", "mode", "tau_s", "est_error"), rows))
+    header = ("deps_ueV", "branch", "mode", "tau_s", "est_error")
+    return Result(report, "csv", lambda: (header, rows))
 
 
 def _rate_sweep(args: argparse.Namespace) -> Result:
@@ -249,7 +253,8 @@ def _rate_sweep(args: argparse.Namespace) -> Result:
         "declared_tolerance": 0.1,
         "passed": passed,
     }
-    return Result(report, "csv", (("T_K", "branch", "mode", "rate_per_s", "est_error"), rows))
+    header = ("T_K", "branch", "mode", "rate_per_s", "est_error")
+    return Result(report, "csv", lambda: (header, rows))
 
 
 def _selection_table(args: argparse.Namespace) -> Result:
@@ -327,9 +332,13 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "propagator_max_error": propagator_error,
         "passed": propagator_error <= 1e-12,
     }
-    plus, minus = traces.p_left
-    table = np.column_stack((traces.times_ns, plus, minus, np.abs(plus - minus)))
-    return Result(report, "csv", (("t_ns", "p_left_plus", "p_left_minus", "contrast"), table))
+
+    def table() -> tuple[Sequence[str], np.ndarray]:
+        plus, minus = traces.p_left
+        columns = (traces.times_ns, plus, minus, np.abs(plus - minus))
+        return ("t_ns", "p_left_plus", "p_left_minus", "contrast"), np.column_stack(columns)
+
+    return Result(report, "csv", table)
 
 
 def _cmd_init(args: argparse.Namespace) -> Result:
@@ -557,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse(argv[:at] + config_argv + argv[at:])
         result = args.handler(args)
         if (args.format or result.default_format) == "csv":
-            text = render_csv(*(result.table or _flatten(result.report)))
+            text = render_csv(*(result.table() if result.table else _flatten(result.report)))
         else:
             text = render_json(result.report)
         write_text(text, args.out)

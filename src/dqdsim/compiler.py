@@ -86,8 +86,6 @@ _ROW_SIGN = {
     1: np.array([-1.0, 0.0, -1.0, 1.0, 0.0, 1.0]),
     2: np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]),
 }
-_LEAK = _ROW_SIGN[1] == 0.0
-_LEAK_PP = np.arange(6) == 1
 
 
 @dataclass(frozen=True, order=True)
@@ -112,15 +110,12 @@ class PhaseEmbedding:
 TRIVIAL_EMBEDDING = PhaseEmbedding()
 
 
-def _z_phases(qubit: int, theta: float, k_pp, k_mm, offset) -> np.ndarray:
-    """Diagonal of ``Z_qubit(theta)``, shape ``(..., 6)``.
-
-    ``k_pp``, ``k_mm`` and ``offset`` may be arrays; they broadcast over the
-    leading axes, one diagonal per embedding.
-    """
+def _z_phases(qubit: int, theta: float, k_pp: int, k_mm: int, offset: float) -> np.ndarray:
+    """Diagonal of ``Z_qubit(theta)``, shape ``(6,)``, for one embedding."""
     half = theta / 2.0
-    slope = np.where(_LEAK_PP, np.asarray(k_pp)[..., None], np.asarray(k_mm)[..., None])
-    angles = np.where(_LEAK, slope * half + np.asarray(offset)[..., None], _ROW_SIGN[qubit] * half)
+    angles = _ROW_SIGN[qubit] * half
+    angles[1] = k_pp * half + offset
+    angles[4] = k_mm * half + offset
     return np.exp(1j * angles)
 
 

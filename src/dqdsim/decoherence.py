@@ -48,6 +48,7 @@ __all__ = [
     "DotGeometry",
     "validity_edge_K",
     "bose_einstein",
+    "thermal_occupancy",
     "single_phonon_tau_s",
     "angular_flip_weight",
     "TwoPhononRate",
@@ -178,6 +179,17 @@ def bose_einstein(eps_ueV: np.ndarray | float,
         raise ValueError(f"eps must be positive, got {eps_ueV!r}")
     n = 1.0 / np.expm1(x)
     return float(n) if n.ndim == 0 else n
+
+
+def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:
+    """Upper-level population ``n / (1 + 2n) = 1 / (1 + exp(deps / kT))``.
+
+    ``n`` is :func:`bose_einstein`; it overflows to 0, the exact population
+    in floats, beyond ``deps / kT`` of about 709.
+    """
+    with np.errstate(over="ignore"):
+        n = bose_einstein(deps_ueV, temperature_K)
+    return n / (1.0 + 2.0 * n)
 
 
 def single_phonon_tau_s(deps_ueV: float, branch: PhononBranch) -> float:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR_UEV_NS, MAX_BIAS_SAMPLES, MAX_TRACE_SAMPLES
-from .decoherence import bose_einstein
 from .linalg import require_count, require_float
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "OptimalReadout",
     "ReadoutTraces",
     "scan_bias",
-    "thermal_occupancy",
     "InitPlan",
     "init_by_reversed_readout",
 ]
@@ -108,15 +106,21 @@ class ReadoutConfig:
             )
 
 
-def _mixing(
-    tunnel_coupling_ueV: float, biases_ueV: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mixing(tunnel_coupling_ueV: float, biases_ueV: np.ndarray | float) -> tuple:
     """Level energy ``E = hypot(t_c, bias / 2)`` (half the level splitting,
     ueV) and the ratios ``t_c / E`` and ``(bias / 2) / E``, per bias.
 
     Each ratio is at most one, so nothing overflows.  At ``E = 0`` both
-    ratios are 0: the Hamiltonian vanishes and nothing evolves.
+    ratios are 0: the Hamiltonian vanishes and nothing evolves.  One float
+    bias gives three Python floats, bitwise the entries an array of biases
+    gives: ``E`` still comes from ``np.hypot``, whose last bit ``math.hypot``
+    does not always match.
     """
+    if isinstance(biases_ueV, float):
+        half_bias = float(biases_ueV) / 2.0
+        energy = float(np.hypot(tunnel_coupling_ueV, half_bias))
+        scale = energy if energy > 0.0 else 1.0
+        return energy, float(tunnel_coupling_ueV) / scale, half_bias / scale
     half_bias = np.asarray(biases_ueV, dtype=float) / 2.0
     energy = np.hypot(tunnel_coupling_ueV, half_bias)
     scale = np.where(energy > 0.0, energy, 1.0)
@@ -138,12 +142,16 @@ def readout_unitary(config: ReadoutConfig, t_ns: float) -> np.ndarray:
 
     ``H`` is traceless with ``H^2 = E^2 I``, so ``exp(-i H t / hbar)`` is
     ``cos(theta) I - i sin(theta) H / E`` with ``theta = E t / hbar``; at
-    ``E = 0`` it is the identity.
+    ``E = 0`` it is the identity.  The entries are Python floats from
+    ``math.cos`` and ``math.sin``, in the products numpy's
+    ``cos * eye(2) - 1j * sin * (H / E)`` takes, and equal it entry for entry.
     """
-    energy, coupling, half_bias = _mixing(config.tunnel_coupling_ueV, [config.bias_ueV])
-    theta = energy[0] * t_ns / HBAR_UEV_NS
-    h_over_e = np.array([[half_bias[0], coupling[0]], [coupling[0], -half_bias[0]]])
-    return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * h_over_e
+    energy, coupling, half_bias = _mixing(config.tunnel_coupling_ueV, float(config.bias_ueV))
+    theta = energy * t_ns / HBAR_UEV_NS
+    cos, i_sin = math.cos(theta), 1j * math.sin(theta)
+    off_diagonal = -(i_sin * coupling)
+    return np.array([[cos - i_sin * half_bias, off_diagonal],
+                     [off_diagonal, cos - i_sin * -half_bias]])
 
 
 def _left_populations(
@@ -154,7 +162,9 @@ def _left_populations(
     In closed form ``P_L(+/-) = 1/2 +/- x`` with
     ``x = (t_c / E) ((bias / 2) / E) sin^2(E t / hbar)``.  Every value is
     computed on its own, so it is bitwise that of a one-bias, one-state
-    evaluation whatever the stack size.
+    evaluation whatever the stack size.  A stack of one bias (a readout
+    pulse, an init, a scan's top bias) takes ``E`` and the ratios as Python
+    floats.
 
     Args:
         tunnel_coupling_ueV: tunnel coupling shared by every Hamiltonian.
@@ -164,9 +174,15 @@ def _left_populations(
     Returns:
         ``p_left`` of shape ``(2, n_h, n_t)``, plus then minus.
     """
-    energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, biases_ueV)
-    swing = (coupling * half_bias)[:, None] * np.sin(energy[:, None] * times / HBAR_UEV_NS) ** 2
-    p_left = np.empty((2, *swing.shape))
+    if len(biases_ueV) == 1:
+        energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, float(biases_ueV[0]))
+        amplitude = coupling * half_bias
+    else:
+        energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, biases_ueV)
+        energy, amplitude = energy[:, None], (coupling * half_bias)[:, None]
+    sine = np.sin(energy * times / HBAR_UEV_NS)
+    swing = amplitude * (sine * sine)
+    p_left = np.empty((2, len(biases_ueV), len(times)))
     np.add(0.5, swing, out=p_left[0])
     np.subtract(0.5, swing, out=p_left[1])
     return p_left
@@ -193,12 +209,20 @@ class ReadoutTraces(NamedTuple):
     best_sample: int
 
 
-def _optima(times: np.ndarray, p_left: np.ndarray) -> tuple[np.ndarray, list[OptimalReadout]]:
-    """Index and optimum of the earliest largest ``|P_L(+) - P_L(-)|``, per Hamiltonian."""
+def _optimum(times: np.ndarray, p_left: np.ndarray) -> tuple[int, OptimalReadout]:
+    """Index and optimum of the earliest largest ``|P_L(+) - P_L(-)|`` of one
+    Hamiltonian's populations, shape ``(2, n_t)``."""
+    contrast = np.abs(p_left[0] - p_left[1])
+    k = int(contrast.argmax())
+    return k, OptimalReadout(float(times[k]), float(contrast[k]))
+
+
+def _optima(times: np.ndarray, p_left: np.ndarray) -> list[OptimalReadout]:
+    """:func:`_optimum` of each Hamiltonian of a stack, ``p_left`` of shape ``(2, n_h, n_t)``."""
     contrast = np.abs(p_left[0] - p_left[1])
     k = np.argmax(contrast, axis=-1)
     best = contrast[np.arange(len(k)), k]
-    return k, [OptimalReadout(float(times[i]), float(c)) for i, c in zip(k, best)]
+    return [OptimalReadout(float(times[i]), float(c)) for i, c in zip(k, best)]
 
 
 def readout_traces(config: ReadoutConfig) -> ReadoutTraces:
@@ -210,9 +234,9 @@ def readout_traces(config: ReadoutConfig) -> ReadoutTraces:
     contrast is identically zero (degenerate readout).
     """
     times = _sample_times(config)
-    p_left = _left_populations(config.tunnel_coupling_ueV, [config.bias_ueV], times)
-    k, (best,) = _optima(times, p_left)
-    return ReadoutTraces(times, p_left[:, 0], best, int(k[0]))
+    p_left = _left_populations(config.tunnel_coupling_ueV, (config.bias_ueV,), times)[:, 0]
+    k, best = _optimum(times, p_left)
+    return ReadoutTraces(times, p_left, best, k)
 
 
 def propagator_error(config: ReadoutConfig, traces: ReadoutTraces) -> float:
@@ -223,7 +247,7 @@ def propagator_error(config: ReadoutConfig, traces: ReadoutTraces) -> float:
     propagator's, two ways to the same number.
     """
     left = np.abs((readout_unitary(config, traces.best.time_ns) @ _TO_DOT_BASIS)[0]) ** 2
-    return float(np.max(np.abs(traces.p_left[:, traces.best_sample] - left)))
+    return float(np.abs(traces.p_left[:, traces.best_sample] - left).max())
 
 
 def _contrast_bounds(
@@ -269,32 +293,39 @@ def scan_bias(
     if not tunnel_coupling_ueV > 0.0:
         raise ValueError("tunnel coupling must be positive for a bias scan")
     n_bias = require_count("n_bias", n_bias, 2, MAX_BIAS_SAMPLES)
-    with np.errstate(over="ignore"):
-        biases = 4.0 * tunnel_coupling_ueV * np.arange(1, n_bias + 1) / n_bias
     # The Rabi frequency and the end phase grow with |bias|, so the largest
-    # bias's config rejects every pulse that a smaller one would.
-    pulse = ReadoutConfig(tunnel_coupling_ueV, float(biases[-1]), duration_ns, timestep_ns)
+    # bias's config rejects every pulse that a smaller one would, and every
+    # grid it accepts is finite.  The largest bias is the grid's last entry,
+    # in the same operations; as a Python float it overflows to inf silently.
+    largest = 4.0 * float(tunnel_coupling_ueV) * n_bias / n_bias
+    pulse = ReadoutConfig(tunnel_coupling_ueV, largest, duration_ns, timestep_ns)
+    biases = 4.0 * tunnel_coupling_ueV * np.arange(1, n_bias + 1) / n_bias
     times = _sample_times(pulse)
+    bounds = _contrast_bounds(tunnel_coupling_ueV, biases, times[-1])
+    top = int(bounds.argmax())
+    p_left = _left_populations(tunnel_coupling_ueV, biases[top:top + 1], times)
+    _, best = _optimum(times, p_left[:, 0])
+    floor = best.distinguishability - 2e-15 - _SCREEN_SLACK
+    survivors = (bounds >= floor).nonzero()[0]
+    ceiling = floor + _SCREEN_SLACK
+    if len(survivors) == 1 and best.distinguishability > ceiling + 1e-15:
+        # The top bias alone survives and beats the ceiling: the pass below
+        # would evaluate nothing more and keep it.
+        return float(biases[top]), best
     step = max(1, _SCAN_ELEMENTS // len(times))
-    found: dict[int, OptimalReadout] = {}
+    found = {top: best}
 
     def evaluate(indices: np.ndarray) -> None:
         for start in range(0, len(indices), step):
             chunk = indices[start:start + step]
             p_left = _left_populations(tunnel_coupling_ueV, biases[chunk], times)
-            found.update(zip(chunk.tolist(), _optima(times, p_left)[1]))
+            found.update(zip(chunk.tolist(), _optima(times, p_left)))
 
-    bounds = _contrast_bounds(tunnel_coupling_ueV, biases, times[-1])
-    top = int(np.argmax(bounds))
-    evaluate(np.array([top]))
-    floor = found[top].distinguishability - 2e-15 - _SCREEN_SLACK
-    survivors = np.flatnonzero(bounds >= floor)
     evaluate(survivors[survivors != top])
     # A skipped bias lies below `ceiling`, yet it may hold the lead when a
     # survivor comes up.  The first survivor beating `ceiling` and every
     # earlier survivor by more than 1e-15 takes the lead whatever the skipped
     # biases hold, and no skipped bias can retake it.
-    ceiling = floor + _SCREEN_SLACK
     for i in survivors.tolist():
         if found[i].distinguishability > ceiling + 1e-15:
             break
@@ -306,17 +337,6 @@ def scan_bias(
         if found[i].distinguishability > found[best_i].distinguishability + 1e-15:
             best_i = i
     return float(biases[best_i]), found[best_i]
-
-
-def thermal_occupancy(deps_ueV: float, temperature_K: float) -> float:
-    """Upper-level population ``n / (1 + 2n) = 1 / (1 + exp(deps / kT))``.
-
-    ``n`` is :func:`~dqdsim.decoherence.bose_einstein`; it overflows to 0, the
-    exact population in floats, beyond ``deps / kT`` of about 709.
-    """
-    with np.errstate(over="ignore"):
-        n = bose_einstein(deps_ueV, temperature_K)
-    return n / (1.0 + 2.0 * n)
 
 
 @dataclass(frozen=True)

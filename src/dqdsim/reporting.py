@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from pathlib import Path
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +29,17 @@ def format_float(value: float) -> str:
 
 
 def _render(value: object, indent: int) -> str:
+    # Plain values by their exact type first: the bulk of every report.
+    # Subclasses and numpy scalars take the checks below.
+    kind = type(value)
+    if kind is float:
+        return format_float(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -38,7 +49,7 @@ def _render(value: object, indent: int) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f'{inner}"{key.translate(_ESCAPES)}": {_render(item, indent + 1)}')
+            items.append(f"{inner}{_quote(key)}: {_render(item, indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not len(value):
@@ -54,12 +65,22 @@ def _render(value: object, indent: int) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
-        return f'"{value.translate(_ESCAPES)}"'
+        return _quote(value)
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
 # JSON string escapes: the quote, the backslash and the control characters.
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string.  Text with nothing to escape, as report
+    keys and labels are, skips the table's per-character lookups: the
+    control characters are not printable, and the quote and the backslash
+    are checked on their own."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return f'"{text.translate(_ESCAPES)}"'
 
 
 def render_json(payload: object) -> str:
@@ -116,9 +137,14 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndar
     return buffer.getvalue()
 
 
-def write_text(text: str, out: str | Path | None) -> None:
-    """Write to a file, or stdout when no path is given."""
+def write_text(text: str, out: str | os.PathLike[str] | None) -> None:
+    """Write to a file, or stdout when no path is given.
+
+    The file is opened as ``Path(out).write_text(text)`` opens it, with the
+    default encoding and newline translation, without building the ``Path``.
+    """
     if out is None:
         print(text, end="")
     else:
-        Path(out).write_text(text)
+        with open(os.fspath(out), "w") as fh:
+            fh.write(text)

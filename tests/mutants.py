@@ -54,9 +54,37 @@ MUTANTS = (
     ),
     Mutant(
         "readout propagator without the E = 0 guard", "readout.py",
-        "scale = np.where(energy > 0.0, energy, 1.0)", "scale = energy",
+        "scale = energy if energy > 0.0 else 1.0", "scale = energy if energy >= 0.0 else 1.0",
         ("tests/test_readout.py::test_readout_unitary_matches_scipy_expm",
          "tests/test_readout.py::test_edge_traces_are_bitwise_the_one_state_evaluation"),
+    ),
+    Mutant(
+        "stacked kernel without the E = 0 guard", "readout.py",
+        "scale = np.where(energy > 0.0, energy, 1.0)", "scale = energy",
+        ("tests/test_readout.py::test_one_bias_pass_is_row_zero_of_a_stacked_pass",),
+    ),
+    Mutant(
+        "scan keeps its top bias whatever survives", "readout.py",
+        "if len(survivors) == 1 and best.distinguishability", "if best.distinguishability",
+        ("tests/test_readout.py::"
+         "test_screen_falls_back_to_every_bias_when_skipped_ones_could_decide",),
+    ),
+    Mutant(
+        "trace table built for every format", "cli.py",
+        '        if (args.format or result.default_format) == "csv":',
+        '        table = result.table and result.table()\n'
+        '        if (args.format or result.default_format) == "csv":',
+        ("tests/test_cli.py::test_readout_json_reports_are_the_golden_bytes_and_build_no_table",),
+    ),
+    Mutant(
+        "bool rendered as int", "reporting.py",
+        "    if kind is int:", "    if kind is int or kind is bool:",
+        ("tests/test_reporting.py::test_render_json_is_the_isinstance_chain_renderer",),
+    ),
+    Mutant(
+        "JSON strings with a quote skip the escapes", "reporting.py",
+        """ and '"' not in text""", "",
+        ("tests/test_reporting.py::test_render_json_escapes_strings_as_the_character_loop_did",),
     ),
     Mutant(
         "init reads the last sample", "readout.py",

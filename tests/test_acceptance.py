@@ -193,7 +193,7 @@ def test_criterion_6_readout_and_initialization(capsys):
     traces = readout.readout_traces(cfg)
     propagator = readout.propagator_error(cfg, traces)
     best_bias, best = readout.scan_bias(5.0, duration_ns=0.4, timestep_ns=0.0005)
-    thermal = readout.thermal_occupancy(9.3 * K_B_UEV_PER_K, 1.0)
+    thermal = decoherence.thermal_occupancy(9.3 * K_B_UEV_PER_K, 1.0)
     init_gap = 0.0
     for target in ("plus", "minus"):
         plan = readout.init_by_reversed_readout(cfg, target)

@@ -290,6 +290,22 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
         assert json.loads(out)["passed"] == (code == 0)
 
 
+@pytest.mark.parametrize("case", [c for c, (_, _, argv) in GOLDEN_CASES.items()
+                                  if argv[0] in ("readout", "init")])
+def test_readout_json_reports_are_the_golden_bytes_and_build_no_table(capsys, monkeypatch, case):
+    # Every readout and init golden input, rendered as JSON, gives its JSON
+    # golden's bytes; a trace's table is built only for CSV.
+    name, expected_code, argv = GOLDEN_CASES[case]
+
+    def column_stack(*args, **kwargs):
+        raise AssertionError("built a trace table for a JSON report")
+
+    monkeypatch.setattr(np, "column_stack", column_stack)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == expected_code
+    assert out == (GOLDEN / name).with_suffix(".json").read_text()
+
+
 def test_readout_init_and_evolve_never_call_eigh(capsys, monkeypatch):
     def eigh(*args, **kwargs):
         raise AssertionError("called numpy.linalg.eigh")

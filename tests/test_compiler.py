@@ -99,10 +99,14 @@ K = np.arange(-2, 3)
     (2, 0.731, 3, -2, -1.25),
 ])
 def test_z_phases_match_the_slice_store_oracle(qubit, theta, k_pp, k_mm, offset):
-    got = _z_phases(qubit, theta, k_pp, k_mm, offset)
+    # _z_phases takes one embedding; the oracle broadcasts over arrays of them.
     expected = oracle_z_phases(qubit, theta, k_pp, k_mm, offset)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    grid = expected.shape[:-1]
+    for index in np.ndindex(grid):
+        embedding = [np.broadcast_to(a, grid)[index].item() for a in (k_pp, k_mm, offset)]
+        got = _z_phases(qubit, theta, *embedding)
+        assert got.shape == (6,)
+        assert got.tobytes() == expected[index].tobytes()
 
 
 def test_xor_identity_holds_in_four_dims():

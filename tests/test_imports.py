@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,12 @@ def test_runtime_imports_are_the_standard_library_numpy_or_dqdsim(name):
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     allowed = set(sys.stdlib_module_names) | {"numpy", "dqdsim"}
     assert {module.split(".")[0] for module in absolute} - allowed == set()
+
+
+def test_readout_loads_no_decoherence_code():
+    # A fresh interpreter: this test process has long imported every module.
+    script = "import sys, dqdsim.readout; assert 'dqdsim.decoherence' not in sys.modules"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dqdsim import readout
 from dqdsim.cli import main
 from dqdsim.constants import HBAR_UEV_NS, K_B_UEV_PER_K
+from dqdsim.decoherence import thermal_occupancy
 from dqdsim.linalg import is_unitary, max_abs_diff
 from dqdsim.readout import (
     MAX_BIAS_SAMPLES,
@@ -26,7 +27,6 @@ from dqdsim.readout import (
     readout_traces,
     readout_unitary,
     scan_bias,
-    thermal_occupancy,
 )
 
 CFG = ReadoutConfig(
@@ -599,3 +599,55 @@ def test_init_reads_the_readout_pass(config, target):
     assert plan.degenerate == traces.best.degenerate
     p_left = float(traces.p_left[0 if target == "plus" else 1, traces.best_sample])
     assert plan.forward_probability == (p_left if plan.source_dot == "L" else 1.0 - p_left)
+
+
+# ---------------------------------------------------------------------------
+# One bias against a stack: a readout pulse's pass takes E and the ratios as
+# Python floats, a scan's stacks as arrays; each value must be bitwise the
+# same either way.
+
+_COUPLINGS = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(0.0, 1e3))
+_BIASES = st.one_of(st.sampled_from([0.0, 1e-300, 1e300, -1e300]), st.floats(-1e6, 1e6))
+
+
+@given(_COUPLINGS, _BIASES, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+       st.integers(1, 400), st.floats(1e-3, 1e3))
+@example(0.0, 0.0, [0.0], 3, 1.0)  # E = 0 in both passes
+@example(0.0, 1e6, [0.0, -3.0], 50, 20.0)  # |bias| >> t_c
+@example(1e300, -1e300, [1e3], 7, 2.0)
+@example(1e-300, 0.0, [1e-300], 7, 2.0)
+def test_one_bias_pass_is_row_zero_of_a_stacked_pass(t_c, bias, others, samples, end_phase):
+    energy = float(np.hypot(t_c, bias / 2.0))
+    duration = end_phase * HBAR_UEV_NS / (2.0 * energy) if energy > 0.0 else 1.0
+    config = ReadoutConfig(t_c, bias, duration, duration / samples)
+    traces = readout_traces(config)
+    one = readout._left_populations(t_c, (bias,), traces.times_ns)
+    stacked = readout._left_populations(t_c, np.array([bias, *others]), traces.times_ns)
+    assert one.shape == (2, 1, len(traces.times_ns))
+    assert one.tobytes() == stacked[:, :1].tobytes() == traces.p_left.tobytes()
+    assert traces.best_sample == int(np.argmax(np.abs(stacked[0, 0] - stacked[1, 0])))
+    assert traces.best == readout._optima(traces.times_ns, stacked)[0]
+
+
+@given(_PULSES, st.floats(0.0, 10.0))
+@example(ReadoutConfig(0.0, 0.0, 0.4, 0.0005), 0.31)
+@example(ReadoutConfig(0.0, -2.0, 0.4, 0.0005), 0.31)
+@example(ReadoutConfig(1e300, 0.0, 0.4, 0.0005), 1e-300)
+@example(ReadoutConfig(1e300, -3e300, 0.4, 0.0005), 1e-300)
+def test_readout_unitary_is_the_numpy_expression_entry_for_entry(config, t_ns):
+    # The numpy form readout_unitary had before it went to Python floats.
+    energy, coupling, half_bias = readout._mixing(config.tunnel_coupling_ueV, [config.bias_ueV])
+    theta = energy[0] * t_ns / HBAR_UEV_NS
+    h_over_e = np.array([[half_bias[0], coupling[0]], [coupling[0], -half_bias[0]]])
+    expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * h_over_e
+    got = readout_unitary(config, t_ns)
+    assert got.dtype == expected.dtype and got.shape == (2, 2)
+    assert (got == expected).all()
+
+
+@pytest.mark.parametrize("t_c", [1e307, np.float64(1e308), 4.5e307])
+def test_scan_rejects_a_grid_beyond_the_float_range_without_warning(t_c):
+    # The largest bias, 4 t_c, overflows: its config names it, and no
+    # numpy overflow warning comes first (warnings are errors here).
+    with pytest.raises(ValueError, match="bias_ueV must be finite"):
+        scan_bias(t_c, 0.4, 0.0005, 40)

@@ -225,3 +225,63 @@ def _reference_escape(text):
 def test_render_json_escapes_strings_as_the_character_loop_did(key, value):
     expected = f'{{\n  "{_reference_escape(key)}": "{_reference_escape(value)}"\n}}\n'
     assert render_json({key: value}) == expected
+
+
+def _isinstance_render(value, indent=0):
+    """The renderer before plain values were looked up by their exact type:
+    one ``isinstance`` chain for every value, the oracle for its bytes."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{inner}"{_reference_escape(k)}": {_isinstance_render(v, indent + 1)}'
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not len(value):
+            return "[]"
+        items = [f"{inner}{_isinstance_render(item, indent + 1)}" for item in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return f'"{_reference_escape(value)}"'
+
+
+class _Int(int):
+    def __str__(self):
+        return "not the integer"
+
+
+class _Float(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+# Plain values, numpy scalars and subclasses of the plain types, which must
+# take the isinstance chain rather than the exact-type lookup.
+_REPORT_SCALARS = st.one_of(
+    _JSON_FLOATS, _JSON_TEXT, st.booleans(), st.integers(), st.none(),
+    _JSON_FLOATS.map(np.float64), st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers().map(_Int),
+    _JSON_FLOATS.map(_Float), _JSON_TEXT.map(_Text),
+)
+
+
+@given(st.recursive(
+    _REPORT_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=12,
+))
+def test_render_json_is_the_isinstance_chain_renderer(value):
+    assert render_json(value) == _isinstance_render(value) + "\n"
