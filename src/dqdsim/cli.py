@@ -9,7 +9,9 @@ traces, a function that builds the CSV table, called only when CSV is
 rendered.  :func:`main` is the one place that renders the report to
 ``--out`` or stdout and turns its ``"passed"`` into the exit code: 0 exactly
 when all checks the command declares are within tolerance, 1 when one is
-not, 2 on a usage or data error.  Structured results are JSON,
+not, 2 on a usage or data error.  Each report's ``"failures"``, just before
+``"passed"``, names the checks that failed: every check is an entry of one
+table of relations and bounds, :data:`_CHECKS`.  Structured results are JSON,
 sweeps and traces CSV; floats carry 17 significant digits so identical runs
 produce byte-identical output.  Reports contain no timestamps for the same
 reason.
@@ -24,22 +26,18 @@ import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
 first and is parsed by that subcommand's parser alone, whose flags are
 added on first use.
 
-Argparse declares every flag, but a run whose flags are all plain skips its
-``parse_args``: each argument must be an exact ``--flag value`` whose value
-does not start with ``-``, an exact ``--flag=value`` (same rule), or an
-exact ``store_true`` flag, and each value must pass the flag's type and
-choices.  Such a run is read from a table of the subcommand parser's own
-actions and defaults, into the Namespace ``parse_args`` would give.  Every
-other argv goes to ``parse_args``: help, abbreviations, unknown flags,
-``--``, values that start with ``-``, a missing value, ``--scan=x`` and
-every value that fails its type or choices, so that help, usage text and
-exit 2 stay argparse's own.
+Argparse declares every flag, but a run whose arguments are all exact
+``--flag value``, ``--flag=value`` or ``store_true`` flags, with no value
+that starts with ``-`` or fails its flag's type or choices, skips
+``parse_args`` (:func:`_parse_plain`).  Every other argv goes to
+``parse_args``, so that help, usage text and exit 2 stay argparse's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from functools import cache
 from pathlib import Path
@@ -66,7 +64,7 @@ MAX_SWEEP_POINTS = 1000
 class Result(NamedTuple):
     """What a command hands :func:`main` to render.
 
-    ``report`` always carries ``"passed"``, which sets the exit code.  The
+    ``report`` ends with ``"failures"`` and ``"passed"``, the exit code.  The
     CSV form is what ``table`` returns, a ``(header, rows)`` pair whose rows
     may be one float array, or else the report flattened to ``name,value``
     rows.  :func:`main` calls ``table`` only when CSV is asked for, so a
@@ -96,8 +94,40 @@ def _flatten(report: dict) -> tuple[Sequence[str], list[tuple[str, object]]]:
     return ("name", "value"), rows
 
 
-#: Decomposition residuals that ``verify`` and ``compile`` both hold to ``--tolerance``.
-_DECOMPOSITION_RESIDUALS = ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual")
+#: Every declared check: name -> (relation, bound), passed when ``relation(value, bound)``.
+#: The bounds of "verify", "compile" and "fidelity" are their ``--tolerance`` default.
+_CHECKS = {
+    "verify": (operator.le, 1e-9),  # each catalog identity, pulse and decomposition residual
+    "compile": (operator.le, 1e-10),  # the phase-gate, CNOT and 4-dim XOR residuals
+    "fidelity": (lambda fidelity, tol: fidelity >= 1.0 - tol, 1e-9),  # evolve --target
+    "tau_exponent": (operator.le, 1e-10),  # |fitted + built-in lifetime exponent|, per branch
+    **{f"rate_exponent[{kind}]": (lambda fit, b: abs(fit - b[0]) <= b[1], (declared, 0.1))
+       for kind, declared in (("deformation", 6.0), ("piezoelectric", 2.0))},  # |fitted - declared|
+    "selection_ratio": (operator.le, 1e-3),  # forbidden / allowed, per spin pair
+    "distinguishability": (operator.ge, 0.99),  # readout --scan
+    "propagator_max_error": (operator.le, 1e-12),  # readout
+    "fidelity_matches_forward": (operator.le, 1e-12),  # init: |fidelity - forward probability|
+    "degenerate": (operator.eq, False),  # init
+}
+
+
+def _verdict(checks: dict[str, object], tolerance: float | None = None) -> dict[str, object]:
+    """``failures``, sorted, and ``passed`` of the ``checks`` a command declares: each
+    maps to a value, failing under its check's name, or to a dict of values failing
+    under their own; ``tolerance``, a run's ``--tolerance``, replaces the bounds."""
+    failures = []
+    for check, values in checks.items():
+        relation, bound = _CHECKS[check]
+        bound = bound if tolerance is None else tolerance
+        named = values.items() if isinstance(values, dict) else [(check, values)]
+        failures += [name for name, value in named if not relation(value, bound)]
+    return {"failures": sorted(failures), "passed": not failures}
+
+
+def _decomposition_residuals(report: dict) -> dict[str, object]:
+    """The residuals that ``verify`` and ``compile`` both hold to ``--tolerance``."""
+    names = ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual")
+    return {name: report[name] for name in names}
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
@@ -105,20 +135,14 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     identities = verify_catalog_identities()
     pulse_checks = pulses.reproduction_residuals()
     decomposition = compiler.decomposition_report(args.resolution)
-
-    required = {**identities, **pulse_checks}
-    for name in _DECOMPOSITION_RESIDUALS:
-        required[name] = float(decomposition[name])
-    failures = sorted(name for name, value in required.items() if value > args.tolerance)
-    report = {
+    residuals = {**identities, **pulse_checks, **_decomposition_residuals(decomposition)}
+    return Result({
         "tolerance": args.tolerance,
         "identities": identities,
         "pulse_reproduction": pulse_checks,
         "decomposition": decomposition,
-        "failures": failures,
-        "passed": not failures,
-    }
-    return Result(report)
+        **_verdict({"verify": residuals}, args.tolerance),
+    })
 
 
 def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
@@ -152,16 +176,12 @@ def _cmd_evolve(args: argparse.Namespace) -> Result:
         "leakage_population": leakage_population(final),
         "norm": float(np.linalg.norm(final)),
     }
-    passed = True
     if args.target is not None:
         target = gate_matrix(GateId(args.target))
-        expected = target @ state0
-        fidelity = float(abs(np.vdot(expected, final)) ** 2)
-        report["target"] = args.target
-        report["fidelity"] = fidelity
-        report["gate_distance"] = dist_up_to_global_phase(pulses.evolve(schedule), target)
-        passed = fidelity >= 1.0 - args.tolerance
-    report["passed"] = passed
+        fidelity = float(abs(np.vdot(target @ state0, final)) ** 2)
+        report.update(target=args.target, fidelity=fidelity,
+                      gate_distance=dist_up_to_global_phase(pulses.evolve(schedule), target))
+    report.update(_verdict({} if args.target is None else {"fidelity": fidelity}, args.tolerance))
 
     labels = basis_labels()
     rows = [(i, labels[i], final[i].real, final[i].imag, abs(final[i]) ** 2) for i in range(6)]
@@ -171,10 +191,7 @@ def _cmd_evolve(args: argparse.Namespace) -> Result:
 
 def _cmd_compile(args: argparse.Namespace) -> Result:
     report = compiler.decomposition_report(args.resolution)
-    report["passed"] = all(
-        float(report[name]) <= args.tolerance for name in _DECOMPOSITION_RESIDUALS
-    )
-    return Result(report)
+    return Result(report | _verdict({"compile": _decomposition_residuals(report)}, args.tolerance))
 
 
 def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -> np.ndarray:
@@ -196,22 +213,21 @@ def _tau_sweep(args: argparse.Namespace) -> Result:
     branches = _selected_branches(args.branch)
     rows: list[tuple[object, ...]] = []
     fits: dict[str, float] = {}
-    passed = True
+    deviations: dict[str, float] = {}
     for branch in branches:
         taus = [decoherence.single_phonon_tau_s(d, branch) for d in grid]
-        for d, tau in zip(grid, taus):
-            rows.append((float(d), branch.kind, "spontaneous", tau, 0.0))
+        rows += [(float(d), branch.kind, "spontaneous", tau, 0.0) for d, tau in zip(grid, taus)]
         slope = decoherence.fit_scaling_exponent(zip(grid, taus))
         fits[branch.kind] = slope
-        rows.append((0.0, branch.kind, "fitted_exponent", slope, 1e-10))
-        passed = passed and abs(slope + branch.tau_exponent) <= 1e-10
+        rows.append((0.0, branch.kind, "fitted_exponent", slope, _CHECKS["tau_exponent"][1]))
+        deviations[f"tau_exponent[{branch.kind}]"] = abs(slope + branch.tau_exponent)
     report = {
         "sweep": "tau_vs_deps",
         "deps_ueV": [float(d) for d in grid],
         "fitted_exponents": fits,
         "expected_exponents": {b.kind: -b.tau_exponent for b in branches},
         "anchors_are_calibration_inputs": True,
-        "passed": passed,
+        **_verdict({"tau_exponent": deviations}),
     }
     header = ("deps_ueV", "branch", "mode", "tau_s", "est_error")
     return Result(report, "csv", lambda: (header, rows))
@@ -224,34 +240,32 @@ def _rate_sweep(args: argparse.Namespace) -> Result:
     t_max = 10.0 * t_min if args.t_max is None else args.t_max
     grid = _sweep_grid("t_min", t_min, "t_max", t_max, 7 if args.points is None else args.points)
     resolution = 256 if args.resolution is None else args.resolution
-    mode = args.mode
     geom = _geometry(args)
     branches = _selected_branches(args.branch)
 
     rows: list[tuple[object, ...]] = []
     fits: dict[str, float] = {}
-    expected = {"deformation": 6.0, "piezoelectric": 2.0}
-    passed = True
+    declared: dict[str, float] = {}
     temperatures = [float(t) for t in grid]
     for branch in branches:
         results = decoherence.two_phonon_rates_per_s(args.deps, branch, temperatures, geom,
-                                                     mode=mode, resolution=resolution)
+                                                     mode=args.mode, resolution=resolution)
         rates = [rate for rate, _ in results]
-        rows += [(t, branch.kind, mode, rate, est_error)
+        rows += [(t, branch.kind, args.mode, rate, est_error)
                  for t, (rate, est_error) in zip(temperatures, results)]
         slope = decoherence.fit_scaling_exponent(zip(grid, rates))
         fits[branch.kind] = slope
-        rows.append((0.0, branch.kind, "fitted_exponent", slope, 0.1))
-        passed = passed and abs(slope - expected[branch.kind]) <= 0.1
+        declared[branch.kind], tolerance = _CHECKS[f"rate_exponent[{branch.kind}]"][1]
+        rows.append((0.0, branch.kind, "fitted_exponent", slope, tolerance))
     report = {
         "sweep": "two_phonon_rate_vs_temperature",
         "temperature_K": [float(t) for t in grid],
         "delta_eps_ueV": args.deps,
-        "mode": mode,
+        "mode": args.mode,
         "fitted_exponents": fits,
-        "declared_exponents": {b.kind: expected[b.kind] for b in branches},
-        "declared_tolerance": 0.1,
-        "passed": passed,
+        "declared_exponents": declared,
+        "declared_tolerance": tolerance,
+        **_verdict({f"rate_exponent[{kind}]": slope for kind, slope in fits.items()}),
     }
     header = ("T_K", "branch", "mode", "rate_per_s", "est_error")
     return Result(report, "csv", lambda: (header, rows))
@@ -261,18 +275,10 @@ def _selection_table(args: argparse.Namespace) -> Result:
     from . import decoherence
     resolution = 800 if args.resolution is None else args.resolution
     table = decoherence.coulomb_selection_rule(_geometry(args), resolution=resolution)
-    ratio_pp = table["forbidden_pp_abs"] / table["allowed_abs"]
-    ratio_mm = table["forbidden_mm_abs"] / table["allowed_abs"]
-    report = dict(table)
-    report.update(
-        {
-            "sweep": "coulomb_selection_rule",
-            "ratio_forbidden_pp": ratio_pp,
-            "ratio_forbidden_mm": ratio_mm,
-            "passed": max(ratio_pp, ratio_mm) <= 1e-3,
-        }
-    )
-    return Result(report)
+    ratios = {f"ratio_forbidden_{pair}": table[f"forbidden_{pair}_abs"] / table["allowed_abs"]
+              for pair in ("pp", "mm")}
+    return Result({**table, "sweep": "coulomb_selection_rule", **ratios,
+                   **_verdict({"selection_ratio": ratios})})
 
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
@@ -289,36 +295,27 @@ def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
 _SWEEPS = {"tau": _tau_sweep, "rate": _rate_sweep, "selection": _selection_table}
 
 
-def _cmd_decohere(args: argparse.Namespace) -> Result:
-    return _SWEEPS[args.sweep](args)
-
-
 def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
     from . import readout
-    return readout.ReadoutConfig(
-        tunnel_coupling_ueV=args.tunnel_coupling,
-        bias_ueV=args.bias,
-        duration_ns=args.duration,
-        timestep_ns=args.timestep,
-    )
+    return readout.ReadoutConfig(args.tunnel_coupling, args.bias, args.duration, args.timestep)
 
 
 def _cmd_readout(args: argparse.Namespace) -> Result:
     from . import readout
-    cfg = _readout_config(args)
     if args.scan:
-        best_bias, best = readout.scan_bias(
-            cfg.tunnel_coupling_ueV, cfg.duration_ns, cfg.timestep_ns, n_bias=args.resolution
-        )
+        # scan_bias checks the flags it reads, through its largest-bias pulse.
+        best_bias, best = readout.scan_bias(args.tunnel_coupling, args.duration, args.timestep,
+                                            n_bias=args.resolution)
         return Result({
             "scan": "bias",
-            "tunnel_coupling_ueV": cfg.tunnel_coupling_ueV,
+            "tunnel_coupling_ueV": args.tunnel_coupling,
             "best_bias_ueV": best_bias,
             "measurement_time_ns": best.time_ns,
             "distinguishability": best.distinguishability,
-            "passed": best.distinguishability >= 0.99,
+            **_verdict({"distinguishability": best.distinguishability}),
         })
 
+    cfg = _readout_config(args)
     traces = readout.readout_traces(cfg)
     best = traces.best
     propagator_error = readout.propagator_error(cfg, traces)
@@ -330,7 +327,7 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
         "distinguishability": best.distinguishability,
         "degenerate": best.degenerate,
         "propagator_max_error": propagator_error,
-        "passed": propagator_error <= 1e-12,
+        **_verdict({"propagator_max_error": propagator_error}),
     }
 
     def table() -> tuple[Sequence[str], np.ndarray]:
@@ -344,10 +341,11 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
 def _cmd_init(args: argparse.Namespace) -> Result:
     from . import readout
     plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
-    matches = abs(plan.fidelity - plan.forward_probability) <= 1e-12
+    gap = abs(plan.fidelity - plan.forward_probability)
+    verdict = _verdict({"fidelity_matches_forward": gap, "degenerate": plan.degenerate})
+    matches = "fidelity_matches_forward" not in verdict["failures"]
     # The plan's fields are flat values: its instance dict needs no deep copy.
-    return Result({**vars(plan), "fidelity_matches_forward": matches,
-                   "passed": matches and not plan.degenerate})
+    return Result({**vars(plan), "fidelity_matches_forward": matches, **verdict})
 
 
 def _tolerance(text: str) -> float:
@@ -380,7 +378,7 @@ def _add_offset_grid(p: argparse.ArgumentParser, tolerance: float) -> None:
 
 
 def _add_evolve(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=_CHECKS["fidelity"][1])
     p.add_argument("--schedule", help="JSON pulse schedule file")
     p.add_argument("--initial", choices=("00", "01", "10", "11"), default="00")
     p.add_argument("--initial-file", dest="initial_file", help="JSON file with six [re, im] pairs")
@@ -422,12 +420,12 @@ def _add_init(p: argparse.ArgumentParser) -> None:
 #: Subcommand -> (help, handler, adds the subcommand's own flags).
 _COMMANDS = {
     "verify": ("check catalog identities, pulse calibration, compilation", _cmd_verify,
-               lambda p: _add_offset_grid(p, 1e-9)),
+               lambda p: _add_offset_grid(p, _CHECKS["verify"][1])),
     "evolve": ("apply a pulse schedule to a state", _cmd_evolve, _add_evolve),
     "compile": ("report the phase-gate embedding search and CNOT build", _cmd_compile,
-                lambda p: _add_offset_grid(p, 1e-10)),
-    "decohere": ("phonon lifetime/rate sweeps and the selection rule", _cmd_decohere,
-                 _add_decohere),
+                lambda p: _add_offset_grid(p, _CHECKS["compile"][1])),
+    "decohere": ("phonon lifetime/rate sweeps and the selection rule",
+                 lambda args: _SWEEPS[args.sweep](args), _add_decohere),
     "readout": ("charge readout traces and distinguishability", _cmd_readout, _add_readout),
     "init": ("prepare a space state by reversed readout", _cmd_init, _add_init),
 }

@@ -393,15 +393,15 @@ def two_phonon_rates_per_s(
 
 
 def fit_scaling_exponent(samples: Iterable[tuple[float, float]]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x), over finite positive samples."""
     pairs = [(float(x), float(y)) for x, y in samples]
     if len(pairs) < 2:
         raise ValueError("need at least two samples")
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("samples must be positive to fit a power law")
-    if np.unique(xs).size < 2:
+    xs, ys = np.array(pairs).T
+    if not (np.all((0.0 < xs) & (xs < np.inf)) and np.all((0.0 < ys) & (ys < np.inf))):
+        raise ValueError("samples must be finite and positive to fit a power law")
+    # min < max rather than np.unique, whose first call imports numpy.ma.
+    if not xs.min() < xs.max():
         raise ValueError("need at least two distinct x values")
     slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope)

@@ -48,6 +48,8 @@ __all__ = [
 
 #: Transformation from the space-state basis (+,-) to the dot basis (L,R).
 _TO_DOT_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_TO_SPACE_BASIS = _TO_DOT_BASIS.conj().T
+_DOT_STATES = np.eye(2, dtype=complex)  # |L> and |R>, as rows
 
 _INITIAL_SPACE_STATES = {
     "plus": np.array([1.0, 0.0], dtype=complex),
@@ -376,10 +378,8 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     state = list(_INITIAL_SPACE_STATES).index(target)  # the populations' plus/minus axis
     p_left = float(populations[state, k])
     source_dot = "L" if p_left >= 0.5 else "R"
-    source = np.eye(2, dtype=complex)[0 if source_dot == "L" else 1]
     u = readout_unitary(config, best.time_ns)
-    prepared_dot_basis = u.conj().T @ source
-    prepared_space = _TO_DOT_BASIS.conj().T @ prepared_dot_basis
+    prepared_space = _TO_SPACE_BASIS @ (u.conj().T @ _DOT_STATES[0 if source_dot == "L" else 1])
     fidelity = float(np.abs(np.vdot(_INITIAL_SPACE_STATES[target], prepared_space)) ** 2)
     return InitPlan(
         target=target,

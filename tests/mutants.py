@@ -149,6 +149,22 @@ MUTANTS = (
         ("tests/test_decoherence.py::test_unconverged_nodes_are_a_usage_error",),
     ),
     Mutant(
+        "compile holds its residuals to < rather than <=", "cli.py",
+        '"compile": (operator.le, 1e-10)', '"compile": (operator.lt, 1e-10)',
+        ("tests/test_cli.py::test_compile_and_verify_share_one_pass_rule",),
+    ),
+    Mutant(
+        "readout propagator bound a decade looser", "cli.py",
+        '"propagator_max_error": (operator.le, 1e-12)',
+        '"propagator_max_error": (operator.le, 1e-11)',
+        ("tests/test_acceptance.py::test_cli_checks_declare_the_bounds_pinned_here",),
+    ),
+    Mutant(
+        "init drops its degenerate-readout check", "cli.py",
+        ', "degenerate": plan.degenerate}', "}",
+        ("tests/test_cli.py::test_init_fails_when_the_readout_is_degenerate",),
+    ),
+    Mutant(
         "schedule columns admit None", "pulses.py",
         "<= {int, float}", "<= {int, float, type(None)}",
         ("tests/test_pulses.py::test_schedule_from_json_raises_the_per_segment_message",),

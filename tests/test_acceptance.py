@@ -2,7 +2,8 @@
 
 One test per shipped guarantee; each prints a single pass/fail line (visible
 even under captured output) before asserting, so a red run still shows the
-full scoreboard.  Tolerances are pinned here and nowhere else.
+full scoreboard.  Tolerances are pinned here; the CLI declares its checks in
+one table, and the last test holds that table to the same numbers.
 
 Known red: the two-phonon rate exponents.  The quadrature's low-temperature
 scaling is ~T^9 (deformation) and ~T^5 (piezoelectric) because the
@@ -245,3 +246,25 @@ def test_criterion_7_determinism(capsys, tmp_path):
     announce(capsys, 7, "byte-identical reruns", ok,
              f"{len(invocations)} commands" + (f", mismatched: {mismatches}" if mismatches else ""))
     assert ok, f"non-deterministic commands: {mismatches}"
+
+
+def test_cli_checks_declare_the_bounds_pinned_here():
+    # The CLI's exit code comes from this table, so it cannot drift from the
+    # criteria: the bounds, and where a --tolerance replaces them, its defaults.
+    bounds = {name: bound for name, (_, bound) in cli._CHECKS.items()}
+    assert bounds == {
+        "verify": PULSE_TOL,
+        "compile": EMBEDDING_TOL,
+        "fidelity": PULSE_TOL,
+        "tau_exponent": TAU_EXPONENT_TOL,
+        "rate_exponent[deformation]": (6.0, RATE_EXPONENT_TOL),
+        "rate_exponent[piezoelectric]": (2.0, RATE_EXPONENT_TOL),
+        "selection_ratio": SELECTION_RATIO,
+        "distinguishability": 0.99,
+        "propagator_max_error": PROPAGATOR_TOL,
+        "fidelity_matches_forward": INIT_MATCH_TOL,
+        "degenerate": False,
+    }
+    defaults = {command: vars(cli._parse([command]))["tolerance"]
+                for command in ("verify", "compile", "evolve")}
+    assert defaults == {"verify": PULSE_TOL, "compile": EMBEDDING_TOL, "evolve": PULSE_TOL}

@@ -68,7 +68,10 @@ def test_verify_fails_at_absurd_tolerance(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
-    assert len(report["failures"]) > 0
+    residuals = {**report["identities"], **report["pulse_reproduction"],
+                 **cli._decomposition_residuals(report["decomposition"])}
+    assert report["failures"] == sorted(name for name, r in residuals.items() if r > 1e-20)
+    assert "cnot_residual" in report["failures"] and "unitary[not1]" not in report["failures"]
 
 
 def test_verify_output_is_byte_identical_across_runs(capsys):
@@ -170,17 +173,18 @@ def test_compile_reports_frozen_embedding(capsys):
 
 def test_compile_and_verify_share_one_pass_rule(capsys):
     # Both commands hold the three decomposition residuals to --tolerance
-    # with <=: one step below the largest, both fail and verify names it.
+    # with <=: one step below the largest, both fail and name it alone.
     _, out, _ = run(capsys, "compile")
     report = json.loads(out)
-    name = max(cli._DECOMPOSITION_RESIDUALS, key=report.__getitem__)
+    residuals = cli._decomposition_residuals(report)
+    name = max(residuals, key=residuals.__getitem__)
     worst = report[name]
     below = float(np.nextafter(worst, 0.0))
     for command in ("compile", "verify"):
         code, out, _ = run(capsys, command, "--tolerance", repr(below))
         assert code == 1
         assert json.loads(out)["passed"] is False
-    assert name in json.loads(out)["failures"]
+        assert json.loads(out)["failures"] == [name]
     code, out, _ = run(capsys, "compile", "--tolerance", repr(worst))
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -287,7 +291,9 @@ def test_compile_and_verify_match_golden_bytes(capsys, monkeypatch, case):
     assert code == expected_code
     assert out == (GOLDEN / name).read_text()
     if name.endswith(".json"):
-        assert json.loads(out)["passed"] == (code == 0)
+        report = json.loads(out)
+        assert list(report)[-2:] == ["failures", "passed"]
+        assert report["passed"] == (code == 0) == (report["failures"] == [])
 
 
 @pytest.mark.parametrize("case", [c for c, (_, _, argv) in GOLDEN_CASES.items()
@@ -516,8 +522,9 @@ def test_readout_scan(capsys):
     assert report["passed"] is True
 
 
-def test_readout_scan_checks_two_configs(capsys, monkeypatch):
-    # The flags' config, then the largest-bias pulse; the best bias needs no third.
+def test_readout_scan_checks_one_config(capsys, monkeypatch):
+    # The largest-bias pulse alone: the scan builds no config from --bias,
+    # and the best bias needs no second.
     from dqdsim import readout
     checked = []
     post_init = readout.ReadoutConfig.__post_init__
@@ -529,7 +536,26 @@ def test_readout_scan_checks_two_configs(capsys, monkeypatch):
     monkeypatch.setattr(readout.ReadoutConfig, "__post_init__", counting)
     code, out, _ = run(capsys, "readout", "--scan", "--format", "json")
     assert code == 0 and json.loads(out)["best_bias_ueV"] == 10.0
-    assert checked == [10.0, 20.0]
+    assert checked == [20.0]
+
+
+@pytest.mark.parametrize("bias", ["inf", "nan", "-inf", "1e308"])
+def test_readout_scan_ignores_the_bias_flag(capsys, bias):
+    expected = run(capsys, "readout", "--scan")
+    assert run(capsys, "readout", "--scan", f"--bias={bias}") == expected
+    assert expected[:2] == (0, (GOLDEN / "readout_scan.json").read_text())
+
+
+@pytest.mark.parametrize("flags", [
+    "--tunnel-coupling nan", "--tunnel-coupling inf", "--tunnel-coupling 0",
+    "--tunnel-coupling=-1", "--duration nan", "--duration 0", "--duration=-1",
+    "--timestep inf", "--timestep 0", "--timestep 1",
+])
+def test_readout_scan_still_checks_the_flags_it_reads(capsys, flags):
+    code, out, err = run(capsys, "readout", "--scan", "--bias", "inf", *flags.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_init_fidelity_matches_forward_probability(capsys):
@@ -576,6 +602,30 @@ def test_readout_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypat
     assert code == 1
     report = json.loads(out)
     assert report["propagator_max_error"] > 1e-12
+    assert report["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# failures: each declared check that fails, by name
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, failures", [
+    (["decohere", "--sweep", "rate"],
+     ["rate_exponent[deformation]", "rate_exponent[piezoelectric]"]),
+    (["decohere", "--sweep", "rate", "--branch", "piezoelectric"],
+     ["rate_exponent[piezoelectric]"]),
+    (["readout", "--scan", "--duration", "0.05"], ["distinguishability"]),
+    (["evolve", "--schedule", str(GOLDEN / "swap_schedule.json"), "--target", "not1"],
+     ["fidelity"]),
+    (["compile", "--tolerance", "0"],
+     ["cnot_residual", "phase_gate_best_residual", "xor_4dim_residual"]),
+    (["init", "--tunnel-coupling", "0", "--bias", "0"], ["degenerate"]),
+], ids=["rate", "rate-piezoelectric", "scan", "evolve-target", "compile", "init"])
+def test_failures_name_exactly_the_checks_that_fail(capsys, argv, failures):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["failures"] == failures
     assert report["passed"] is False
 
 
@@ -1000,7 +1050,9 @@ def test_every_command_line_keeps_the_exit_code_contract(argv_paths, data):
     assert "Traceback" not in err
     if code == 1:
         assert results and results[-1].report["passed"] is False
+        assert results[-1].report["failures"]
     if code == 2:
         assert out == ""
     if code == 0 and results:
         assert results[-1].report["passed"] is True
+        assert results[-1].report["failures"] == []

@@ -611,6 +611,30 @@ def test_fit_scaling_exponent_needs_two_points():
         fit_scaling_exponent([(1.0, 2.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_fit_scaling_exponent_rejects_non_finite_samples(capfd, bad, axis):
+    # Rejected before the fit: LAPACK prints DLASCL errors for a non-finite x,
+    # and a non-finite y gives a nan slope.
+    samples = [[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]]
+    samples[1][axis] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        fit_scaling_exponent(samples)
+    assert capfd.readouterr() == ("", "")
+
+
+@given(xs=st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, 1e300]), min_size=2,
+                   max_size=6),
+       ys=st.lists(st.floats(1e-300, 1e300), min_size=6, max_size=6))
+def test_fit_scaling_exponent_needs_distinct_x_exactly_as_numpy_unique_says(xs, ys):
+    samples = list(zip(xs, ys))
+    if np.unique(xs).size < 2:
+        with pytest.raises(ValueError, match="distinct x"):
+            fit_scaling_exponent(samples)
+    else:
+        assert np.isfinite(fit_scaling_exponent(samples))
+
+
 # ---------------------------------------------------------------------------
 # Coulomb selection rule
 # ---------------------------------------------------------------------------

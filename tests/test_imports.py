@@ -52,3 +52,14 @@ def test_readout_loads_no_decoherence_code():
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tau_sweep_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; a sweep's fit needs none of it.
+    script = ("import os, sys\nfrom dqdsim import cli\n"
+              "assert cli.main(['decohere', '--sweep', 'tau', '--out', os.devnull]) == 0\n"
+              "assert 'numpy.ma' not in sys.modules")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
