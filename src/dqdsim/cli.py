@@ -1,12 +1,11 @@
 """Command-line front end: verification, evolution, sweeps, readout.
 
 Every command reads an optional JSON config file: a flat object whose keys
-are that command's flag names with ``_`` for ``-``.  Config values go
-through the command's own parser, so they are typed and checked exactly
-like flags, and explicit flags win.  Each command's handler only computes:
-it returns its report with the report's default format and, for sweeps and
-traces, a function that builds the CSV table, called only when CSV is
-rendered.  :func:`main` is the one place that renders the report to
+are that command's flag names with ``_`` for ``-``.  Config values are
+parsed as flags ahead of the explicit ones, so they are typed and checked
+exactly like flags, and explicit flags win.  Each command's handler only
+computes and returns a :class:`Result`, whose CSV table is built only when
+CSV is rendered.  :func:`main` is the one place that renders the report to
 ``--out`` or stdout and turns its ``"passed"`` into the exit code: 0 exactly
 when all checks the command declares are within tolerance, 1 when one is
 not, 2 on a usage or data error.  Each report's ``"failures"``, just before
@@ -22,15 +21,16 @@ cold ``compile`` process loads nothing more.  The other subcommands import
 the layer they need when their handler runs: ``verify`` and ``evolve``
 import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
 ``readout`` and ``init`` handlers ``readout``.  A trace's CSV table loads
-``floattext``, the formatter of float arrays.  A run names its subcommand
-first and is parsed by that subcommand's parser alone, whose flags are
-added on first use.
+``floattext``, the formatter of float arrays.
 
-Argparse declares every flag, but a run whose arguments are all exact
-``--flag value``, ``--flag=value`` or ``store_true`` flags, with no value
-that starts with ``-`` or fails its flag's type or choices, skips
-``parse_args`` (:func:`_parse_plain`).  Every other argv goes to
-``parse_args``, so that help, usage text and exit 2 stay argparse's own.
+Each subcommand's flags are declared once, as data in :data:`_COMMANDS`
+(:class:`_Flag`: type, default, choices, help).  A run whose arguments
+after the subcommand are all exact ``--flag value``, ``--flag=value`` or
+switches, with no value that starts with ``-`` or fails its flag's type or
+choices, is read from that table alone (:func:`_parse_plain`) and builds no
+argparse parser.  Every other argv, help among them, goes to argparse
+parsers built from the same table on first use (:func:`_parsers`), so
+usage text and exit 2 stay argparse's own.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .linalg import dist_up_to_global_phase, require_normalized
 from .reporting import render_csv, render_json, write_text
 
 if TYPE_CHECKING:
-    from . import decoherence, readout
+    from . import decoherence
 
 __all__ = ["MAX_SWEEP_POINTS", "main"]
 
@@ -124,24 +124,33 @@ def _verdict(checks: dict[str, object], tolerance: float | None = None) -> dict[
     return {"failures": sorted(failures), "passed": not failures}
 
 
-def _decomposition_residuals(report: dict) -> dict[str, object]:
-    """The residuals that ``verify`` and ``compile`` both hold to ``--tolerance``."""
-    names = ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual")
-    return {name: report[name] for name in names}
+#: The residuals that ``verify`` and ``compile`` both hold to ``--tolerance``.
+_DECOMPOSITION_RESIDUALS = ("phase_gate_best_residual", "cnot_residual", "xor_4dim_residual")
+
+
+def _decomposition(args: argparse.Namespace, check: str, residuals: dict) -> tuple[dict, dict]:
+    """The decomposition report and ``check``'s verdict on ``residuals`` and its own; its
+    ``phase_gate_reproduced`` follows that check, with a ``message`` when it is false."""
+    report = compiler.decomposition_report(args.resolution)
+    residuals = residuals | {name: report[name] for name in _DECOMPOSITION_RESIDUALS}
+    verdict = _verdict({check: residuals}, args.tolerance)
+    reproduced = "phase_gate_best_residual" not in verdict["failures"]
+    best, trivial, *rest = report.items()
+    report = dict([best, trivial, ("phase_gate_reproduced", reproduced), *rest])
+    return report | ({} if reproduced else {"message": "identity not reproduced"}), verdict
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
     from . import pulses
     identities = verify_catalog_identities()
     pulse_checks = pulses.reproduction_residuals()
-    decomposition = compiler.decomposition_report(args.resolution)
-    residuals = {**identities, **pulse_checks, **_decomposition_residuals(decomposition)}
+    decomposition, verdict = _decomposition(args, "verify", {**identities, **pulse_checks})
     return Result({
         "tolerance": args.tolerance,
         "identities": identities,
         "pulse_reproduction": pulse_checks,
         "decomposition": decomposition,
-        **_verdict({"verify": residuals}, args.tolerance),
+        **verdict,
     })
 
 
@@ -190,8 +199,8 @@ def _cmd_evolve(args: argparse.Namespace) -> Result:
 
 
 def _cmd_compile(args: argparse.Namespace) -> Result:
-    report = compiler.decomposition_report(args.resolution)
-    return Result(report | _verdict({"compile": _decomposition_residuals(report)}, args.tolerance))
+    report, verdict = _decomposition(args, "compile", {})
+    return Result(report | verdict)
 
 
 def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -> np.ndarray:
@@ -295,11 +304,6 @@ def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
 _SWEEPS = {"tau": _tau_sweep, "rate": _rate_sweep, "selection": _selection_table}
 
 
-def _readout_config(args: argparse.Namespace) -> readout.ReadoutConfig:
-    from . import readout
-    return readout.ReadoutConfig(args.tunnel_coupling, args.bias, args.duration, args.timestep)
-
-
 def _cmd_readout(args: argparse.Namespace) -> Result:
     from . import readout
     if args.scan:
@@ -315,7 +319,7 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
             **_verdict({"distinguishability": best.distinguishability}),
         })
 
-    cfg = _readout_config(args)
+    cfg = readout.ReadoutConfig(args.tunnel_coupling, args.bias, args.duration, args.timestep)
     traces = readout.readout_traces(cfg)
     best = traces.best
     propagator_error = readout.propagator_error(cfg, traces)
@@ -340,7 +344,8 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
 
 def _cmd_init(args: argparse.Namespace) -> Result:
     from . import readout
-    plan = readout.init_by_reversed_readout(_readout_config(args), args.target)
+    cfg = readout.ReadoutConfig(args.tunnel_coupling, args.bias, args.duration, args.timestep)
+    plan = readout.init_by_reversed_readout(cfg, args.target)
     gap = abs(plan.fidelity - plan.forward_probability)
     verdict = _verdict({"fidelity_matches_forward": gap, "degenerate": plan.degenerate})
     matches = "fidelity_matches_forward" not in verdict["failures"]
@@ -355,202 +360,168 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON object of option values, keyed by this command's "
-                                    "flag names with '_' for '-'; explicit flags win")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"))
+class _Flag(NamedTuple):
+    """A flag's value type (``bool``: a switch that stores ``True``), default, choices, help."""
+
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
-def _add_readout_pulse(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tunnel-coupling", dest="tunnel_coupling", type=float, default=5.0)
-    p.add_argument("--bias", type=float, default=10.0)
-    p.add_argument("--duration", type=float, default=0.4)
-    p.add_argument("--timestep", type=float, default=0.0005,
-                   help="sample spacing (ns); duration/timestep may give at most %d samples"
-                        % MAX_TRACE_SAMPLES)
+def _dest(option: str) -> str:
+    """The Namespace field and config key of ``option``, as argparse names it."""
+    return option[2:].replace("-", "_")
 
 
-def _add_offset_grid(p: argparse.ArgumentParser, tolerance: float) -> None:
-    p.add_argument("--tolerance", type=_tolerance, default=tolerance)
-    p.add_argument("--resolution", type=int, default=4,
-                   help="offset-grid points per turn, 1..%d" % compiler.MAX_OFFSETS)
-
-
-def _add_evolve(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=_tolerance, default=_CHECKS["fidelity"][1])
-    p.add_argument("--schedule", help="JSON pulse schedule file")
-    p.add_argument("--initial", choices=("00", "01", "10", "11"), default="00")
-    p.add_argument("--initial-file", dest="initial_file", help="JSON file with six [re, im] pairs")
-    p.add_argument("--target", choices=[g.value for g in GateId])
-
-
-def _add_decohere(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=int,
-                   help="quadrature nodes: 8..%d for rate sweeps (default 256), 16..%d for the "
-                        "selection rule (default 800)"
-                        % (MAX_RESOLUTION, MAX_SELECTION_RESOLUTION))
-    p.add_argument("--sweep", choices=("tau", "rate", "selection"), default="tau")
-    p.add_argument("--branch", choices=("deformation", "piezoelectric", "both"), default="both")
-    p.add_argument("--deps", type=float, default=0.1, help="level splitting (ueV) for rate sweeps")
-    p.add_argument("--deps-min", dest="deps_min", type=float, default=0.5)
-    p.add_argument("--deps-max", dest="deps_max", type=float, default=5.0)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--points", type=int,
-                   help="sweep points, 2..%d (default 10 for tau, 7 for rate)" % MAX_SWEEP_POINTS)
-    p.add_argument("--mode", choices=("reduced", "exact"), default="reduced")
-    p.add_argument("--dot-separation-nm", dest="dot_separation_nm", type=float, default=22.0)
-    p.add_argument("--orbital-width-nm", dest="orbital_width_nm", type=float, default=5.0)
-
-
-def _add_readout(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=int, default=40,
-                   help="bias samples of --scan, 2..%d" % MAX_BIAS_SAMPLES)
-    _add_readout_pulse(p)
-    p.add_argument("--scan", action="store_true",
-                   help="scan biases in (0, 4*tunnel_coupling] for the best contrast")
-
-
-def _add_init(p: argparse.ArgumentParser) -> None:
-    _add_readout_pulse(p)
-    p.add_argument("--target", choices=("plus", "minus"), default="plus")
-
-
-#: Subcommand -> (help, handler, adds the subcommand's own flags).
-_COMMANDS = {
-    "verify": ("check catalog identities, pulse calibration, compilation", _cmd_verify,
-               lambda p: _add_offset_grid(p, _CHECKS["verify"][1])),
-    "evolve": ("apply a pulse schedule to a state", _cmd_evolve, _add_evolve),
-    "compile": ("report the phase-gate embedding search and CNOT build", _cmd_compile,
-                lambda p: _add_offset_grid(p, _CHECKS["compile"][1])),
-    "decohere": ("phonon lifetime/rate sweeps and the selection rule",
-                 lambda args: _SWEEPS[args.sweep](args), _add_decohere),
-    "readout": ("charge readout traces and distinguishability", _cmd_readout, _add_readout),
-    "init": ("prepare a space state by reversed readout", _cmd_init, _add_init),
+_COMMON = {
+    "--config": _Flag(help="JSON object of option values, keyed by this command's "
+                           "flag names with '_' for '-'; explicit flags win"),
+    "--out": _Flag(help="output path (default: stdout)"),
+    "--format": _Flag(choices=("json", "csv")),
+}
+_READOUT_PULSE = {
+    "--tunnel-coupling": _Flag(float, 5.0),
+    "--bias": _Flag(float, 10.0),
+    "--duration": _Flag(float, 0.4),
+    "--timestep": _Flag(float, 0.0005, help="sample spacing (ns); duration/timestep may give "
+                                            "at most %d samples" % MAX_TRACE_SAMPLES),
 }
 
 
+def _offset_grid(check: str) -> dict[str, _Flag]:
+    return {**_COMMON, "--tolerance": _Flag(_tolerance, _CHECKS[check][1]),
+            "--resolution": _Flag(int, 4, help="offset-grid points per turn, 1..%d"
+                                               % compiler.MAX_OFFSETS)}
+
+
+#: Subcommand -> (help, handler, flags), each flag declared once, in help order: the
+#: plain-flag reader, the config-file check, argparse and :data:`_DEFAULTS` all read it.
+_COMMANDS = {
+    "verify": ("check catalog identities, pulse calibration, compilation", _cmd_verify,
+               _offset_grid("verify")),
+    "evolve": ("apply a pulse schedule to a state", _cmd_evolve, {
+        **_COMMON, "--tolerance": _Flag(_tolerance, _CHECKS["fidelity"][1]),
+        "--schedule": _Flag(help="JSON pulse schedule file"),
+        "--initial": _Flag(default="00", choices=("00", "01", "10", "11")),
+        "--initial-file": _Flag(help="JSON file with six [re, im] pairs"),
+        "--target": _Flag(choices=tuple(g.value for g in GateId)),
+    }),
+    "compile": ("report the phase-gate embedding search and CNOT build", _cmd_compile,
+                _offset_grid("compile")),
+    "decohere": ("phonon lifetime/rate sweeps and the selection rule",
+                 lambda args: _SWEEPS[args.sweep](args), {
+        **_COMMON,
+        "--resolution": _Flag(int, help="quadrature nodes: 8..%d for rate sweeps (default 256), "
+                                        "16..%d for the selection rule (default 800)"
+                                        % (MAX_RESOLUTION, MAX_SELECTION_RESOLUTION)),
+        "--sweep": _Flag(default="tau", choices=("tau", "rate", "selection")),
+        "--branch": _Flag(default="both", choices=("deformation", "piezoelectric", "both")),
+        "--deps": _Flag(float, 0.1, help="level splitting (ueV) for rate sweeps"),
+        "--deps-min": _Flag(float, 0.5),
+        "--deps-max": _Flag(float, 5.0),
+        "--t-min": _Flag(float),
+        "--t-max": _Flag(float),
+        "--points": _Flag(int, help="sweep points, 2..%d (default 10 for tau, 7 for rate)"
+                                    % MAX_SWEEP_POINTS),
+        "--mode": _Flag(default="reduced", choices=("reduced", "exact")),
+        "--dot-separation-nm": _Flag(float, 22.0),
+        "--orbital-width-nm": _Flag(float, 5.0),
+    }),
+    "readout": ("charge readout traces and distinguishability", _cmd_readout, {
+        **_COMMON,
+        "--resolution": _Flag(int, 40, help="bias samples of --scan, 2..%d" % MAX_BIAS_SAMPLES),
+        **_READOUT_PULSE,
+        "--scan": _Flag(bool, False,
+                        help="scan biases in (0, 4*tunnel_coupling] for the best contrast"),
+    }),
+    "init": ("prepare a space state by reversed readout", _cmd_init, {
+        **_COMMON, **_READOUT_PULSE, "--target": _Flag(default="plus", choices=("plus", "minus")),
+    }),
+}
+_DEFAULTS = {name: {_dest(option): flag.default for option, flag in flags.items()}
+             for name, (_, _, flags) in _COMMANDS.items()}
+
+
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # Built once per process, with each subcommand's flags left to _command:
-    # a run parses with its own subcommand's parser alone.
-    parser = argparse.ArgumentParser(
-        prog="dqdsim",
-        description="Simulate and verify charge qubits encoded in DQD space states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text)
-    return parser, sub.choices
+def _parsers() -> dict[str | None, argparse.ArgumentParser]:
+    """argparse's parsers, built from :data:`_COMMANDS` on first use: the top-level
+    one under ``None``, every subcommand complete, and each subcommand's by name."""
+    top = argparse.ArgumentParser(prog="dqdsim", description="Simulate and verify charge "
+                                  "qubits encoded in DQD space states.")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, flag in flags.items():
+            if flag.type is bool:
+                p.add_argument(option, action="store_true", help=flag.help)
+            else:
+                p.add_argument(option, type=flag.type, default=flag.default,
+                               choices=flag.choices, help=flag.help)
+    return {None: top, **sub.choices}
 
 
-class _PlainFlags(NamedTuple):
-    """A subcommand parser's own table for :func:`_parse_plain`: each option
-    string that stores one value or ``True``, and what ``parse_args`` puts in
-    a Namespace before it reads any flag."""
-
-    actions: dict[str, argparse.Action]
-    defaults: dict[str, object]
-
-
-def _plain_flags(p: argparse.ArgumentParser) -> _PlainFlags:
-    actions = {option: a for a in p._actions for option in a.option_strings
-               if type(a) is argparse._StoreTrueAction
-               or type(a) is argparse._StoreAction and a.nargs is None}
-    defaults = {a.dest: a.default for a in p._actions
-                if argparse.SUPPRESS not in (a.dest, a.default)}
-    for dest, value in p._defaults.items():
-        defaults.setdefault(dest, value)
-    return _PlainFlags(actions, defaults)
-
-
-def _command(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name``, its flags and handler added on first use."""
-    p = _build_parser()[1][name]
-    if p.get_default("handler") is None:
-        _, handler, add_flags = _COMMANDS[name]
-        p.set_defaults(handler=handler)
-        _add_common(p)
-        add_flags(p)
-        # Kept on the parser, so that dropping the parser drops its table.
-        p.plain_flags = _plain_flags(p)  # type: ignore[attr-defined]
-    return p
-
-
-def _config_argv(command: argparse.ArgumentParser, path: str) -> list[str]:
-    """The config file's object as ``--flag=value`` arguments of ``command``."""
+def _config_argv(name: str, path: str) -> list[str]:
+    """The config file's object as ``--flag=value`` arguments of subcommand ``name``."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    flags = {a.dest: a for a in command._actions
-             if a.option_strings and a.dest not in ("help", "config")}
+    flags = _COMMANDS[name][2]
+    options = {_dest(option): option for option in flags if option != "--config"}
     argv: list[str] = []
     for key, value in config.items():
-        action = flags.get(key)
-        if action is None:
-            raise ValueError(f"config key {key!r} is not an option of {command.prog!r}")
-        flag = action.option_strings[-1]
-        if action.nargs == 0:
+        option = options.get(key)
+        if option is None:
+            raise ValueError(f"config key {key!r} is not an option of 'dqdsim {name}'")
+        if flags[option].type is bool:
             if not isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be true or false")
-            argv += [flag] if value else []
+            argv += [option] if value else []
         elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            argv.append(f"{flag}={value}")
+            argv.append(f"{option}={value}")
         else:
             raise ValueError(f"config key {key!r} must be a string or a number")
     return argv
 
 
-def _parse_plain(flags: _PlainFlags, args: list[str]) -> dict[str, object] | None:
-    """What ``parse_args`` makes of ``args``, if each is an exact ``--flag value``,
-    ``--flag=value`` or ``True``-storing flag, and no value starts with ``-``
-    or fails the flag's type or choices; otherwise ``None``."""
-    values = dict(flags.defaults)
-    i = 0
-    while i < len(args):
-        option, eq, value = args[i].partition("=")
-        action = flags.actions.get(option)
-        if action is None:
+def _parse_plain(name: str, args: list[str]) -> argparse.Namespace | None:
+    """What argparse makes of ``args``, if each is an exact ``--flag value``,
+    ``--flag=value`` or switch of subcommand ``name``, and no value starts
+    with ``-`` or fails the flag's type or choices; otherwise ``None``."""
+    namespace = argparse.Namespace(command=name)
+    values, flags, rest = vars(namespace), _COMMANDS[name][2], iter(args)
+    values.update(_DEFAULTS[name])  # one dict update, not a setattr per flag
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        flag = flags.get(option)
+        if flag is None:
             return None
-        i += 1
-        if action.nargs == 0:
+        if flag.type is bool:
             if eq:
                 return None
-            values[action.dest] = action.const
-            continue
-        if not eq:
-            if i == len(args):
+            value = True
+        else:
+            value = value if eq else next(rest, "-")  # a missing value fails as dash-led
+            if value.startswith("-"):
                 return None
-            value = args[i]
-            i += 1
-        if value.startswith("-"):
-            return None
-        try:
-            value = value if action.type is None else action.type(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    return values
+            try:
+                value = flag.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports
+                return None
+            if flag.choices is not None and value not in flag.choices:
+                return None
+        values[_dest(option)] = value
+    return namespace
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by its subcommand's parser alone, when ``argv[0]`` names one."""
+    """``argv`` read from its subcommand's flag table, or else parsed by argparse."""
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        command = _command(name)
-        values = _parse_plain(command.plain_flags, argv[1:])  # type: ignore[attr-defined]
-        if values is not None:
-            return argparse.Namespace(command=name, **values)
-        # Anything else, help and every error among it, is argparse's own.
-        return command.parse_args(argv[1:], argparse.Namespace(command=name))
-    # Help, a missing or unknown subcommand, or flags before it: the
-    # top-level parser, with every subcommand complete.
-    for name in _COMMANDS:
-        _command(name)
-    return _build_parser()[0].parse_args(argv)
+        # Anything but plain flags, help and every error among it, is argparse's own.
+        return _parse_plain(argv[0], argv[1:]) or _parsers()[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    # Help, a missing or unknown subcommand, or flags before it.
+    return _parsers()[None].parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -560,9 +531,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # Config values go first so that explicit flags override them.
             at = argv.index(args.command) + 1
-            config_argv = _config_argv(_command(args.command), args.config)
-            args = _parse(argv[:at] + config_argv + argv[at:])
-        result = args.handler(args)
+            args = _parse(argv[:at] + _config_argv(args.command, args.config) + argv[at:])
+        result = _COMMANDS[args.command][1](args)
         if (args.format or result.default_format) == "csv":
             text = render_csv(*(result.table() if result.table else _flatten(result.report)))
         else:

@@ -120,8 +120,18 @@ MUTANTS = (
     ),
     Mutant(
         "plain-flag parse without the choices check", "cli.py",
-        "if action.choices is not None and value not in action.choices:", "if False:",
+        "if flag.choices is not None and value not in flag.choices:", "if False:",
         ("tests/test_cli.py::test_plain_flags_parse_as_argparse_parses_them",),
+    ),
+    Mutant(
+        "plain-flag parse lets a switch take =value", "cli.py",
+        "            if eq:\n                return None\n", "",
+        ("tests/test_cli.py::test_plain_flags_parse_as_argparse_parses_them",),
+    ),
+    Mutant(
+        "config accepts --config as a key", "cli.py",
+        'for option in flags if option != "--config"}', "for option in flags}",
+        ("tests/test_cli.py::test_config_values_are_checked_like_flags",),
     ),
     Mutant(
         "selection reference without its 256/512-node check", "decoherence.py",

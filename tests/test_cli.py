@@ -69,7 +69,7 @@ def test_verify_fails_at_absurd_tolerance(capsys):
     report = json.loads(out)
     assert report["passed"] is False
     residuals = {**report["identities"], **report["pulse_reproduction"],
-                 **cli._decomposition_residuals(report["decomposition"])}
+                 **{name: report["decomposition"][name] for name in cli._DECOMPOSITION_RESIDUALS}}
     assert report["failures"] == sorted(name for name, r in residuals.items() if r > 1e-20)
     assert "cnot_residual" in report["failures"] and "unitary[not1]" not in report["failures"]
 
@@ -176,7 +176,7 @@ def test_compile_and_verify_share_one_pass_rule(capsys):
     # with <=: one step below the largest, both fail and name it alone.
     _, out, _ = run(capsys, "compile")
     report = json.loads(out)
-    residuals = cli._decomposition_residuals(report)
+    residuals = {name: report[name] for name in cli._DECOMPOSITION_RESIDUALS}
     name = max(residuals, key=residuals.__getitem__)
     worst = report[name]
     below = float(np.nextafter(worst, 0.0))
@@ -228,6 +228,35 @@ def test_compile_fails_when_the_embedding_misses_the_phase_gate(capsys, monkeypa
     assert report["message"] == "identity not reproduced"
     assert report["phase_gate_best_residual"] > 0.19
     assert report["passed"] is False
+
+
+def test_compile_states_the_check_it_failed(capsys):
+    # The report's stance on the phase gate follows the run's own check.
+    code, out, _ = run(capsys, "compile", "--tolerance", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert "phase_gate_best_residual" in report["failures"]
+    assert report["phase_gate_reproduced"] is False
+    assert report["message"] == "identity not reproduced"
+    code, out, _ = run(capsys, "verify", "--tolerance", "0")
+    assert code == 1
+    decomposition = json.loads(out)["decomposition"]
+    assert decomposition["phase_gate_reproduced"] is False
+    assert decomposition["message"] == "identity not reproduced"
+
+
+def test_compile_states_a_pass_under_a_looser_tolerance(capsys, monkeypatch):
+    # A residual between the default bound (1e-10) and --tolerance passes.
+    search = compiler.search_embedding
+    monkeypatch.setattr(compiler, "search_embedding", lambda n: (search(n)[0], 5e-10))
+    for command, key in (("compile", None), ("verify", "decomposition")):
+        code, out, _ = run(capsys, command, "--tolerance", "1e-9")
+        assert code == 0, command
+        report = json.loads(out)
+        report = report[key] if key else report
+        assert report["phase_gate_best_residual"] == 5e-10
+        assert report["phase_gate_reproduced"] is True
+        assert "message" not in report
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -355,8 +384,8 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
 
 
 def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_path):
-    # The parsers are built once per process; no run may see what an
-    # earlier one parsed, whether from flags or from a config file.
+    # The argparse parsers are built once per process; no run may see what
+    # an earlier one parsed, whether from flags or from a config file.
     init_cfg = tmp_path / "init.json"
     init_cfg.write_text(json.dumps({"target": "minus", "bias": 3.0, "format": "csv"}))
     scan_cfg = tmp_path / "scan.json"
@@ -374,7 +403,7 @@ def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_
     monkeypatch.chdir(GOLDEN)
     fresh = []
     for argv in cases:
-        cli._build_parser.cache_clear()
+        cli._parsers.cache_clear()
         fresh.append(run(capsys, *argv))
     assert fresh[1][1] == (GOLDEN / "init.json").read_text()
     assert fresh[3][1] == (GOLDEN / "readout_scan.json").read_text()
@@ -671,6 +700,7 @@ def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
     ({"format": "xml"}, "--format"),
     ({"scan": True}, "scan"),
     ({"tolerance": float("nan")}, "--tolerance"),
+    ({"config": "cfg.json"}, "config key 'config'"),
 ])
 def test_config_values_are_checked_like_flags(capsys, tmp_path, config, named):
     cfg = tmp_path / "cfg.json"
@@ -831,6 +861,16 @@ def test_help_lists_the_flags_and_caps(capsys, command, flags, caps):
         assert str(cap) in text
 
 
+@pytest.mark.parametrize("command", ["", "verify", "evolve", "compile", "decohere", "readout",
+                                     "init"])
+def test_help_screens_are_the_golden_bytes(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_to_exit(capsys, *filter(None, [command]), "-h")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"help_{command or 'dqdsim'}.txt").read_text()
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -851,13 +891,24 @@ def test_top_level_help_lists_every_subcommand(capsys):
         assert re.search(rf"^    {name} +\S", out, re.MULTILINE), name
 
 
-def test_a_run_adds_the_flags_of_its_own_subcommand_only(capsys):
-    cli._build_parser.cache_clear()
+def test_a_run_adds_the_flags_of_its_own_subcommand_only(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli._parsers.cache_clear()
+    # a plain run reads its own subcommand's flag table and builds no parser
     assert run(capsys, "decohere", "--sweep", "tau")[0] == 0
-    _, commands = cli._build_parser()
-    assert [name for name, p in commands.items() if p.get_default("handler")] == ["decohere"]
+    assert built == []
+    # another subcommand's flag is not one of its own
+    assert run_to_exit(capsys, "decohere", "--target", "minus")[0] == 2
     # flags before the subcommand go to the top-level parser, which rejects them
     assert run_to_exit(capsys, "--format", "json", "readout")[0] == 2
+    assert len(built) == 1 + len(cli._COMMANDS)
 
 
 def test_rate_sweep_is_deterministic(capsys):
@@ -885,26 +936,26 @@ FORMS = ("exact",) * 8 + ("equals",) * 3 + ("prefix", "missing", "unknown", "hel
 
 @st.composite
 def command_lines(draw, paths=None):
-    """An argv for one subcommand, built from the actions of its own parser.
+    """An argv for one subcommand, built from its flag table.
 
-    ``paths`` maps a text flag's dest to the values to draw for it; without
-    it, text flags get plain, empty, ``=``-holding and dash-led values.
+    ``paths`` maps a text flag's config key to the values to draw for it;
+    without it, text flags get plain, empty, ``=``-holding and dash-led values.
     """
     name = draw(st.sampled_from(list(cli._COMMANDS)))
-    actions = [a for a in cli._command(name)._actions
-               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    _, _, flags = cli._COMMANDS[name]
     argv = [name]
     for _ in range(draw(st.integers(0, 4))):
-        action = draw(st.sampled_from(actions))
-        option = draw(st.sampled_from(action.option_strings))
-        if action.choices is not None:
-            texts = [*action.choices, "nope", ""]
-        elif action.type is not None:
+        option = draw(st.sampled_from(list(flags)))
+        flag = flags[option]
+        if flag.choices is not None:
+            texts = [*flag.choices, "nope", ""]
+        elif flag.type not in (str, bool):
             # half of the time the default, so that more runs reach a handler
-            texts = NUMBER_TEXTS if action.default is None else [str(action.default)]
+            texts = NUMBER_TEXTS if flag.default is None else [str(flag.default)]
             texts = draw(st.sampled_from((texts, NUMBER_TEXTS)))
         else:
-            texts = (paths or {}).get(action.dest, ("report.txt", "", "a=b", "-", "--", "-x"))
+            texts = (paths or {}).get(cli._dest(option),
+                                      ("report.txt", "", "a=b", "-", "--", "-x"))
         value = draw(st.sampled_from(texts))
         form = draw(st.sampled_from(FORMS))
         if form == "prefix":
@@ -915,7 +966,7 @@ def command_lines(draw, paths=None):
             argv += {"unknown": ["--nope", value], "help": ["-h"], "--": ["--", value]}[form]
         else:
             argv.append(option)
-            if action.nargs != 0 and form != "missing":
+            if flag.type is not bool and form != "missing":
                 argv.append(value)
     return argv
 
@@ -932,7 +983,7 @@ def outcome(call, argv):
 
 
 def argparse_parse(argv):
-    return cli._command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return cli._parsers()[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 @settings(max_examples=200)
@@ -977,12 +1028,17 @@ def test_benchmark_command_lines_skip_argparse(capsys, monkeypatch, tmp_path):
             return original(self, *args, **kwargs)
         return count
 
-    for method in ("parse_args", "parse_known_args"):
+    for method in ("__init__", "parse_args", "parse_known_args"):
         monkeypatch.setattr(argparse.ArgumentParser, method, counted(method))
+    cli._parsers.cache_clear()
     for expected, command_line in BENCHMARK_ARGV:
         out = tmp_path / "report"
         assert run(capsys, *command_line.split(), "--out", str(out)) == (expected, "", "")
+        # not even a parser is constructed
         assert out.read_text() and calls == [], command_line
+    # flags before the subcommand go to the top-level parser, which rejects them
+    assert run_to_exit(capsys, "--format", "json", "readout")[0] == 2
+    assert calls.count("__init__") == 1 + len(cli._COMMANDS)
     # Help, an abbreviation and a bad value go through argparse once.
     for argv, code, stream, text in (
         (["readout", "-h"], 0, "out", "usage: dqdsim readout [-h]"),
@@ -1039,13 +1095,13 @@ def test_every_command_line_keeps_the_exit_code_contract(argv_paths, data):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "two-phonon model assumes")
-        for name, (help_text, handler, add_flags) in cli._COMMANDS.items():
-            patch.setitem(cli._COMMANDS, name, (help_text, recording(handler), add_flags))
-        cli._build_parser.cache_clear()
+        for name, (help_text, handler, flags) in cli._COMMANDS.items():
+            patch.setitem(cli._COMMANDS, name, (help_text, recording(handler), flags))
+        cli._parsers.cache_clear()
         try:
             code, out, err = outcome(main, argv)
         finally:
-            cli._build_parser.cache_clear()
+            cli._parsers.cache_clear()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
