@@ -49,7 +49,7 @@ from . import compiler
 from .basis import basis_labels, computational_basis_state, leakage_population
 from .constants import MAX_BIAS_SAMPLES, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, MAX_TRACE_SAMPLES
 from .gates import GateId, gate_matrix, verify_catalog_identities
-from .linalg import dist_up_to_global_phase, require_normalized
+from .linalg import dist_up_to_global_phase
 from .reporting import render_csv, render_json, write_text
 
 if TYPE_CHECKING:
@@ -163,8 +163,7 @@ def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
                 and all(isinstance(x, float) and np.isfinite(x) for x in pair)
                 for pair in data)):
             raise ValueError("initial state file must hold six [re, im] pairs of finite numbers")
-        state = np.array([complex(re, im) for re, im in data])
-        return "custom", require_normalized(state)
+        return "custom", np.array([complex(re, im) for re, im in data])  # evolve checks its norm
     return args.initial, computational_basis_state(args.initial)
 
 

@@ -37,7 +37,6 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -97,25 +96,42 @@ _SIGNS = np.array([_GENERATORS[e][0] for e in ELECTRODES])
 _UNITS = np.stack([_GENERATORS[e][1] for e in ELECTRODES]).real
 _ELECTRODE_INDEX = {e: i for i, e in enumerate(ELECTRODES)}
 
-# Projectors of each unit onto its eigenvalues +1, -1 and 0, shape (7, 6, 6):
-# exp(-1j * phi * U) = P0 + z * P+ + conj(z) * P-, z = exp(-1j * phi).  The
-# units' entries are 0 and +-1, so every entry here is exactly 0, +-1/2 or 1.
-_PLUS = (_UNITS @ _UNITS + _UNITS) / 2.0
-_MINUS = (_UNITS @ _UNITS - _UNITS) / 2.0
-_ZERO = np.eye(6) - _UNITS @ _UNITS
-
-# The same sum as one product: the coefficients (1, Re z, Im z) at electrode
-# e, zero elsewhere, times this table give the real and imaginary parts of
-# P0 + z P+ + conj(z) P- = (P0 + Re z (P+ + P-)) + 1j Im z (P+ - P-).  Its
-# entries are 0 and +-1, so every product and sum in it is exact.
+# exp(-1j * phi * U) = P0 + z * P+ + conj(z) * P-, z = exp(-1j * phi), with the
+# projectors of each unit onto its eigenvalues 0, +1 and -1: P0 = I - U^2,
+# P+ + P- = U^2 and P+ - P- = U.  As one product: the coefficients (1, Re z,
+# Im z) at electrode e, zero elsewhere, times this table give the real and
+# imaginary parts of (P0 + Re z (P+ + P-)) + 1j Im z (P+ - P-).  The units'
+# entries are 0 and +-1, so are this table's, and every product and sum in
+# it is exact.
 _SPECTRAL = np.zeros((len(ELECTRODES), 3, 6, 6, 2))
-_SPECTRAL[:, 0, :, :, 0] = _ZERO
-_SPECTRAL[:, 1, :, :, 0] = _PLUS + _MINUS
-_SPECTRAL[:, 2, :, :, 1] = _PLUS - _MINUS
+_SPECTRAL[:, 1, :, :, 0] = _UNITS @ _UNITS
+_SPECTRAL[:, 0, :, :, 0] = np.eye(6) - _SPECTRAL[:, 1, :, :, 0]
+_SPECTRAL[:, 2, :, :, 1] = _UNITS
 
 # Segments multiplied per tree; bounds evolve's memory (128 segment unitaries,
 # 74 kB) for any schedule length.
 _CHUNK_SEGMENTS = 128
+
+
+def _segment(electrode: object, amplitude: object, duration: object) -> tuple[int, float, float]:
+    """The rule every segment passes: the electrode's index in :data:`ELECTRODES`
+    and the amplitude and duration as floats, or a ``ValueError`` naming the
+    first fault.  The phase ``|a| * t / hbar`` must be finite too, computed in
+    :func:`evolve`'s order."""
+    try:
+        index = _ELECTRODE_INDEX[electrode]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown electrode {electrode!r}; expected one of {ELECTRODES}") from None
+    a = amplitude if type(amplitude) is float else require_float("amplitude_ueV", amplitude)
+    t = duration if type(duration) is float else require_float("duration_ns", duration)
+    if not math.isfinite(a):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"duration must be >= 0 ns, got {duration!r}")
+    if not math.isfinite((t / HBAR_UEV_NS) * abs(a)):
+        raise ValueError(f"amplitude_ueV = {amplitude!r} and duration_ns = {duration!r} "
+                         "give a pulse phase outside the float range")
+    return index, a, t
 
 
 @dataclass(frozen=True)
@@ -127,20 +143,7 @@ class PulseSegment:
     duration_ns: float
 
     def __post_init__(self) -> None:
-        if self.electrode not in ELECTRODES:
-            raise ValueError(
-                f"unknown electrode {self.electrode!r}; expected one of {ELECTRODES}"
-            )
-        amplitude = require_float("amplitude_ueV", self.amplitude_ueV)
-        duration = require_float("duration_ns", self.duration_ns)
-        if not math.isfinite(amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude_ueV!r}")
-        if not (math.isfinite(duration) and duration >= 0.0):
-            raise ValueError(f"duration must be >= 0 ns, got {self.duration_ns!r}")
-        phase = (duration / HBAR_UEV_NS) * abs(amplitude)
-        if not math.isfinite(phase):  # evolve's rotation angle, in its own order
-            raise ValueError(f"amplitude_ueV = {self.amplitude_ueV!r} and duration_ns = "
-                             f"{self.duration_ns!r} give a pulse phase outside the float range")
+        _segment(self.electrode, self.amplitude_ueV, self.duration_ns)
 
 
 class Schedule(Sequence[PulseSegment]):
@@ -358,63 +361,44 @@ def schedule_to_json(schedule: Iterable[PulseSegment]) -> list[dict[str, float |
 _SEGMENT_KEYS = ("electrode", "amplitude_ueV", "duration_ns")
 
 
-def _plain_columns(data: list) -> Schedule | None:
-    """``data`` checked a column at a time, or ``None`` where a segment may fail
-    the per-segment checks of :func:`schedule_from_json`, which these match or exceed."""
-    if not ({*map(type, data)} <= {dict} and {*map(len, data)} <= {3}):
-        return None
-    try:
-        names, amplitudes, durations = ([*map(itemgetter(key), data)] for key in _SEGMENT_KEYS)
-        if not ({*map(type, names)} <= {str}
-                and {*map(type, amplitudes), *map(type, durations)} <= {int, float}):
-            return None
-        index = np.array([*map(_ELECTRODE_INDEX.__getitem__, names)], dtype=np.intp)
-        amplitude = np.array(amplitudes, dtype=float)
-        duration = np.array(durations, dtype=float)
-    except (KeyError, OverflowError):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = (duration / HBAR_UEV_NS) * np.abs(amplitude)
-    # phase < inf also fails a nan or inf amplitude or duration, times 0 or not.
-    if not np.all((duration >= 0.0) & (phase < np.inf)):
-        return None
-    return Schedule(index, amplitude, duration)
-
-
 def schedule_from_json(data: object) -> Schedule:
-    """Parse a schedule from decoded JSON, naming the offending segment on error.
+    """Parse a schedule from decoded JSON, naming the first offending segment on error.
 
-    The segments are checked one at a time only when their columns fail.
+    Each segment must be an object with exactly the three keys, a string
+    electrode and two numbers that are not bools; then it passes the rule
+    of :class:`PulseSegment`, and no segment object is built.
     """
     if not isinstance(data, list):
         raise ValueError(f"schedule must be a JSON array of segments, got {type(data).__name__}")
-    schedule = _plain_columns(data)
-    if schedule is not None:
-        return schedule
-    segments: list[PulseSegment] = []
+    rows = []
     for i, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise ValueError(f"segment {i}: expected an object, got {type(item).__name__}")
-        extra = item.keys() - _SEGMENT_KEYS
-        if extra:
-            raise ValueError(f"segment {i}: unknown keys {sorted(extra)}")
         try:
-            electrode = item["electrode"]
-            amplitude = item["amplitude_ueV"]
-            duration = item["duration_ns"]
-        except KeyError as missing:
-            raise ValueError(f"segment {i}: missing key {missing.args[0]!r}") from None
-        if not isinstance(electrode, str):
-            raise ValueError(f"segment {i}: electrode must be a string")
-        if isinstance(amplitude, bool) or not isinstance(amplitude, (int, float)):
-            raise ValueError(f"segment {i}: amplitude_ueV must be a number")
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
-            raise ValueError(f"segment {i}: duration_ns must be a number")
-        try:  # PulseSegment checks both numbers
-            segments.append(PulseSegment(electrode, amplitude, duration))
+            if not isinstance(item, dict):
+                raise ValueError(f"expected an object, got {type(item).__name__}")
+            try:  # three keys, all found, are exactly the three
+                if len(item) != 3:
+                    raise KeyError
+                electrode, amplitude, duration = (item["electrode"], item["amplitude_ueV"],
+                                                  item["duration_ns"])
+            except KeyError:
+                extra = item.keys() - _SEGMENT_KEYS
+                if extra:
+                    raise ValueError(f"unknown keys {sorted(extra)}")
+                raise ValueError(f"missing key {next(k for k in _SEGMENT_KEYS if k not in item)!r}")
+            if not isinstance(electrode, str):
+                raise ValueError("electrode must be a string")
+            if type(amplitude) is not float and (isinstance(amplitude, bool)
+                                                 or not isinstance(amplitude, (int, float))):
+                raise ValueError("amplitude_ueV must be a number")
+            if type(duration) is not float and (isinstance(duration, bool)
+                                                or not isinstance(duration, (int, float))):
+                raise ValueError("duration_ns must be a number")
+            rows.append(_segment(electrode, amplitude, duration))
         except ValueError as exc:
             raise ValueError(f"segment {i}: {exc}") from None
-    return _columns(segments)
+    index, amplitude, duration = zip(*rows) if rows else ((), (), ())
+    return Schedule(np.array(index, dtype=np.intp), np.array(amplitude, dtype=float),
+                    np.array(duration, dtype=float))
 
 
 def load_schedule(path: str | Path) -> Schedule:

@@ -801,6 +801,17 @@ def test_malformed_initial_file_is_a_usage_error(capsys, tmp_path, text):
     assert "Traceback" not in err
 
 
+def test_unnormalized_initial_file_is_a_usage_error(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text("[" + ", ".join(["[0.5, 0.5]"] * 6) + "]")  # six finite pairs, norm sqrt(3)
+    code, out, err = run(capsys, "evolve", "--schedule", str(GOLDEN / "swap_schedule.json"),
+                         "--initial-file", str(state))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "state vector is not normalized" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command_line", [
     "verify --tolerance nan",
     "verify --tolerance=-1e-9",

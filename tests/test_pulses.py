@@ -131,11 +131,17 @@ def test_units_have_exact_spectral_projectors():
         assert np.array_equal(u, pulses._GENERATORS[electrode][1]), electrode
         assert np.array_equal(u, u.conj().T), electrode
         assert np.array_equal(u @ u @ u, u), electrode
-        projectors = (pulses._PLUS[e], pulses._MINUS[e], pulses._ZERO[e])
-        assert np.array_equal(sum(projectors), eye), electrode
-        for p in projectors:
+        plus, minus, zero = (u @ u + u) / 2.0, (u @ u - u) / 2.0, eye - u @ u
+        assert np.array_equal(plus + minus + zero, eye), electrode
+        for p in (plus, minus, zero):
             assert np.array_equal(p @ p, p), electrode
-        assert np.array_equal(pulses._PLUS[e] - pulses._MINUS[e], u), electrode
+        assert np.array_equal(plus - minus, u), electrode
+        table = pulses._SPECTRAL[e]
+        assert np.array_equal(table[0, ..., 0], zero), electrode
+        assert np.array_equal(table[1, ..., 0], plus + minus), electrode
+        assert np.array_equal(table[2, ..., 1], plus - minus), electrode
+        assert not table[0, ..., 1].any() and not table[1, ..., 1].any(), electrode
+        assert not table[2, ..., 0].any(), electrode
 
 
 def test_evolve_never_calls_eigh(monkeypatch):
@@ -264,6 +270,33 @@ def test_evolve_is_unitary_norm_preserving_and_leak_free_without_e12(schedule, p
     intra = evolve([s for s in schedule if s.electrode != "E12"])
     assert np.max(np.abs(intra[np.ix_(LEAKAGE_ROWS, COMPUTATIONAL_ROWS)])) <= 1e-12
     assert np.max(np.abs(intra[np.ix_(COMPUTATIONAL_ROWS, LEAKAGE_ROWS)])) <= 1e-12
+
+
+@settings(max_examples=50)
+@given(
+    schedule=st.lists(st.tuples(st.sampled_from(ELECTRODES), st.floats(-1e3, 1e3),
+                                st.one_of(st.just(0.0), st.floats(1e-6, 1e3))), max_size=40),
+    k=st.integers(-4, 4),
+)
+def test_scaling_amplitudes_up_and_durations_down_keeps_the_unitary_bitwise(schedule, k):
+    """Metamorphic relation (a, t) -> (2**k a, t / 2**k) on every segment.
+
+    A segment enters evolve only through its phase (t / hbar) * (sign * a).
+    Scaling by a power of two is exact while no value leaves the normal
+    range, which holds here (t is 0 or at least 1e-6 ns, |a| at most
+    1e3 ueV, |k| at most 4).  So ((t / 2**k) / hbar) * (sign * 2**k a) is
+    the product of (t / hbar) / 2**k and 2**k (sign * a): the same real
+    number as before, rounded once to the same double.  Equal phases give
+    equal segment unitaries, and equal factors multiplied in the same tree
+    give a bitwise-equal result, from a list of segments and through the
+    JSON reader alike.
+    """
+    factor = 2.0 ** k
+    original = [PulseSegment(e, a, t) for e, a, t in schedule]
+    scaled = [PulseSegment(e, a * factor, t / factor) for e, a, t in schedule]
+    u = evolve(original)
+    assert np.array_equal(evolve(scaled), u)
+    assert np.array_equal(evolve(schedule_from_json(schedule_to_json(scaled))), u)
 
 
 def test_evolve_rejects_unnormalized_vector():

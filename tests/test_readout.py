@@ -208,6 +208,38 @@ def test_optimal_time_is_half_rabi_period():
     assert best.distinguishability > 0.9999
 
 
+_ZERO_OR_NORMAL = st.one_of(st.just(0.0), st.floats(1e-3, 50.0))  # 0, or far from subnormal
+
+
+@example(t_c=5.0, bias=10.0, duration=0.4, samples=800, k=1)
+@given(t_c=_ZERO_OR_NORMAL, bias=_ZERO_OR_NORMAL | _ZERO_OR_NORMAL.map(lambda b: -b),
+       duration=st.floats(0.01, 2.0),
+       samples=st.integers(1, 2000), k=st.integers(-3, 3))
+def test_scaling_energies_up_and_times_down_keeps_the_traces_bitwise(t_c, bias, duration,
+                                                                     samples, k):
+    """Metamorphic relation ReadoutConfig(t_c, b, T, dt) -> (2**k t_c, 2**k b, T / 2**k,
+    dt / 2**k).
+
+    Scaling by a power of two is exact while no value leaves the normal
+    range, which holds here.  The sample count floor(T / dt + 1e-9) sees
+    the same quotient, and every sample time j * dt scales by 2**-k.  E =
+    hypot(t_c, b / 2) = sqrt(t_c**2 + (b / 2)**2) scales by 2**k, since
+    every step of it scales exactly, so the ratios t_c / E and (b / 2) / E
+    are unchanged, and E * t / hbar is the same real product, rounded to
+    the same double: p_left is bitwise equal and the best time is the same
+    sample, at 2**-k times the original time (0.146 ns against 0.073 ns in
+    the example).
+    """
+    factor = 2.0 ** k
+    timestep = duration / samples
+    original = readout_traces(ReadoutConfig(t_c, bias, duration, timestep))
+    scaled = readout_traces(ReadoutConfig(t_c * factor, bias * factor, duration / factor,
+                                          timestep / factor))
+    assert np.array_equal(scaled.p_left, original.p_left)
+    assert scaled.best_sample == original.best_sample
+    assert scaled.best.time_ns == original.best.time_ns / factor
+
+
 def test_balanced_bias_separates_states_perfectly():
     # at bias = 2 * coupling the mixing angle is exactly pi/4 per level and
     # the two space states land on opposite dots after half a period
