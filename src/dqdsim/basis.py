@@ -30,6 +30,8 @@ __all__ = [
     "EXTENDED_BASIS",
     "COMPUTATIONAL_ROWS",
     "LEAKAGE_ROWS",
+    "LOGICAL_Z",
+    "LOGICAL_BITS",
     "basis_labels",
     "basis_state",
     "computational_basis_state",
@@ -66,7 +68,16 @@ COMPUTATIONAL_ROWS: tuple[int, int, int, int] = (0, 2, 3, 5)
 #: Rows outside the computational subspace.
 LEAKAGE_ROWS: tuple[int, int] = (1, 4)
 
-_BIT_TO_ROW = {"00": 0, "01": 2, "10": 3, "11": 5}
+#: Logical z of qubit 1 and qubit 2 on each row, read off the levels of the qubit's
+#: two DQDs: +1 for ``+-`` (qubit value 0), -1 for ``-+`` (value 1), 0 on leakage.
+LOGICAL_Z = {q: np.array([{(_P, _M): 1.0, (_M, _P): -1.0}.get(c[2 * q - 2:2 * q], 0.0)
+                          for c in EXTENDED_BASIS]) for q in (1, 2)}
+
+#: Logical basis-state labels, qubit 1 first, in :data:`COMPUTATIONAL_ROWS` order.
+LOGICAL_BITS = tuple("".join("0" if LOGICAL_Z[q][row] > 0 else "1" for q in (1, 2))
+                     for row in COMPUTATIONAL_ROWS)
+
+_BIT_TO_ROW = dict(zip(LOGICAL_BITS, COMPUTATIONAL_ROWS))
 
 
 def basis_labels() -> tuple[str, ...]:
@@ -90,7 +101,8 @@ def computational_basis_state(bits: str) -> np.ndarray:
     try:
         return basis_state(_BIT_TO_ROW[bits])
     except KeyError:
-        raise ValueError(f"bits must be one of '00','01','10','11', got {bits!r}") from None
+        raise ValueError(f"bits must be one of {','.join(map(repr, LOGICAL_BITS))}, "
+                         f"got {bits!r}") from None
 
 
 def leakage_population(v6: np.ndarray) -> float:

@@ -46,8 +46,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import compiler
-from .basis import basis_labels, computational_basis_state, leakage_population
-from .constants import MAX_BIAS_SAMPLES, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION, MAX_TRACE_SAMPLES
+from .basis import LOGICAL_BITS, basis_labels, computational_basis_state, leakage_population
+from .constants import (MAX_BIAS_SAMPLES, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION,
+                        MAX_TRACE_SAMPLES, PHONON_KINDS)
 from .gates import GateId, gate_matrix, verify_catalog_identities
 from .linalg import dist_up_to_global_phase
 from .reporting import render_csv, render_json, write_text
@@ -102,7 +103,7 @@ _CHECKS = {
     "fidelity": (lambda fidelity, tol: fidelity >= 1.0 - tol, 1e-9),  # evolve --target
     "tau_exponent": (operator.le, 1e-10),  # |fitted + built-in lifetime exponent|, per branch
     **{f"rate_exponent[{kind}]": (lambda fit, b: abs(fit - b[0]) <= b[1], (declared, 0.1))
-       for kind, declared in (("deformation", 6.0), ("piezoelectric", 2.0))},  # |fitted - declared|
+       for kind, declared in zip(PHONON_KINDS, (6.0, 2.0))},  # |fitted - declared|
     "selection_ratio": (operator.le, 1e-3),  # forbidden / allowed, per spin pair
     "distinguishability": (operator.ge, 0.99),  # readout --scan
     "propagator_max_error": (operator.le, 1e-12),  # readout
@@ -291,8 +292,7 @@ def _selection_table(args: argparse.Namespace) -> Result:
 
 def _selected_branches(choice: str) -> list[decoherence.PhononBranch]:
     from . import decoherence
-    kinds = ("deformation", "piezoelectric")
-    return [decoherence.PhononBranch(k) for k in kinds if choice in (k, "both")]
+    return [decoherence.PhononBranch(k) for k in PHONON_KINDS if choice in (k, "both")]
 
 
 def _geometry(args: argparse.Namespace) -> decoherence.DotGeometry:
@@ -402,7 +402,7 @@ _COMMANDS = {
     "evolve": ("apply a pulse schedule to a state", _cmd_evolve, {
         **_COMMON, "--tolerance": _Flag(_tolerance, _CHECKS["fidelity"][1]),
         "--schedule": _Flag(help="JSON pulse schedule file"),
-        "--initial": _Flag(default="00", choices=("00", "01", "10", "11")),
+        "--initial": _Flag(default="00", choices=LOGICAL_BITS),
         "--initial-file": _Flag(help="JSON file with six [re, im] pairs"),
         "--target": _Flag(choices=tuple(g.value for g in GateId)),
     }),
@@ -415,7 +415,7 @@ _COMMANDS = {
                                         "16..%d for the selection rule (default 800)"
                                         % (MAX_RESOLUTION, MAX_SELECTION_RESOLUTION)),
         "--sweep": _Flag(default="tau", choices=("tau", "rate", "selection")),
-        "--branch": _Flag(default="both", choices=("deformation", "piezoelectric", "both")),
+        "--branch": _Flag(default="both", choices=(*PHONON_KINDS, "both")),
         "--deps": _Flag(float, 0.1, help="level splitting (ueV) for rate sweeps"),
         "--deps-min": _Flag(float, 0.5),
         "--deps-max": _Flag(float, 5.0),

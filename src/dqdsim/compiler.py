@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import COMPUTATIONAL_ROWS
+from .basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, LOGICAL_Z
 from .gates import GateId, gate_matrix
 from .linalg import dist_up_to_global_phase, require_count
 
@@ -75,21 +75,17 @@ SQRT_SWAP_4 = np.array(
     dtype=complex,
 )
 
-#: 4-dim conditional phase flip.
-CZ_4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+#: 4-dim conditional phase flip: the catalog phase gate on the computational rows.
+CZ_4 = gate_matrix(GateId.PHASE)[np.ix_(COMPUTATIONAL_ROWS, COMPUTATIONAL_ROWS)]
 
 # Diagonal phase patterns of the two z-gate sign conventions, 4-dim.
 # "minus_half_on_zero": qubit value 0 gets exp(-1j*theta/2), value 1 the
 # conjugate; "plus_half_on_zero" is the mirrored convention.
 _XOR_CONVENTIONS = ("minus_half_on_zero", "plus_half_on_zero")
 
-# Per qubit, the sign of each row's computational phase in Z_q(theta): -1 on
-# rows where the qubit is 0, +1 where it is 1 (rows 0, 2, 3, 5), and 0 on
-# the leakage rows 1 (both DQDs of qubit 1 in "+") and 4 (both in "-").
-_ROW_SIGN = {
-    1: np.array([-1.0, 0.0, -1.0, 1.0, 0.0, 1.0]),
-    2: np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]),
-}
+# Per qubit, the sign of each computational row's phase in Z_q(theta): -1 on
+# rows where the qubit is 0, +1 where it is 1, the negated logical z.
+_ROW_SIGN = {q: -z for q, z in LOGICAL_Z.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -118,8 +114,9 @@ def _z_phases(qubit: int, theta: float, k_pp: int, k_mm: int, offset: float) -> 
     """Diagonal of ``Z_qubit(theta)``, shape ``(6,)``, for one embedding."""
     half = theta / 2.0
     angles = _ROW_SIGN[qubit] * half
-    angles[1] = k_pp * half + offset
-    angles[4] = k_mm * half + offset
+    pp_row, mm_row = LEAKAGE_ROWS  # qubit 1's DQDs both in "+", both in "-"
+    angles[pp_row] = k_pp * half + offset
+    angles[mm_row] = k_mm * half + offset
     return np.exp(1j * angles)
 
 

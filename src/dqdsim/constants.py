@@ -5,8 +5,8 @@ nanometres (nm), temperatures kelvin (K).  These units put single-qubit
 pulse amplitudes, thermal energies at dilution-fridge temperatures and
 phonon wavevectors all within a few orders of magnitude of unity.
 
-The caps on input sizes live here too, so the command-line help can name
-them without loading the modules that enforce them.
+The caps on input sizes and the phonon kind names live here too, so the
+command-line flags can name them without loading the modules that use them.
 """
 
 #: Reduced Planck constant, ueV * ns.
@@ -14,6 +14,9 @@ HBAR_UEV_NS = 0.6582119569
 
 #: Boltzmann constant, ueV / K.
 K_B_UEV_PER_K = 86.17333262
+
+#: Acoustic phonon coupling kinds, in the order of every per-kind table and report.
+PHONON_KINDS = ("deformation", "piezoelectric")
 
 #: Largest two-phonon quadrature resolution; the convergence check runs
 #: ``2 * resolution`` Gauss-Legendre nodes, whose O(n^2)-time Newton setup

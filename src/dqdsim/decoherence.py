@@ -31,7 +31,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .constants import HBAR_UEV_NS, K_B_UEV_PER_K, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION
+from .constants import (HBAR_UEV_NS, K_B_UEV_PER_K, MAX_RESOLUTION, MAX_SELECTION_RESOLUTION,
+                        PHONON_KINDS)
 from .linalg import require_count
 
 __all__ = [
@@ -122,8 +123,9 @@ class PhononBranch:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("deformation", "piezoelectric"):
-            raise ValueError(f"kind must be 'deformation' or 'piezoelectric', got {self.kind!r}")
+        if self.kind not in PHONON_KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, PHONON_KINDS))}, "
+                             f"got {self.kind!r}")
 
     @property
     def tau_exponent(self) -> int:

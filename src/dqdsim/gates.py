@@ -32,126 +32,6 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 _A = (1.0 - 1.0j) / 2.0  # 1/sqrt(2j): diagonal entry of the NOT square roots
 _B = (1.0 + 1.0j) / 2.0  # 1j/sqrt(2j): off-diagonal entry of the NOT square roots
 
-# Logical X on qubit 1: exchanges the |0x> and |1x> rows, fixes leakage.
-_NOT1 = np.array(
-    [
-        [0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-
-# Logical X on qubit 2.
-_NOT2 = np.array(
-    [
-        [0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 0],
-    ],
-    dtype=complex,
-)
-
-# Exchange of the two inner DQDs; maps |00> into the first leakage
-# configuration and |11> into the second, and is a Hermitian involution.
-_EXCHANGE = np.array(
-    [
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
-
-# Full qubit swap: |01> <-> |10>, leakage configurations exchanged.
-_SWAP = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
-
-_SQRT_NOT1 = np.array(
-    [
-        [_A, 0, 0, _B, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, _A, 0, 0, _B],
-        [_B, 0, 0, _A, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, _B, 0, 0, _A],
-    ],
-    dtype=complex,
-)
-
-_SQRT_NOT2 = np.array(
-    [
-        [_A, 0, _B, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [_B, 0, _A, 0, 0, 0],
-        [0, 0, 0, _A, 0, _B],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, _B, 0, _A],
-    ],
-    dtype=complex,
-)
-
-_SQRT_SWAP = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, -0.5j, 0.5, 0.5, 0.5j, 0],
-        [0, 0.5, -0.5j, 0.5j, 0.5, 0],
-        [0, 0.5, 0.5j, -0.5j, 0.5, 0],
-        [0, 0.5j, 0.5, 0.5, -0.5j, 0],
-        [0, 0, 0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
-
-# Conditional phase flip: |11> acquires a sign, everything else is fixed.
-_PHASE = np.diag([1, 1, 1, 1, 1, -1]).astype(complex)
-
-# Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
-_HADAMARD_Q2 = np.array(
-    [
-        [_SQ2, 0, _SQ2, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [_SQ2, 0, -_SQ2, 0, 0, 0],
-        [0, 0, 0, _SQ2, 0, _SQ2],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, _SQ2, 0, -_SQ2],
-    ],
-    dtype=complex,
-)
-
-# Controlled NOT (qubit 1 controls): |10> <-> |11>, leakage fixed.
-_CNOT = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 0],
-    ],
-    dtype=complex,
-)
-
-_IDENTITY = np.eye(6, dtype=complex)
-
 
 class GateId(Enum):
     """Names of the catalog gates; values double as CLI spellings."""
@@ -169,18 +49,118 @@ class GateId(Enum):
     CNOT = "cnot"
 
 
+#: Every gate as an exact literal, in the order of the ``unitary[...]`` keys of
+#: :func:`verify_catalog_identities`.
 _CATALOG: dict[GateId, np.ndarray] = {
-    GateId.IDENTITY: _IDENTITY,
-    GateId.NOT1: _NOT1,
-    GateId.NOT2: _NOT2,
-    GateId.SQRT_NOT1: _SQRT_NOT1,
-    GateId.SQRT_NOT2: _SQRT_NOT2,
-    GateId.EXCHANGE: _EXCHANGE,
-    GateId.SWAP: _SWAP,
-    GateId.SQRT_SWAP: _SQRT_SWAP,
-    GateId.PHASE: _PHASE,
-    GateId.HADAMARD_Q2: _HADAMARD_Q2,
-    GateId.CNOT: _CNOT,
+    GateId.IDENTITY: np.eye(6, dtype=complex),
+    # Logical X on qubit 1: exchanges the |0x> and |1x> rows, fixes leakage.
+    GateId.NOT1: np.array(
+        [
+            [0, 0, 0, 1, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 1, 0, 0, 0],
+        ],
+        dtype=complex,
+    ),
+    # Logical X on qubit 2.
+    GateId.NOT2: np.array(
+        [
+            [0, 0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 1, 0, 0],
+        ],
+        dtype=complex,
+    ),
+    GateId.SQRT_NOT1: np.array(
+        [
+            [_A, 0, 0, _B, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, _A, 0, 0, _B],
+            [_B, 0, 0, _A, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, _B, 0, 0, _A],
+        ],
+        dtype=complex,
+    ),
+    GateId.SQRT_NOT2: np.array(
+        [
+            [_A, 0, _B, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [_B, 0, _A, 0, 0, 0],
+            [0, 0, 0, _A, 0, _B],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, _B, 0, _A],
+        ],
+        dtype=complex,
+    ),
+    # Exchange of the two inner DQDs; maps |00> into the first leakage
+    # configuration and |11> into the second, and is a Hermitian involution.
+    GateId.EXCHANGE: np.array(
+        [
+            [0, 1, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 1, 0],
+        ],
+        dtype=complex,
+    ),
+    # Full qubit swap: |01> <-> |10>, leakage configurations exchanged.
+    GateId.SWAP: np.array(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+        ],
+        dtype=complex,
+    ),
+    GateId.SQRT_SWAP: np.array(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, -0.5j, 0.5, 0.5, 0.5j, 0],
+            [0, 0.5, -0.5j, 0.5j, 0.5, 0],
+            [0, 0.5, 0.5j, -0.5j, 0.5, 0],
+            [0, 0.5j, 0.5, 0.5, -0.5j, 0],
+            [0, 0, 0, 0, 0, 1],
+        ],
+        dtype=complex,
+    ),
+    # Conditional phase flip: |11> acquires a sign, everything else is fixed.
+    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+    # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
+    GateId.HADAMARD_Q2: np.array(
+        [
+            [_SQ2, 0, _SQ2, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [_SQ2, 0, -_SQ2, 0, 0, 0],
+            [0, 0, 0, _SQ2, 0, _SQ2],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, _SQ2, 0, -_SQ2],
+        ],
+        dtype=complex,
+    ),
+    # Controlled NOT (qubit 1 controls): |10> <-> |11>, leakage fixed.
+    GateId.CNOT: np.array(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 1, 0, 0],
+        ],
+        dtype=complex,
+    ),
 }
 
 

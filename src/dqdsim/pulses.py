@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import COMPUTATIONAL_ROWS
+from .basis import COMPUTATIONAL_ROWS, LOGICAL_Z
 from .constants import HBAR_UEV_NS
 from .gates import GateId, gate_matrix
 from .linalg import dist_up_to_global_phase, is_unitary, require_float, require_normalized
@@ -65,8 +65,7 @@ __all__ = [
 ELECTRODES = ("E1", "E2", "E12", "T1", "T2", "T3", "T4")
 
 # Logical z of qubit 1 / qubit 2 on the computational rows, zero on leakage.
-_Z1 = np.diag([1.0, 0.0, 1.0, -1.0, 0.0, -1.0]).astype(complex)
-_Z2 = np.diag([1.0, 0.0, -1.0, 1.0, 0.0, -1.0]).astype(complex)
+_Z1, _Z2 = (np.diag(LOGICAL_Z[q]).astype(complex) for q in (1, 2))
 
 #: Electrode -> (sign, unit Hermitian generator); a segment's generator is
 #: ``(sign * amplitude) * unit``.  The sign stays out of the matrix and
@@ -339,10 +338,8 @@ def reproduction_residuals() -> dict[str, float]:
         evolve(sqrt_swap_sequence(_REPRODUCTION_AMPLITUDE_UEV)), gate_matrix(GateId.SQRT_SWAP)
     )
     u = evolve(calibrate_phase_flip(1, _REPRODUCTION_AMPLITUDE_UEV))
-    rows = np.asarray(COMPUTATIONAL_ROWS)
-    checks["pulse[phase_flip_dqd1]"] = dist_up_to_global_phase(
-        u[np.ix_(rows, rows)], np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    )
+    rows = np.ix_(COMPUTATIONAL_ROWS, COMPUTATIONAL_ROWS)
+    checks["pulse[phase_flip_dqd1]"] = dist_up_to_global_phase(u[rows], _Z1[rows])
     return checks
 
 

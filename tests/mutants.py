@@ -176,6 +176,49 @@ MUTANTS = (
         ', "degenerate": plan.degenerate}', "}",
         ("tests/test_cli.py::test_init_fails_when_the_readout_is_degenerate",),
     ),
+    Mutant(
+        "logical z with a flipped sign", "basis.py",
+        "(_M, _P): -1.0}", "(_M, _P): 1.0}",
+        ("tests/test_pulses.py::test_mirroring_the_four_dqds_permutes_the_unitary",),
+    ),
+    Mutant(
+        "catalog entries swapped", "gates.py",
+        """    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+    # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
+    GateId.HADAMARD_Q2: np.array(
+        [
+            [_SQ2, 0, _SQ2, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [_SQ2, 0, -_SQ2, 0, 0, 0],
+            [0, 0, 0, _SQ2, 0, _SQ2],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, _SQ2, 0, -_SQ2],
+        ],
+        dtype=complex,
+    ),
+""",
+        """    # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
+    GateId.HADAMARD_Q2: np.array(
+        [
+            [_SQ2, 0, _SQ2, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [_SQ2, 0, -_SQ2, 0, 0, 0],
+            [0, 0, 0, _SQ2, 0, _SQ2],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, _SQ2, 0, -_SQ2],
+        ],
+        dtype=complex,
+    ),
+    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+""",
+        ("tests/test_cli.py::test_compile_and_verify_match_golden_bytes",),
+    ),
+    Mutant(
+        "phonon kinds reordered", "constants.py",
+        'PHONON_KINDS = ("deformation", "piezoelectric")',
+        'PHONON_KINDS = ("piezoelectric", "deformation")',
+        ("tests/test_cli.py::test_help_screens_are_the_golden_bytes",),
+    ),
 )
 
 

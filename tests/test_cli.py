@@ -137,13 +137,16 @@ def test_evolve_rejects_malformed_schedule(capsys, tmp_path):
         {"electrode": "E1", "amplitude_ueV": 1.0, "duration_ns": 0.1},
         {"electrode": "E1", "amplitude_ueV": 1e10, "duration_ns": 1e300},
     ]))
-    for path in (bad, huge, overflow):
+    broken = tmp_path / "broken.json"
+    broken.write_text('[{"electrode": "E1",')
+    for path, message in ((bad, "segment 1"), (huge, "segment 1"), (overflow, "segment 1"),
+                          (broken, "not valid JSON")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "evolve", "--schedule", str(path))
         assert code == 2
         assert out == ""
-        assert "segment 1" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
 
 
 def test_evolve_accepts_custom_initial_state(capsys, tmp_path):
@@ -649,8 +652,16 @@ def test_readout_check_fails_when_the_readout_unitary_is_wrong(capsys, monkeypat
     (["compile", "--tolerance", "0"],
      ["cnot_residual", "phase_gate_best_residual", "xor_4dim_residual"]),
     (["init", "--tunnel-coupling", "0", "--bias", "0"], ["degenerate"]),
-], ids=["rate", "rate-piezoelectric", "scan", "evolve-target", "compile", "init"])
+    (["compile", "--tolerance", "0", "--format", "csv"],
+     ["cnot_residual", "phase_gate_best_residual", "xor_4dim_residual"]),
+], ids=["rate", "rate-piezoelectric", "scan", "evolve-target", "compile", "init", "compile-csv"])
 def test_failures_name_exactly_the_checks_that_fail(capsys, argv, failures):
+    if "csv" in argv:  # the flattened report: a failures[i] row per name, then passed
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        rows = [f"failures[{i}],{name}" for i, name in enumerate(failures)]
+        assert out.splitlines()[-len(failures) - 1:] == [*rows, "passed,false"]
+        return
     code, out, err = run(capsys, *argv, "--format", "json")
     report = json.loads(out)
     assert (code, err) == (1, "")
@@ -701,11 +712,15 @@ def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
     ({"scan": True}, "scan"),
     ({"tolerance": float("nan")}, "--tolerance"),
     ({"config": "cfg.json"}, "config key 'config'"),
+    ({"out": [1]}, "config key 'out' must be a string or a number"),
+    (("readout", {"scan": 1}), "config key 'scan' must be true or false"),
 ])
 def test_config_values_are_checked_like_flags(capsys, tmp_path, config, named):
+    # A config for compile, or a (subcommand, config) pair.
+    command, config = config if isinstance(config, tuple) else ("compile", config)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run_to_exit(capsys, "compile", "--config", str(cfg))
+    code, out, err = run_to_exit(capsys, command, "--config", str(cfg))
     assert code == 2
     assert out == ""
     assert named in err
@@ -755,6 +770,9 @@ PHASE_OVERFLOW = "--tunnel-coupling 1 --bias 2 --duration 1e308 --timestep 1e304
     ("decohere --sweep rate --t-min 1e-300 --t-max 1e-299", "temperature_K"),
     ("decohere --sweep rate --points 2 --deps nan", "delta_eps_ueV"),
     ("decohere --sweep rate --deps 0 --t-min 1 --t-max 2", "delta_eps_ueV"),
+    # 1e-9 kT, the window's lower end, passes the phonon cutoff hbar c_s q_max
+    ("decohere --sweep rate --t-min 1e12 --t-max 2e12 --points 2",
+     "spectral cutoff below the emission threshold"),
     # the lifetime (deps / anchor)**-5 overflows to inf or underflows to 0
     ("decohere --sweep tau --deps-min 1e-300", "deps"),
     ("decohere --sweep tau --deps-max 1e300", "deps"),

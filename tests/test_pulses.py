@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import pulses
-from dqdsim.basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, computational_basis_state
+from dqdsim.basis import (COMPUTATIONAL_ROWS, EXTENDED_BASIS, LEAKAGE_ROWS,
+                          computational_basis_state)
 from dqdsim.constants import HBAR_UEV_NS
 from dqdsim.gates import GateId, gate_matrix
 from dqdsim.linalg import dist_up_to_global_phase, max_abs_diff
@@ -297,6 +298,81 @@ def test_scaling_amplitudes_up_and_durations_down_keeps_the_unitary_bitwise(sche
     u = evolve(original)
     assert np.array_equal(evolve(scaled), u)
     assert np.array_equal(evolve(schedule_from_json(schedule_to_json(scaled))), u)
+
+
+def _random_schedules(count: int, with_e12: bool) -> list[list[PulseSegment]]:
+    """``count`` seeded schedules of 1..40 segments, each with an E12 pulse or none."""
+    rng = np.random.default_rng(18)
+    electrodes = [e for e in ELECTRODES if with_e12 or e != "E12"]
+    schedules = []
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        names = list(rng.choice(electrodes, n))
+        if with_e12:
+            names[rng.integers(n)] = "E12"
+        schedules.append([PulseSegment(str(e), float(a), float(t)) for e, a, t in
+                          zip(names, rng.uniform(-20.0, 20.0, n), rng.uniform(0.0, 2.0, n))])
+    return schedules
+
+
+def _relabelled(schedule: list[PulseSegment], names: dict[str, str]) -> list[PulseSegment]:
+    return [PulseSegment(names.get(s.electrode, s.electrode), s.amplitude_ueV, s.duration_ns)
+            for s in schedule]
+
+
+def test_mirroring_the_four_dqds_permutes_the_unitary():
+    """Symmetry: read the four DQDs right to left.
+
+    DQD k becomes DQD 5 - k, so qubit 1's pair (DQD 1, DQD 2) becomes qubit
+    2's pair read backwards, and a configuration's row goes to the row of
+    the reversed configuration: P, built here from ``EXTENDED_BASIS``.  The
+    electrodes follow: E1 <-> E2, T1 <-> T4, T2 <-> T3, and E12, between the
+    inner DQDs 2 and 3, stays.  Each generator then obeys P H_e P^T =
+    H_mirror(e) with the same amplitude (reversing a pair negates the
+    qubit's logical z, which the opposite T signs undo), and P is a
+    permutation, so a schedule and its mirror give P U P^T and U.  evolve
+    reaches them through different projectors and phases, so they agree to
+    rounding; the measured worst case over these 300 schedules is 6.1e-16.
+    """
+    row = {config: r for r, config in enumerate(EXTENDED_BASIS)}
+    p = np.zeros((6, 6))
+    for r, config in enumerate(EXTENDED_BASIS):
+        p[row[config[::-1]], r] = 1.0
+    mirror = {"E1": "E2", "E2": "E1", "T1": "T4", "T4": "T1", "T2": "T3", "T3": "T2"}
+    for schedule in _random_schedules(300, with_e12=True):
+        u = evolve(schedule)
+        assert max_abs_diff(evolve(_relabelled(schedule, mirror)), p @ u @ p.T) <= 2e-15
+
+
+def test_swapping_the_qubits_permutes_the_unitary_without_e12():
+    """Symmetry: exchange the two qubits, keeping each pair's DQD order.
+
+    DQD 1 <-> DQD 3 and DQD 2 <-> DQD 4 maps the rows as the catalog SWAP
+    does and the electrodes E1 <-> E2, T1 <-> T3, T2 <-> T4.  E12 couples
+    the inner DQDs 2 and 3, which this map sends to DQDs 4 and 1, so it has
+    no image among the electrodes: the relation holds only for schedules
+    without E12 (with E12 these schedules miss it by up to 1.5).  Without it, each
+    generator obeys S H_e S^T = H_swap(e) and the unitaries agree to
+    rounding; the measured worst case over these 300 schedules is 5.0e-16.
+    """
+    s = gate_matrix(GateId.SWAP).real
+    swap = {"E1": "E2", "E2": "E1", "T1": "T3", "T3": "T1", "T2": "T4", "T4": "T2"}
+    for schedule in _random_schedules(300, with_e12=False):
+        u = evolve(schedule)
+        assert max_abs_diff(evolve(_relabelled(schedule, swap)), s @ u @ s.T) <= 2e-15
+
+
+def test_the_reversed_schedule_with_negated_amplitudes_is_the_inverse():
+    """Metamorphic relation: U = U_k ... U_1 with U_i = exp(-i H(a_i) t_i / hbar),
+    and H(-a) = -H(a), so the segments reversed with negated amplitudes give
+    U_1^dagger ... U_k^dagger = U^dagger = U^-1.  The phases are negated
+    exactly; the tree products differ in order, so the two agree to
+    rounding: the measured worst case over these 300 schedules is 6.7e-16.
+    """
+    for schedule in _random_schedules(300, with_e12=True):
+        inverse = [PulseSegment(s.electrode, -s.amplitude_ueV, s.duration_ns)
+                   for s in reversed(schedule)]
+        assert max_abs_diff(evolve(inverse), evolve(schedule).conj().T) <= 2e-15
 
 
 def test_evolve_rejects_unnormalized_vector():
