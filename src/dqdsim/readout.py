@@ -46,20 +46,10 @@ __all__ = [
     "init_by_reversed_readout",
 ]
 
-#: Transformation from the space-state basis (+,-) to the dot basis (L,R).
+#: Transformation from the space-state basis (+,-) to the dot basis (L,R), and back.
 _TO_DOT_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_TO_SPACE_BASIS = _TO_DOT_BASIS.conj().T
-_DOT_STATES = np.eye(2, dtype=complex)  # |L> and |R>, as rows
 
-_INITIAL_SPACE_STATES = {
-    "plus": np.array([1.0, 0.0], dtype=complex),
-    "minus": np.array([0.0, 1.0], dtype=complex),
-}
-
-# Bias-times-sample elements per kernel call in scan_bias; bounds the scan's
-# memory to a few MB whatever n_bias and the trace length are.  Scan time
-# was flat from 2**12 to 2**16 elements.
-_SCAN_ELEMENTS = 1 << 14
+_INITIAL_SPACE_STATES = ("plus", "minus")  # the populations' plus/minus axis
 
 # How far scan_bias lets the kernel's contrast exceed its closed-form bound
 # (_contrast_bounds).  The two share E and the ratios bit for bit, so the
@@ -131,7 +121,7 @@ def _mixing(tunnel_coupling_ueV: float, biases_ueV: np.ndarray | float) -> tuple
 
 def rabi_frequency(config: ReadoutConfig) -> float:
     """Angular frequency (rad/ns) of the charge oscillation."""
-    return float(2.0 * np.hypot(config.tunnel_coupling_ueV, config.bias_ueV / 2.0) / HBAR_UEV_NS)
+    return 2.0 * _mixing(config.tunnel_coupling_ueV, float(config.bias_ueV))[0] / HBAR_UEV_NS
 
 
 def _sample_times(config: ReadoutConfig) -> np.ndarray:
@@ -156,35 +146,27 @@ def readout_unitary(config: ReadoutConfig, t_ns: float) -> np.ndarray:
                      [off_diagonal, cos - i_sin * -half_bias]])
 
 
-def _left_populations(
-    tunnel_coupling_ueV: float, biases_ueV: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Left-dot populations of ``|+>`` and ``|->``, one readout Hamiltonian per bias.
+def _left_populations(tunnel_coupling_ueV: float, bias_ueV: float, times: np.ndarray) -> np.ndarray:
+    """Left-dot populations of ``|+>`` and ``|->`` under one readout Hamiltonian.
 
     In closed form ``P_L(+/-) = 1/2 +/- x`` with
-    ``x = (t_c / E) ((bias / 2) / E) sin^2(E t / hbar)``.  Every value is
-    computed on its own, so it is bitwise that of a one-bias, one-state
-    evaluation whatever the stack size.  A stack of one bias (a readout
-    pulse, an init, a scan's top bias) takes ``E`` and the ratios as Python
-    floats.
+    ``x = (t_c / E) ((bias / 2) / E) sin^2(E t / hbar)``; ``E`` and the
+    ratios are Python floats from :func:`_mixing`.  Every value is computed
+    on its own, so it is bitwise that of a one-state evaluation.  A readout
+    pulse, an init and each bias a scan evaluates take this one pass.
 
     Args:
-        tunnel_coupling_ueV: tunnel coupling shared by every Hamiltonian.
-        biases_ueV: biases, shape ``(n_h,)``.
+        tunnel_coupling_ueV: tunnel coupling.
+        bias_ueV: bias.
         times: sample times (ns), shape ``(n_t,)``.
 
     Returns:
-        ``p_left`` of shape ``(2, n_h, n_t)``, plus then minus.
+        ``p_left`` of shape ``(2, n_t)``, plus then minus.
     """
-    if len(biases_ueV) == 1:
-        energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, float(biases_ueV[0]))
-        amplitude = coupling * half_bias
-    else:
-        energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, biases_ueV)
-        energy, amplitude = energy[:, None], (coupling * half_bias)[:, None]
+    energy, coupling, half_bias = _mixing(tunnel_coupling_ueV, float(bias_ueV))
     sine = np.sin(energy * times / HBAR_UEV_NS)
-    swing = amplitude * (sine * sine)
-    p_left = np.empty((2, len(biases_ueV), len(times)))
+    swing = coupling * half_bias * (sine * sine)
+    p_left = np.empty((2, len(times)))
     np.add(0.5, swing, out=p_left[0])
     np.subtract(0.5, swing, out=p_left[1])
     return p_left
@@ -219,14 +201,6 @@ def _optimum(times: np.ndarray, p_left: np.ndarray) -> tuple[int, OptimalReadout
     return k, OptimalReadout(float(times[k]), float(contrast[k]))
 
 
-def _optima(times: np.ndarray, p_left: np.ndarray) -> list[OptimalReadout]:
-    """:func:`_optimum` of each Hamiltonian of a stack, ``p_left`` of shape ``(2, n_h, n_t)``."""
-    contrast = np.abs(p_left[0] - p_left[1])
-    k = np.argmax(contrast, axis=-1)
-    best = contrast[np.arange(len(k)), k]
-    return [OptimalReadout(float(times[i]), float(c)) for i, c in zip(k, best)]
-
-
 def readout_traces(config: ReadoutConfig) -> ReadoutTraces:
     """Both space states' traces and their optimum, in closed form.
 
@@ -236,7 +210,7 @@ def readout_traces(config: ReadoutConfig) -> ReadoutTraces:
     contrast is identically zero (degenerate readout).
     """
     times = _sample_times(config)
-    p_left = _left_populations(config.tunnel_coupling_ueV, (config.bias_ueV,), times)[:, 0]
+    p_left = _left_populations(config.tunnel_coupling_ueV, config.bias_ueV, times)
     k, best = _optimum(times, p_left)
     return ReadoutTraces(times, p_left, best, k)
 
@@ -285,8 +259,8 @@ def scan_bias(
     (:func:`_contrast_bounds`); the kernel's contrast may exceed it by
     ``_SCREEN_SLACK`` = 1e-12 at most.  The kernel evaluates the bias of
     largest ``U``, whose contrast is ``D*``, then the other biases with
-    ``U_j >= D* - 2e-15 - _SCREEN_SLACK`` in index order, as stacks of at
-    most ``_SCAN_ELEMENTS`` bias-samples.  Every bias it skips is more than
+    ``U_j >= D* - 2e-15 - _SCREEN_SLACK`` in index order, one bias per
+    pass, as a readout pulse takes it.  Every bias it skips is more than
     2e-15 below ``D*``.  Unless a survivor beats that ceiling and every
     earlier survivor by more than 1e-15, the skipped biases are evaluated
     too, so the answer is bitwise that of evaluating every bias.  No bias
@@ -305,35 +279,25 @@ def scan_bias(
     times = _sample_times(pulse)
     bounds = _contrast_bounds(tunnel_coupling_ueV, biases, times[-1])
     top = int(bounds.argmax())
-    p_left = _left_populations(tunnel_coupling_ueV, biases[top:top + 1], times)
-    _, best = _optimum(times, p_left[:, 0])
-    floor = best.distinguishability - 2e-15 - _SCREEN_SLACK
-    survivors = (bounds >= floor).nonzero()[0]
-    ceiling = floor + _SCREEN_SLACK
-    if len(survivors) == 1 and best.distinguishability > ceiling + 1e-15:
-        # The top bias alone survives and beats the ceiling: the pass below
-        # would evaluate nothing more and keep it.
-        return float(biases[top]), best
-    step = max(1, _SCAN_ELEMENTS // len(times))
-    found = {top: best}
 
-    def evaluate(indices: np.ndarray) -> None:
-        for start in range(0, len(indices), step):
-            chunk = indices[start:start + step]
-            p_left = _left_populations(tunnel_coupling_ueV, biases[chunk], times)
-            found.update(zip(chunk.tolist(), _optima(times, p_left)))
+    def optimum(i: int) -> OptimalReadout:
+        return _optimum(times, _left_populations(tunnel_coupling_ueV, biases[i], times))[1]
 
-    evaluate(survivors[survivors != top])
+    found = {top: optimum(top)}
+    floor = found[top].distinguishability - 2e-15 - _SCREEN_SLACK
+    survivors = (bounds >= floor).nonzero()[0].tolist()
+    found.update((i, optimum(i)) for i in survivors if i != top)
     # A skipped bias lies below `ceiling`, yet it may hold the lead when a
     # survivor comes up.  The first survivor beating `ceiling` and every
     # earlier survivor by more than 1e-15 takes the lead whatever the skipped
     # biases hold, and no skipped bias can retake it.
-    for i in survivors.tolist():
+    ceiling = floor + _SCREEN_SLACK
+    for i in survivors:
         if found[i].distinguishability > ceiling + 1e-15:
             break
         ceiling = max(ceiling, found[i].distinguishability)
     else:
-        evaluate(np.flatnonzero(bounds < floor))
+        found.update((i, optimum(i)) for i in (bounds < floor).nonzero()[0].tolist())
     best_i = min(found)
     for i in sorted(found):
         if found[i].distinguishability > found[best_i].distinguishability + 1e-15:
@@ -375,12 +339,14 @@ def init_by_reversed_readout(config: ReadoutConfig, target: str = "plus") -> Ini
     if target not in _INITIAL_SPACE_STATES:
         raise ValueError(f"target must be 'plus' or 'minus', got {target!r}")
     _, populations, best, k = readout_traces(config)
-    state = list(_INITIAL_SPACE_STATES).index(target)  # the populations' plus/minus axis
+    state = _INITIAL_SPACE_STATES.index(target)
     p_left = float(populations[state, k])
-    source_dot = "L" if p_left >= 0.5 else "R"
+    source = 0 if p_left >= 0.5 else 1
+    source_dot = "LR"[source]
+    # U^dagger |source> is the conjugate of U's source row, and _TO_DOT_BASIS
+    # (real and symmetric) takes it to the space basis.
     u = readout_unitary(config, best.time_ns)
-    prepared_space = _TO_SPACE_BASIS @ (u.conj().T @ _DOT_STATES[0 if source_dot == "L" else 1])
-    fidelity = float(np.abs(np.vdot(_INITIAL_SPACE_STATES[target], prepared_space)) ** 2)
+    fidelity = float(np.abs((_TO_DOT_BASIS @ u[source].conj())[state]) ** 2)
     return InitPlan(
         target=target,
         source_dot=source_dot,

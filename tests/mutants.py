@@ -56,15 +56,22 @@ MUTANTS = (
          "tests/test_readout.py::test_edge_traces_are_bitwise_the_one_state_evaluation"),
     ),
     Mutant(
-        "stacked kernel without the E = 0 guard", "readout.py",
+        "array mixing without the E = 0 guard", "readout.py",
         "scale = np.where(energy > 0.0, energy, 1.0)", "scale = energy",
-        ("tests/test_readout.py::test_one_bias_pass_is_row_zero_of_a_stacked_pass",),
+        ("tests/test_readout.py::"
+         "test_float_mixing_is_the_array_entry_and_the_kernel_is_the_trace",),
     ),
     Mutant(
-        "scan keeps its top bias whatever survives", "readout.py",
-        "if len(survivors) == 1 and best.distinguishability", "if best.distinguishability",
+        "scan ceiling ignores earlier survivors", "readout.py",
+        "ceiling = max(ceiling, found[i].distinguishability)", "ceiling = ceiling",
         ("tests/test_readout.py::"
          "test_screen_falls_back_to_every_bias_when_skipped_ones_could_decide",),
+    ),
+    Mutant(
+        "scan evaluates only its first survivor", "readout.py",
+        "for i in survivors if i != top)", "for i in survivors[:1] if i != top)",
+        ("tests/test_readout.py::test_screened_scan_is_bitwise_the_oracle_scan",
+         "tests/test_readout.py::test_scan_screen_sends_one_bias_to_the_kernel"),
     ),
     Mutant(
         "trace table built for every format", "cli.py",

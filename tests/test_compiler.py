@@ -156,6 +156,22 @@ def test_search_stops_at_the_frozen_pattern_at_every_grid_size():
         assert search_embedding(n) == (frozen_pattern(n), 2.220446049250313e-16), n
 
 
+def test_solutions_at_n_scale_to_solutions_at_every_multiple_of_n():
+    """Metamorphic relation: a solution at grid n, scaled, is one at grid m n.
+
+    In units of pi/(4n) a turn is 8n, pi is 4n and offset j is 8j; at grid
+    m n each of these angles is m times its number at n.  Every congruence
+    of _solutions is linear in them with the k as integer factors, so
+    multiplying its terms and its modulus by m keeps it true: each
+    ``(k..., j1, j2)`` at n gives ``(k..., m j1, m j2)`` at m n.
+    """
+    solutions = {n: set(_solutions(n)) for n in range(1, MAX_OFFSETS + 1)}
+    for n, found in solutions.items():
+        for m in range(2, MAX_OFFSETS // n + 1):
+            scaled = {(*ks, m * j1, m * j2) for *ks, j1, j2 in found}
+            assert scaled <= solutions[m * n], (n, m)
+
+
 # --- The numeric search before the congruence solver, kept as its oracle:
 # every candidate screened, 125 at a time, then the in-order exact pass.
 

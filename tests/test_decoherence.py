@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
@@ -99,6 +99,27 @@ def test_single_phonon_scaling_exponents():
         samples = [(float(d), single_phonon_tau_s(float(d), branch)) for d in deps]
         slope = fit_scaling_exponent(samples)
         assert slope == pytest.approx(expected, abs=1e-12)
+
+
+@given(st.floats(1e-30, 1e30), st.sampled_from([("deformation", 5), ("piezoelectric", 3)]))
+@example(1.0, ("deformation", 5))
+@example(0.1, ("piezoelectric", 3))
+def test_doubling_the_splitting_divides_the_lifetime_by_two_to_the_exponent(deps, kind_and_p):
+    """Metamorphic relation ``tau(2 deps) = 2**-p tau(deps)``, p = 5 or 3.
+
+    ``tau = A deps**-p``, so doubling deps multiplies the true lifetime by
+    2**-p, which a float represents exactly and multiplies by without
+    rounding while the result stays normal (deps in [1e-30, 1e30] keeps
+    tau between 1e-157 and 1e144).  Each computed lifetime is ``fl(A *
+    fl(deps**-p))``: pow is within 1 ulp (relative 2**-52) and the product
+    rounds once more (2**-53), so each is within 1.5 * 2**-52 of its true
+    value, and ``tau(2 deps)`` is within 3 * 2**-52 of ``2**-p tau(deps)``
+    to first order.  The test allows 4 * 2**-52 = 8.9e-16.
+    """
+    kind, p = kind_and_p
+    branch = PhononBranch(kind)
+    expected = 2.0**-p * single_phonon_tau_s(deps, branch)
+    assert single_phonon_tau_s(2.0 * deps, branch) == pytest.approx(expected, rel=4 * 2.0**-52)
 
 
 def test_branch_coupling_shapes():

@@ -114,3 +114,45 @@ def test_identity_report_catches_corruption(monkeypatch):
     assert report["sqrt_swap_squares_to_swap"] > 1e-3
     # untouched identities still pass
     assert report["not1_commutes_with_not2"] < TOL
+
+
+def test_catalog_identities_hold_in_exact_arithmetic():
+    # Every catalog entry lies in Q(i, sqrt 2): each real and imaginary part
+    # is a multiple of 1/2, or the float 1/np.sqrt(2) of the Hadamard, which
+    # stands for sqrt(2)/2.  Mapped there exactly, every gate is unitary and
+    # every identity verify_catalog_identities checks in floats holds with no
+    # residual at all.
+    import sympy
+
+    def exact(x):
+        if float(2.0 * x).is_integer():
+            return sympy.Rational(x)
+        assert abs(x) == 1.0 / np.sqrt(2.0), x
+        return sympy.sqrt(2) / 2 if x > 0 else -sympy.sqrt(2) / 2
+
+    def exact_matrix(m):
+        return sympy.Matrix(6, 6, lambda i, j: exact(m[i, j].real) + sympy.I * exact(m[i, j].imag))
+
+    g = {gate_id: exact_matrix(m) for gate_id, m in gates._CATALOG.items()}
+    eye = sympy.eye(6)
+    ex = g[GateId.EXCHANGE]
+    not1, not2 = g[GateId.NOT1], g[GateId.NOT2]
+    sq1, sq2 = g[GateId.SQRT_NOT1], g[GateId.SQRT_NOT2]
+    swap, sqswap = g[GateId.SWAP], g[GateId.SQRT_SWAP]
+    phase, had2, cnot = g[GateId.PHASE], g[GateId.HADAMARD_Q2], g[GateId.CNOT]
+    identities = {f"unitary[{gate_id.value}]": (m.H * m, eye) for gate_id, m in g.items()}
+    identities.update({
+        "exchange_squares_to_identity": (ex * ex, eye),
+        "not1_commutes_with_not2": (not1 * not2, not2 * not1),
+        "sqrt_not1_commutes_with_sqrt_not2": (sq1 * sq2, sq2 * sq1),
+        "sqrt_not1_squares_to_not1": (sq1 * sq1, not1),
+        "sqrt_not2_squares_to_not2": (sq2 * sq2, not2),
+        "swap_factors_through_exchange": (swap, ex * not1 * not2 * ex),
+        "sqrt_swap_factors_through_exchange": (sqswap, ex * sq1 * sq2 * ex),
+        "sqrt_swap_squares_to_swap": (sqswap * sqswap, swap),
+        "cnot_factors_through_phase": (cnot, had2 * phase * had2),
+        "cnot_squares_to_identity": (cnot * cnot, eye),
+    })
+    assert identities.keys() == verify_catalog_identities().keys()
+    for name, (left, right) in identities.items():
+        assert (left - right).expand() == sympy.zeros(6, 6), name

@@ -329,7 +329,7 @@ def test_init_rejects_unknown_target():
 
 # ---------------------------------------------------------------------------
 # Oracles.  The closed form for one bias and one state at a time, and one
-# Python step per bias: the stacked kernel must match them exactly.  One
+# Python step per bias: the kernel and the scan must match them exactly.  One
 # eigendecomposition per trace, as the readout was first written, stays as
 # an independent reference; the two algorithms agree to roundoff in the
 # phase, not bitwise.
@@ -413,8 +413,7 @@ def test_traces_are_bitwise_the_one_state_evaluation():
     (3, 70_000),
 ])
 def test_stacked_scan_is_bitwise_the_per_bias_loop(n_bias, samples):
-    # 478 samples put 34 biases in a stack and 3000 samples put 5, so the
-    # scans cross stack edges; 70,000 samples take one bias per stack.
+    # Grids of 2 to 137 biases over traces of 2 to 70,000 samples.
     rng = np.random.default_rng(n_bias * samples)
     t_c = float(10.0 ** rng.uniform(-1, 1.5))
     duration, timestep = _random_pulse(rng, samples)
@@ -463,9 +462,9 @@ def test_screened_scan_is_bitwise_the_oracle_scan(scan):
 def test_scan_screen_sends_one_bias_to_the_kernel(monkeypatch):
     biases = []
 
-    def counting(tunnel_coupling_ueV, biases_ueV, times):
-        biases.extend(biases_ueV)
-        return kernel(tunnel_coupling_ueV, biases_ueV, times)
+    def counting(tunnel_coupling_ueV, bias_ueV, times):
+        biases.append(bias_ueV)
+        return kernel(tunnel_coupling_ueV, bias_ueV, times)
 
     kernel = readout._left_populations
     monkeypatch.setattr(readout, "_left_populations", counting)
@@ -486,9 +485,9 @@ def test_screen_falls_back_to_every_bias_when_skipped_ones_could_decide(monkeypa
     bounds = np.array([top - 2.1e-15 - readout._SCREEN_SLACK, 0.5, 0.5, 0.6])
     grid = 4.0 * 5.0 * np.arange(1, 5) / 4
 
-    def kernel(tunnel_coupling_ueV, biases_ueV, times):
-        p_left = np.zeros((2, len(biases_ueV), len(times)))
-        p_left[0] = contrasts[np.searchsorted(grid, biases_ueV)][:, None]
+    def kernel(tunnel_coupling_ueV, bias_ueV, times):
+        p_left = np.zeros((2, len(times)))
+        p_left[0] = contrasts[np.searchsorted(grid, bias_ueV)]
         return p_left
 
     monkeypatch.setattr(readout, "_left_populations", kernel)
@@ -503,9 +502,10 @@ def test_kernel_contrast_never_exceeds_the_screen_bound(scan):
     t_c, duration, timestep, n_bias = scan
     biases = 4.0 * t_c * np.arange(1, n_bias + 1) / n_bias
     times = np.arange(int(np.floor(duration / timestep + 1e-9)) + 1) * timestep
-    p_left = readout._left_populations(t_c, biases, times)
-    contrast = np.max(np.abs(p_left[0] - p_left[1]), axis=-1)
-    assert np.all(contrast <= readout._contrast_bounds(t_c, biases, times[-1]) + 1e-12)
+    bounds = readout._contrast_bounds(t_c, biases, times[-1])
+    for bias, bound in zip(biases, bounds):
+        p_left = readout._left_populations(t_c, bias, times)
+        assert np.max(np.abs(p_left[0] - p_left[1])) <= bound + 1e-12
 
 
 @given(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 400))
@@ -634,9 +634,9 @@ def test_init_reads_the_readout_pass(config, target):
 
 
 # ---------------------------------------------------------------------------
-# One bias against a stack: a readout pulse's pass takes E and the ratios as
-# Python floats, a scan's stacks as arrays; each value must be bitwise the
-# same either way.
+# One bias against an array: the kernel takes E and the ratios as Python
+# floats, the scan's screen (_contrast_bounds) as arrays; each value must be
+# bitwise the same either way.
 
 _COUPLINGS = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(0.0, 1e3))
 _BIASES = st.one_of(st.sampled_from([0.0, 1e-300, 1e300, -1e300]), st.floats(-1e6, 1e6))
@@ -648,17 +648,24 @@ _BIASES = st.one_of(st.sampled_from([0.0, 1e-300, 1e300, -1e300]), st.floats(-1e
 @example(0.0, 1e6, [0.0, -3.0], 50, 20.0)  # |bias| >> t_c
 @example(1e300, -1e300, [1e3], 7, 2.0)
 @example(1e-300, 0.0, [1e-300], 7, 2.0)
-def test_one_bias_pass_is_row_zero_of_a_stacked_pass(t_c, bias, others, samples, end_phase):
+@example(0.0, 1.1125369292536007e-308, [0.0], 1, 4.0)  # subnormal E
+def test_float_mixing_is_the_array_entry_and_the_kernel_is_the_trace(
+        t_c, bias, others, samples, end_phase):
     energy = float(np.hypot(t_c, bias / 2.0))
     duration = end_phase * HBAR_UEV_NS / (2.0 * energy) if energy > 0.0 else 1.0
+    if not np.isfinite(duration):  # E so small that no float duration reaches end_phase
+        duration = 1.0
     config = ReadoutConfig(t_c, bias, duration, duration / samples)
     traces = readout_traces(config)
-    one = readout._left_populations(t_c, (bias,), traces.times_ns)
-    stacked = readout._left_populations(t_c, np.array([bias, *others]), traces.times_ns)
-    assert one.shape == (2, 1, len(traces.times_ns))
-    assert one.tobytes() == stacked[:, :1].tobytes() == traces.p_left.tobytes()
-    assert traces.best_sample == int(np.argmax(np.abs(stacked[0, 0] - stacked[1, 0])))
-    assert traces.best == readout._optima(traces.times_ns, stacked)[0]
+    one = readout._mixing(t_c, bias)
+    stacked = readout._mixing(t_c, np.array([bias, *others]))
+    assert [type(value) for value in one] == [float] * 3
+    assert [value.hex() for value in one] == [float(row[0]).hex() for row in stacked]
+    p_left = readout._left_populations(t_c, bias, traces.times_ns)
+    assert p_left.shape == (2, len(traces.times_ns))
+    assert p_left.tobytes() == traces.p_left.tobytes()
+    assert traces.best_sample == int(np.argmax(np.abs(p_left[0] - p_left[1])))
+    assert traces.best == readout._optimum(traces.times_ns, p_left)[1]
 
 
 @given(_PULSES, st.floats(0.0, 10.0))
