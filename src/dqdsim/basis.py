@@ -22,8 +22,10 @@ package use this six-row ordering.
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DqdLevel",
@@ -70,8 +72,8 @@ LEAKAGE_ROWS: tuple[int, int] = (1, 4)
 
 #: Logical z of qubit 1 and qubit 2 on each row, read off the levels of the qubit's
 #: two DQDs: +1 for ``+-`` (qubit value 0), -1 for ``-+`` (value 1), 0 on leakage.
-LOGICAL_Z = {q: np.array([{(_P, _M): 1.0, (_M, _P): -1.0}.get(c[2 * q - 2:2 * q], 0.0)
-                          for c in EXTENDED_BASIS]) for q in (1, 2)}
+LOGICAL_Z = {q: tuple({(_P, _M): 1.0, (_M, _P): -1.0}.get(c[2 * q - 2:2 * q], 0.0)
+                      for c in EXTENDED_BASIS) for q in (1, 2)}
 
 #: Logical basis-state labels, qubit 1 first, in :data:`COMPUTATIONAL_ROWS` order.
 LOGICAL_BITS = tuple("".join("0" if LOGICAL_Z[q][row] > 0 else "1" for q in (1, 2))
@@ -89,11 +91,10 @@ def basis_labels() -> tuple[str, ...]:
 
 def basis_state(row: int) -> np.ndarray:
     """Unit vector on one of the six configurations."""
+    import numpy as np
     if row not in range(6):
         raise ValueError(f"row must be 0..5, got {row}")
-    v = np.zeros(6, dtype=complex)
-    v[row] = 1.0
-    return v
+    return np.eye(6, dtype=complex)[row]
 
 
 def computational_basis_state(bits: str) -> np.ndarray:
@@ -107,6 +108,7 @@ def computational_basis_state(bits: str) -> np.ndarray:
 
 def leakage_population(v6: np.ndarray) -> float:
     """Total probability carried by the two leakage configurations."""
+    import numpy as np
     v6 = np.asarray(v6, dtype=complex)
     if v6.shape != (6,):
         raise ValueError(f"expected a 6-vector, got shape {v6.shape}")

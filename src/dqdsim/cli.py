@@ -16,12 +16,12 @@ produce byte-identical output.  Reports contain no timestamps for the same
 reason.
 
 Importing this module loads ``basis``, ``compiler``, ``constants``,
-``gates``, ``linalg`` and ``reporting``: all that ``compile`` runs, so a
-cold ``compile`` process loads nothing more.  The other subcommands import
-the layer they need when their handler runs: ``verify`` and ``evolve``
-import ``pulses``, the ``decohere`` handlers ``decoherence``, and the
-``readout`` and ``init`` handlers ``readout``.  A trace's CSV table loads
-``floattext``, the formatter of float arrays.
+``gates``, ``linalg`` and ``reporting``, and no numpy: all that ``compile``
+runs, so a cold ``compile`` process loads nothing more.  The other
+subcommands import numpy and the layer they need when their handler runs:
+``verify`` and ``evolve`` import ``pulses``, the ``decohere`` handlers
+``decoherence``, and the ``readout`` and ``init`` handlers ``readout``.  A
+trace's CSV table loads ``floattext``, the formatter of float arrays.
 
 Each subcommand's flags are declared once, as data in :data:`_COMMANDS`
 (:class:`_Flag`: type, default, choices, help).  A run whose arguments
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import compiler
 from .basis import LOGICAL_BITS, basis_labels, computational_basis_state, leakage_population
@@ -54,6 +53,8 @@ from .linalg import dist_up_to_global_phase
 from .reporting import render_csv, render_json, write_text
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import decoherence
 
 __all__ = ["MAX_SWEEP_POINTS", "main"]
@@ -155,20 +156,21 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     })
 
 
-def _load_initial(args: argparse.Namespace) -> tuple[str, np.ndarray]:
+def _load_initial(args: argparse.Namespace) -> tuple[str, Sequence[complex]]:
     if args.initial_file is not None:
         # Integers parse as floats, so an oversized one becomes inf and is rejected.
         data = json.loads(Path(args.initial_file).read_text(), parse_int=float)
         if not (isinstance(data, list) and len(data) == 6 and all(
                 isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, float) and np.isfinite(x) for x in pair)
+                and all(isinstance(x, float) and math.isfinite(x) for x in pair)
                 for pair in data)):
             raise ValueError("initial state file must hold six [re, im] pairs of finite numbers")
-        return "custom", np.array([complex(re, im) for re, im in data])  # evolve checks its norm
+        return "custom", [complex(re, im) for re, im in data]  # evolve checks its norm
     return args.initial, computational_basis_state(args.initial)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> Result:
+    import numpy as np
     from . import pulses
     if args.schedule is None:
         raise ValueError("evolve requires --schedule <file>")
@@ -206,12 +208,13 @@ def _cmd_compile(args: argparse.Namespace) -> Result:
 def _sweep_grid(lo_name: str, lo: float, hi_name: str, hi: float, points: int) -> np.ndarray:
     """``points`` log-spaced values from ``lo`` to ``hi``, after checking all three."""
     for name, value in ((lo_name, lo), (hi_name, hi)):
-        if not 0.0 < value < np.inf:
+        if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not lo < hi:
         raise ValueError(f"{lo_name} must be below {hi_name}")
     if not 2 <= points <= MAX_SWEEP_POINTS:
         raise ValueError(f"points must be in 2..{MAX_SWEEP_POINTS}, got {points}")
+    import numpy as np
     return np.geomspace(lo, hi, points)
 
 
@@ -334,6 +337,7 @@ def _cmd_readout(args: argparse.Namespace) -> Result:
     }
 
     def table() -> tuple[Sequence[str], np.ndarray]:
+        import numpy as np
         plus, minus = traces.p_left
         columns = (traces.times_ns, plus, minus, np.abs(plus - minus))
         return ("t_ns", "p_left_plus", "p_left_minus", "contrast"), np.column_stack(columns)
@@ -354,7 +358,7 @@ def _cmd_init(args: argparse.Namespace) -> Result:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not 0.0 <= value < np.inf:
+    if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
     return value
 

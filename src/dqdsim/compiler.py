@@ -24,17 +24,18 @@ the four leakage phases, rows 1 and 4 of ``D`` and of ``E``, are all
     n*(k1p - k2p) + 8*(j1 + j2) = 4n    n*(k1m - k2m) + 8*(j1 + j2) = 4n
 
 Each k-tuple fixes ``j1`` and then ``j2``, so the solutions are found
-without a search over offsets.  The reported residual is still the exact
-distance of the chosen embedding, so a wrong solution would fail the
-check.  That the four leakage phases at ``pi`` are the only ones that
-work, for any unit phases and not just those on a grid, is checked in
-exact arithmetic (sympy) by ``tests/test_compiler.py::
-test_phase_gate_embedding_is_unique_in_exact_arithmetic``.
-The tests also keep the numeric search this replaced as an oracle: at
-``n <= 3`` the solutions are exactly the candidates within 1e-14 of the
-target, and at every ``n <= 64`` the first solution is the old search's
-answer, offsets and residual bit for bit.
+without a search over offsets.  That the four leakage phases at ``pi``
+are the only ones that work, for any unit phases and not just those on a
+grid, is checked in exact arithmetic (sympy) by ``tests/test_compiler.py::
+test_phase_gate_embedding_is_unique_in_exact_arithmetic``.  The tests
+also keep the numeric search this replaced as an oracle: at ``n <= 3``
+the solutions are exactly the candidates within 1e-14 of the target, and
+at every ``n <= 64`` the first solution is the old search's answer,
+offsets and residual bit for bit.
 
+Every matrix here is a tuple of rows of Python numbers, z phases come
+from ``cmath.exp`` and products from one fixed-order :func:`_product`, so
+the residuals are the same on every CPU and the module loads no numpy.
 The conventions and residuals are surfaced in a decomposition report
 rather than hard-coded; the caller holds the residuals to its tolerance,
 so a failure to reproduce the catalog gate is reported explicitly instead
@@ -43,14 +44,14 @@ of being patched over.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .basis import COMPUTATIONAL_ROWS, LEAKAGE_ROWS, LOGICAL_Z
-from .gates import GateId, gate_matrix
-from .linalg import dist_up_to_global_phase, require_count
+from .gates import GateId, gate_rows
+from .linalg import Rows, dist_up_to_global_phase, monomial, require_count
 
 __all__ = [
     "PhaseEmbedding",
@@ -65,28 +66,26 @@ __all__ = [
 ]
 
 #: 4-dim square root of swap on (|00>, |01>, |10>, |11>).
-SQRT_SWAP_4 = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
-        [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
+SQRT_SWAP_4: Rows = (
+    (1, 0, 0, 0),
+    (0, (1 + 1j) / 2, (1 - 1j) / 2, 0),
+    (0, (1 - 1j) / 2, (1 + 1j) / 2, 0),
+    (0, 0, 0, 1),
 )
 
-#: 4-dim conditional phase flip: the catalog phase gate on the computational rows.
-CZ_4 = gate_matrix(GateId.PHASE)[np.ix_(COMPUTATIONAL_ROWS, COMPUTATIONAL_ROWS)]
+#: 4-dim conditional phase flip: the catalog phase gate's diagonal on the computational rows.
+CZ_4: Rows = monomial(range(4), [gate_rows(GateId.PHASE)[r][r] for r in COMPUTATIONAL_ROWS])
 
 # Diagonal phase patterns of the two z-gate sign conventions, 4-dim.
 # "minus_half_on_zero": qubit value 0 gets exp(-1j*theta/2), value 1 the
 # conjugate; "plus_half_on_zero" is the mirrored convention.
 _XOR_CONVENTIONS = ("minus_half_on_zero", "plus_half_on_zero")
 
-# Per qubit, the sign of each computational row's phase in Z_q(theta): -1 on
-# rows where the qubit is 0, +1 where it is 1, the negated logical z.
-_ROW_SIGN = {q: -z for q, z in LOGICAL_Z.items()}
 
+def _product(a: Rows, b: Rows) -> Rows:
+    """``a @ b``, each entry summed over ``k`` in order: the compiler's one matrix product."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
 
 @dataclass(frozen=True, order=True)
 class PhaseEmbedding:
@@ -110,17 +109,17 @@ class PhaseEmbedding:
 TRIVIAL_EMBEDDING = PhaseEmbedding()
 
 
-def _z_phases(qubit: int, theta: float, k_pp: int, k_mm: int, offset: float) -> np.ndarray:
-    """Diagonal of ``Z_qubit(theta)``, shape ``(6,)``, for one embedding."""
+def _z_phases(qubit: int, theta: float, k_pp: int, k_mm: int, offset: float) -> tuple[complex, ...]:
+    """Diagonal of ``Z_qubit(theta)``, six phases, for one embedding."""
     half = theta / 2.0
-    angles = _ROW_SIGN[qubit] * half
+    angles = [-z * half for z in LOGICAL_Z[qubit]]  # -theta/2 on qubit value 0, +theta/2 on 1
     pp_row, mm_row = LEAKAGE_ROWS  # qubit 1's DQDs both in "+", both in "-"
     angles[pp_row] = k_pp * half + offset
     angles[mm_row] = k_mm * half + offset
-    return np.exp(1j * angles)
+    return tuple(cmath.exp(1j * angle) for angle in angles)
 
 
-def z_gate(qubit: int, theta: float, emb: PhaseEmbedding = TRIVIAL_EMBEDDING) -> np.ndarray:
+def z_gate(qubit: int, theta: float, emb: PhaseEmbedding = TRIVIAL_EMBEDDING) -> Rows:
     """Six-dimensional phase gate on one qubit.
 
     Diagonal and unitary for every embedding; the embedding only chooses
@@ -132,10 +131,10 @@ def z_gate(qubit: int, theta: float, emb: PhaseEmbedding = TRIVIAL_EMBEDDING) ->
         k_pp, k_mm, offset = emb.k_z1_pp, emb.k_z1_mm, emb.offset_z1
     else:
         k_pp, k_mm, offset = emb.k_z2_pp, emb.k_z2_mm, emb.offset_z2
-    return np.diag(_z_phases(qubit, float(theta), k_pp, k_mm, offset))
+    return monomial(range(6), _z_phases(qubit, float(theta), k_pp, k_mm, offset))
 
 
-def build_pi(emb: PhaseEmbedding = TRIVIAL_EMBEDDING) -> np.ndarray:
+def build_pi(emb: PhaseEmbedding = TRIVIAL_EMBEDDING) -> Rows:
     """Conditional phase flip compiled from swap square roots and z gates.
 
     The product is ``[(Z1(pi/2) Z2(-pi/2)) S]^2 (Z1(pi)) S`` where ``S``
@@ -143,17 +142,17 @@ def build_pi(emb: PhaseEmbedding = TRIVIAL_EMBEDDING) -> np.ndarray:
     catalog phase gate depends on the leakage-phase embedding; see
     :func:`search_embedding`.
     """
-    s = gate_matrix(GateId.SQRT_SWAP)
-    da = z_gate(1, np.pi / 2.0, emb) @ z_gate(2, -np.pi / 2.0, emb)
-    db = z_gate(1, np.pi, emb)
-    das = da @ s
-    return (das @ das) @ (db @ s)
+    s = gate_rows(GateId.SQRT_SWAP)
+    da = _product(z_gate(1, math.pi / 2.0, emb), z_gate(2, -math.pi / 2.0, emb))
+    db = z_gate(1, math.pi, emb)
+    das = _product(da, s)
+    return _product(_product(das, das), _product(db, s))
 
 
-def build_cnot(emb: PhaseEmbedding) -> np.ndarray:
+def build_cnot(emb: PhaseEmbedding) -> Rows:
     """CNOT compiled as Hadamard-conjugated conditional phase flip."""
-    h2 = gate_matrix(GateId.HADAMARD_Q2)
-    return h2 @ (build_pi(emb) @ h2)
+    h2 = gate_rows(GateId.HADAMARD_Q2)
+    return _product(h2, _product(build_pi(emb), h2))
 
 
 #: Largest offset-grid size :func:`search_embedding` accepts.  Solving the
@@ -196,15 +195,16 @@ def search_embedding(n_offsets: int = 4) -> tuple[PhaseEmbedding, float]:
     """
     n_offsets = require_count("offset-grid size", n_offsets, 1, MAX_OFFSETS)
     *ks, j1, j2 = next(_solutions(n_offsets))
-    step = 2.0 * np.pi / n_offsets
+    step = 2.0 * math.pi / n_offsets
     emb = PhaseEmbedding(*ks, j1 * step, j2 * step)
-    return emb, dist_up_to_global_phase(build_pi(emb), gate_matrix(GateId.PHASE))
+    return emb, dist_up_to_global_phase(build_pi(emb), gate_rows(GateId.PHASE))
 
 
-def _z4(qubit: int, theta: float, convention: str) -> np.ndarray:
+def _z4(qubit: int, theta: float, convention: str) -> Rows:
     """:func:`z_gate` on the computational rows, in either sign convention."""
     sign = 1.0 if convention == "minus_half_on_zero" else -1.0
-    return np.diag(_z_phases(qubit, sign * theta, 0, 0, 0.0)[list(COMPUTATIONAL_ROWS)])
+    phases = _z_phases(qubit, sign * theta, 0, 0, 0.0)
+    return monomial(range(4), [phases[row] for row in COMPUTATIONAL_ROWS])
 
 
 def verify_xor_4dim() -> dict[str, float]:
@@ -219,9 +219,9 @@ def verify_xor_4dim() -> dict[str, float]:
     s = SQRT_SWAP_4
     residuals: dict[str, float] = {}
     for convention in _XOR_CONVENTIONS:
-        da = _z4(1, np.pi / 2.0, convention) @ _z4(2, -np.pi / 2.0, convention)
-        db = _z4(1, np.pi, convention)
-        u = da @ s @ db @ s
+        da = _product(_z4(1, math.pi / 2.0, convention), _z4(2, -math.pi / 2.0, convention))
+        db = _z4(1, math.pi, convention)
+        u = _product(_product(_product(da, s), db), s)
         residuals[convention] = dist_up_to_global_phase(u, CZ_4)
     return residuals
 
@@ -233,8 +233,8 @@ def decomposition_report(n_offsets: int = 4) -> dict[str, object]:
     the phase-gate, CNOT and 4-dim XOR residuals to its ``--tolerance``.
     """
     emb, best_residual = search_embedding(n_offsets)
-    trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_matrix(GateId.PHASE))
-    cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_matrix(GateId.CNOT))
+    trivial_residual = dist_up_to_global_phase(build_pi(TRIVIAL_EMBEDDING), gate_rows(GateId.PHASE))
+    cnot_residual = dist_up_to_global_phase(build_cnot(emb), gate_rows(GateId.CNOT))
     xor = verify_xor_4dim()
     convention = min(_XOR_CONVENTIONS, key=xor.__getitem__)
     return {

@@ -2,10 +2,10 @@
 
 The single- and two-qubit gates below are written directly in the extended
 six-configuration basis of :mod:`dqdsim.basis`, leakage rows included, as
-exact matrix literals.  The nontrivial entries are algebraic numbers:
+exact rows of Python numbers.  The nontrivial entries are algebraic numbers:
 ``(1 - 1j)/2 = 1/sqrt(2j)`` and ``(1 + 1j)/2 = 1j/sqrt(2j)`` in the NOT
 square roots, ``+-1j/2`` and ``1/2`` in the SWAP square root, ``1/sqrt(2)``
-in the Hadamard.
+in the Hadamard; :func:`gate_rows` gives them, :func:`gate_matrix` a numpy array.
 
 :func:`verify_catalog_identities` cross-checks the catalog: square roots
 square to the full gates, the qubit-exchange operation conjugates
@@ -16,19 +16,18 @@ literal is pinpointed rather than merely detected.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .linalg import Rows, max_abs_diff, monomial
 
-from .linalg import max_abs_diff
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = [
-    "GateId",
-    "gate_matrix",
-    "verify_catalog_identities",
-]
+__all__ = ["GateId", "gate_matrix", "gate_rows", "verify_catalog_identities"]
 
-_SQ2 = 1.0 / np.sqrt(2.0)
+_SQ2 = 1.0 / math.sqrt(2.0)
 _A = (1.0 - 1.0j) / 2.0  # 1/sqrt(2j): diagonal entry of the NOT square roots
 _B = (1.0 + 1.0j) / 2.0  # 1j/sqrt(2j): off-diagonal entry of the NOT square roots
 
@@ -49,126 +48,70 @@ class GateId(Enum):
     CNOT = "cnot"
 
 
-#: Every gate as an exact literal, in the order of the ``unitary[...]`` keys of
-#: :func:`verify_catalog_identities`.
-_CATALOG: dict[GateId, np.ndarray] = {
-    GateId.IDENTITY: np.eye(6, dtype=complex),
+#: Every gate exactly, a permutation or a diagonal as its :func:`~dqdsim.linalg.monomial`,
+#: in the order of the ``unitary[...]`` keys of :func:`verify_catalog_identities`.
+_CATALOG: dict[GateId, Rows] = {
+    GateId.IDENTITY: monomial(range(6)),
     # Logical X on qubit 1: exchanges the |0x> and |1x> rows, fixes leakage.
-    GateId.NOT1: np.array(
-        [
-            [0, 0, 0, 1, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 1, 0, 0, 0],
-        ],
-        dtype=complex,
-    ),
+    GateId.NOT1: monomial((3, 1, 5, 0, 4, 2)),
     # Logical X on qubit 2.
-    GateId.NOT2: np.array(
-        [
-            [0, 0, 1, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, 1, 0, 0],
-        ],
-        dtype=complex,
+    GateId.NOT2: monomial((2, 1, 0, 5, 4, 3)),
+    GateId.SQRT_NOT1: (
+        (_A, 0, 0, _B, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (0, 0, _A, 0, 0, _B),
+        (_B, 0, 0, _A, 0, 0),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, _B, 0, 0, _A),
     ),
-    GateId.SQRT_NOT1: np.array(
-        [
-            [_A, 0, 0, _B, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, _A, 0, 0, _B],
-            [_B, 0, 0, _A, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, _B, 0, 0, _A],
-        ],
-        dtype=complex,
-    ),
-    GateId.SQRT_NOT2: np.array(
-        [
-            [_A, 0, _B, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [_B, 0, _A, 0, 0, 0],
-            [0, 0, 0, _A, 0, _B],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, _B, 0, _A],
-        ],
-        dtype=complex,
+    GateId.SQRT_NOT2: (
+        (_A, 0, _B, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (_B, 0, _A, 0, 0, 0),
+        (0, 0, 0, _A, 0, _B),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, _B, 0, _A),
     ),
     # Exchange of the two inner DQDs; maps |00> into the first leakage
     # configuration and |11> into the second, and is a Hermitian involution.
-    GateId.EXCHANGE: np.array(
-        [
-            [0, 1, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1, 0],
-        ],
-        dtype=complex,
-    ),
+    GateId.EXCHANGE: monomial((1, 0, 2, 3, 5, 4)),
     # Full qubit swap: |01> <-> |10>, leakage configurations exchanged.
-    GateId.SWAP: np.array(
-        [
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-        ],
-        dtype=complex,
-    ),
-    GateId.SQRT_SWAP: np.array(
-        [
-            [1, 0, 0, 0, 0, 0],
-            [0, -0.5j, 0.5, 0.5, 0.5j, 0],
-            [0, 0.5, -0.5j, 0.5j, 0.5, 0],
-            [0, 0.5, 0.5j, -0.5j, 0.5, 0],
-            [0, 0.5j, 0.5, 0.5, -0.5j, 0],
-            [0, 0, 0, 0, 0, 1],
-        ],
-        dtype=complex,
+    GateId.SWAP: monomial((0, 4, 3, 2, 1, 5)),
+    GateId.SQRT_SWAP: (
+        (1, 0, 0, 0, 0, 0),
+        (0, -0.5j, 0.5, 0.5, 0.5j, 0),
+        (0, 0.5, -0.5j, 0.5j, 0.5, 0),
+        (0, 0.5, 0.5j, -0.5j, 0.5, 0),
+        (0, 0.5j, 0.5, 0.5, -0.5j, 0),
+        (0, 0, 0, 0, 0, 1),
     ),
     # Conditional phase flip: |11> acquires a sign, everything else is fixed.
-    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+    GateId.PHASE: monomial(range(6), (1, 1, 1, 1, 1, -1)),
     # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
-    GateId.HADAMARD_Q2: np.array(
-        [
-            [_SQ2, 0, _SQ2, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [_SQ2, 0, -_SQ2, 0, 0, 0],
-            [0, 0, 0, _SQ2, 0, _SQ2],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, _SQ2, 0, -_SQ2],
-        ],
-        dtype=complex,
+    GateId.HADAMARD_Q2: (
+        (_SQ2, 0, _SQ2, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (_SQ2, 0, -_SQ2, 0, 0, 0),
+        (0, 0, 0, _SQ2, 0, _SQ2),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, _SQ2, 0, -_SQ2),
     ),
     # Controlled NOT (qubit 1 controls): |10> <-> |11>, leakage fixed.
-    GateId.CNOT: np.array(
-        [
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, 1, 0, 0],
-        ],
-        dtype=complex,
-    ),
+    GateId.CNOT: monomial((0, 1, 2, 5, 4, 3)),
 }
 
 
-def gate_matrix(gate: GateId) -> np.ndarray:
-    """Fresh copy of a catalog gate (callers may mutate freely)."""
+def gate_rows(gate: GateId) -> Rows:
+    """The exact entries of a catalog gate, as a tuple of rows of Python numbers."""
     if not isinstance(gate, GateId):
         raise TypeError(f"expected a GateId, got {type(gate).__name__}")
-    return _CATALOG[gate].copy()
+    return _CATALOG[gate]
+
+
+def gate_matrix(gate: GateId) -> np.ndarray:
+    """A catalog gate as a fresh ``complex`` array (callers may mutate freely)."""
+    import numpy as np
+    return np.array(gate_rows(gate), dtype=complex)
 
 
 def verify_catalog_identities() -> dict[str, float]:
@@ -176,7 +119,8 @@ def verify_catalog_identities() -> dict[str, float]:
 
     All residuals are ~1e-16 or exactly zero for the shipped literals.
     """
-    g = _CATALOG
+    import numpy as np
+    g = {gid: np.array(rows, dtype=complex) for gid, rows in _CATALOG.items()}
     eye = np.eye(6)
     ex = g[GateId.EXCHANGE]
     not1, not2 = g[GateId.NOT1], g[GateId.NOT2]

@@ -13,9 +13,11 @@ import csv
 import io
 import math
 import os
-from typing import Iterable, Sequence
+import sys
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["format_float", "render_json", "render_csv", "write_text"]
 
@@ -28,7 +30,15 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _render(value: object, indent: int) -> str:
+def _scalars() -> tuple[tuple[type, ...], ...]:
+    """The bool, int and float types of a report, numpy's too once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return (bool,), (int,), (float,)
+    return (bool, np.bool_), (int, np.integer), (float, np.floating)
+
+
+def _render(value: object, indent: int, scalars: tuple[tuple[type, ...], ...]) -> str:
     # Plain values by their exact type first: the bulk of every report.
     # Subclasses and numpy scalars take the checks below.
     kind = type(value)
@@ -49,20 +59,21 @@ def _render(value: object, indent: int) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{inner}{_quote(key)}: {_render(item, indent + 1)}")
+            items.append(f"{inner}{_quote(key)}: {_render(item, indent + 1, scalars)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        items = [f"{inner}{_render(item, indent + 1)}" for item in value]
+        items = [f"{inner}{_render(item, indent + 1, scalars)}" for item in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    bools, ints, floats = scalars
+    if isinstance(value, bools):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, ints):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, floats):
         return format_float(float(value))
     if isinstance(value, str):
         return _quote(value)
@@ -85,15 +96,15 @@ def _quote(text: str) -> str:
 
 def render_json(payload: object) -> str:
     """Render a report as pretty JSON with exact float round-trip."""
-    return _render(payload, 0) + "\n"
+    return _render(payload, 0, _scalars()) + "\n"
 
 
-def _render_cell(cell: object) -> str:
+def _render_cell(cell: object, ints: tuple[type, ...], floats: tuple[type, ...]) -> str:
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if isinstance(cell, (int, np.integer)):
+    if isinstance(cell, ints):
         return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
+    if isinstance(cell, floats):
         return format_float(float(cell))
     return str(cell)
 
@@ -118,7 +129,8 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndar
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    if isinstance(rows, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and isinstance(rows, np.ndarray):
         if rows.dtype != np.float64 or rows.shape[1:] != (len(header),):
             raise ValueError(f"expected an (n, {len(header)}) float array, got {rows.dtype} "
                              f"{rows.shape}")
@@ -129,8 +141,9 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndar
         for start in range(0, len(rows), _CHUNK_ROWS):
             buffer.write(format_rows(rows[start:start + _CHUNK_ROWS]))
         return buffer.getvalue()
+    _, ints, floats = _scalars()
     for row in rows:
-        cells = [_render_cell(c) for c in row]
+        cells = [_render_cell(c, ints, floats) for c in row]
         if len(cells) != len(header):
             raise ValueError(f"row width {len(cells)} != header width {len(header)}")
         writer.writerow(cells)

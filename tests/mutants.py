@@ -190,35 +190,41 @@ MUTANTS = (
     ),
     Mutant(
         "catalog entries swapped", "gates.py",
-        """    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+        """    GateId.PHASE: monomial(range(6), (1, 1, 1, 1, 1, -1)),
     # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
-    GateId.HADAMARD_Q2: np.array(
-        [
-            [_SQ2, 0, _SQ2, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [_SQ2, 0, -_SQ2, 0, 0, 0],
-            [0, 0, 0, _SQ2, 0, _SQ2],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, _SQ2, 0, -_SQ2],
-        ],
-        dtype=complex,
+    GateId.HADAMARD_Q2: (
+        (_SQ2, 0, _SQ2, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (_SQ2, 0, -_SQ2, 0, 0, 0),
+        (0, 0, 0, _SQ2, 0, _SQ2),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, _SQ2, 0, -_SQ2),
     ),
 """,
         """    # Hadamard on qubit 2 (identity on qubit 1 and on the leakage rows).
-    GateId.HADAMARD_Q2: np.array(
-        [
-            [_SQ2, 0, _SQ2, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [_SQ2, 0, -_SQ2, 0, 0, 0],
-            [0, 0, 0, _SQ2, 0, _SQ2],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 0, _SQ2, 0, -_SQ2],
-        ],
-        dtype=complex,
+    GateId.HADAMARD_Q2: (
+        (_SQ2, 0, _SQ2, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (_SQ2, 0, -_SQ2, 0, 0, 0),
+        (0, 0, 0, _SQ2, 0, _SQ2),
+        (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, _SQ2, 0, -_SQ2),
     ),
-    GateId.PHASE: np.diag([1, 1, 1, 1, 1, -1]).astype(complex),
+    GateId.PHASE: monomial(range(6), (1, 1, 1, 1, 1, -1)),
 """,
         ("tests/test_cli.py::test_compile_and_verify_match_golden_bytes",),
+    ),
+    Mutant(
+        "basis imports numpy at module level", "basis.py",
+        "from __future__ import annotations\n\nfrom enum import Enum\n",
+        "from __future__ import annotations\n\nfrom enum import Enum\n\nimport numpy as np\n",
+        ("tests/test_cli.py::test_a_fresh_compile_process_imports_no_numpy",
+         "tests/test_cli.py::test_compile_path_loads_no_sweep_or_readout_code"),
+    ),
+    Mutant(
+        "compiler product sums k < 5 only", "compiler.py",
+        "sum(x * y for x, y in zip(row, col))", "sum(x * y for x, y in zip(row[:5], col))",
+        ("tests/test_compiler.py::test_pi_construction_with_frozen_embedding",),
     ),
     Mutant(
         "phonon kinds reordered", "constants.py",

@@ -212,18 +212,18 @@ def test_compile_on_the_largest_grids_finds_the_pattern_embedding(capsys, n_offs
     assert report["offset_grid_size"] == n_offsets
 
 
-def unreachable_phase_gate(gate: GateId) -> np.ndarray:
+def unreachable_phase_gate(gate: GateId) -> list[list[complex]]:
     """The catalog, with the phase gate's rows turned by up to 0.3 rad: no candidate reaches it."""
     matrix = gate_matrix(gate)
     if gate is GateId.PHASE:
         matrix = matrix * np.exp(0.3j * np.sin(np.arange(1, 7)))[:, None]
-    return matrix
+    return matrix.tolist()
 
 
 def test_compile_fails_when_the_embedding_misses_the_phase_gate(capsys, monkeypatch):
     # The reported residual is the exact distance of the returned embedding,
     # so a target the solution does not reach fails the check.
-    monkeypatch.setattr(compiler, "gate_matrix", unreachable_phase_gate)
+    monkeypatch.setattr(compiler, "gate_rows", unreachable_phase_gate)
     code, out, _ = run(capsys, "compile")
     assert code == 1
     report = json.loads(out)
@@ -363,13 +363,16 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
         from pathlib import Path
 
         out, golden = Path(sys.argv[1]), Path(sys.argv[2])
-        lazy = ("dqdsim.pulses", "dqdsim.decoherence", "dqdsim.readout", "dqdsim.floattext")
+        lazy = ("numpy", "dqdsim.pulses", "dqdsim.decoherence", "dqdsim.readout",
+                "dqdsim.floattext")
+        import dqdsim
+        assert not [m for m in lazy if m in sys.modules], "import dqdsim"
         from dqdsim import cli
         assert not [m for m in lazy if m in sys.modules], "import dqdsim.cli"
         assert cli.main(["compile", "--out", str(out / "compile_r4.json")]) == 0
         assert not [m for m in lazy if m in sys.modules], "compile"
         assert cli.main(["verify", "--out", str(out / "verify_r4.json")]) == 0
-        assert not [m for m in lazy[1:] if m in sys.modules], "verify"
+        assert not [m for m in lazy[2:] if m in sys.modules], "verify"
         for name, argv in (("compile_r4.json", None), ("verify_r4.json", None),
                            ("decohere_tau.csv", ["decohere"]), ("readout.csv", ["readout"])):
             if argv is not None:
@@ -378,12 +381,28 @@ def test_compile_path_loads_no_sweep_or_readout_code(tmp_path):
         # the readout trace table was the first to build the formatter's tables
         assert sys.modules["dqdsim.floattext"]._tables.cache_info().misses == 1
     """)
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = Path(cli.__file__).resolve().parent.parent  # the dqdsim under test
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(GOLDEN)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_fresh_compile_process_imports_no_numpy(fmt):
+    # -X importtime names, on stderr, every module the process imports, from startup on.
+    src = Path(cli.__file__).resolve().parent.parent  # the dqdsim under test
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-X", "importtime", "-m", "dqdsim.cli", "compile", "--format", fmt]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "dqdsim.compiler" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+    assert proc.stdout == (GOLDEN / f"compile_r4.{fmt}").read_text()
 
 
 def test_back_to_back_runs_print_what_fresh_runs_print(capsys, monkeypatch, tmp_path):

@@ -107,7 +107,7 @@ def test_identity_report_all_green():
 def test_identity_report_catches_corruption(monkeypatch):
     bad = gate_matrix(GateId.SQRT_SWAP)
     bad[3, 3] = 0.9 * bad[3, 3]
-    monkeypatch.setitem(gates._CATALOG, GateId.SQRT_SWAP, bad)
+    monkeypatch.setitem(gates._CATALOG, GateId.SQRT_SWAP, bad.tolist())
     report = verify_catalog_identities()
     assert max(report.values()) > TOL
     assert report["unitary[sqrt_swap]"] > 1e-3
@@ -131,7 +131,7 @@ def test_catalog_identities_hold_in_exact_arithmetic():
         return sympy.sqrt(2) / 2 if x > 0 else -sympy.sqrt(2) / 2
 
     def exact_matrix(m):
-        return sympy.Matrix(6, 6, lambda i, j: exact(m[i, j].real) + sympy.I * exact(m[i, j].imag))
+        return sympy.Matrix(6, 6, lambda i, j: exact(m[i][j].real) + sympy.I * exact(m[i][j].imag))
 
     g = {gate_id: exact_matrix(m) for gate_id, m in gates._CATALOG.items()}
     eye = sympy.eye(6)

@@ -13,7 +13,7 @@ from dqdsim.decoherence import (
     single_phonon_tau_s,
     two_phonon_rates_per_s,
 )
-from dqdsim.linalg import dist_up_to_global_phase, require_normalized
+from dqdsim.linalg import dist_up_to_global_phase, is_unitary, require_normalized
 from dqdsim.pulses import calibrate_phase_flip, evolve
 from dqdsim.reporting import render_json
 
@@ -65,3 +65,8 @@ def test_guard_raises_its_type_and_message(call, error, message):
         call()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_is_unitary_is_false_on_a_non_square_input(shape):
+    assert is_unitary(np.ones(shape)) is False

@@ -285,3 +285,16 @@ _REPORT_SCALARS = st.one_of(
 ))
 def test_render_json_is_the_isinstance_chain_renderer(value):
     assert render_json(value) == _isinstance_render(value) + "\n"
+
+
+def test_str_subclasses_and_numpy_scalars_render_as_they_always_have():
+    # Both take the isinstance checks after the exact-type lookup; numpy's scalar
+    # types come from sys.modules, once per render call.  The bytes are the ones
+    # the renderer gave when it imported numpy at module level.
+    report = {"text": _Text('a"b'), "f32": np.float32(0.1), "i64": np.int64(-2**63),
+              "flags": [np.bool_(True), np.bool_(False)]}
+    assert render_json(report) == (
+        '{\n  "text": "a\\"b",\n  "f32": 0.10000000149011612,\n'
+        '  "i64": -9223372036854775808,\n  "flags": [\n    true,\n    false\n  ]\n}\n')
+    row = (np.float32(0.1), np.int64(-7), np.bool_(True), _Text("x,y"))
+    assert render_csv(("a", "b", "c", "d"), [row]) == 'a,b,c,d\n0.10000000149011612,-7,True,"x,y"\n'
